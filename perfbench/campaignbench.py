@@ -5,12 +5,14 @@ seed ensemble through one cached runner with ``jobs=1`` (the CLI default)
 and obs telemetry on.  A *cycle* is a cold pass on an empty artifacts
 directory followed by warm passes on the filled one; every pass is
 ``run_campaign`` plus ``write_report`` for both campaigns, as
-``repro campaign run`` does.
+``repro campaign run`` does.  A pass that raises fails every point it
+holds; the run goes on.
 """
 
 from __future__ import annotations
 
 import shutil
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -58,6 +60,8 @@ class Pass:
     quarantined: int
     failed: int
     digest: str = ""
+    #: Why points of the pass failed their checks; empty when none did.
+    problem: str = ""
     layers: Dict[str, float] = field(default_factory=dict)
     calls: Dict[str, int] = field(default_factory=dict)
 
@@ -65,22 +69,23 @@ class Pass:
 class CampaignBench:
     """Set-up, warm-up and measured cycles of the campaign workload."""
 
-    def __init__(self, seed: int, src: str, workdir: Path):
+    def __init__(self, seed: int, workdir: Path):
         self.seeds = tuple(range(seed, seed + SEEDS))
-        self.src = src
         self.workdir = Path(workdir)
         self.campaigns: List[object] = []
         self.reference: Optional[List[Dict[str, object]]] = None
         self.digest = ""
         self._dirs = 0
 
-    def setup_seconds(self) -> float:
-        """Import ``repro`` and build the campaigns."""
+    def setup_seconds(self, probe: common.HostProbe) -> float:
+        """Import ``repro`` and build the campaigns (``probe`` as in
+        :meth:`perfbench.simbench.SimBench.setup_seconds`)."""
         from repro.experiments.campaigns import get_campaign
 
-        imports = common.import_seconds(self.src, IMPORTS)
+        imports = common.import_seconds(IMPORTS, probe)
         samples = []
         for _ in range(common.SETUP_REPEATS + 1):
+            probe.sample()
             start = perf_counter()
             campaigns = [get_campaign(name, seeds=self.seeds, quick=True)
                          for name in CAMPAIGNS]
@@ -120,26 +125,30 @@ class CampaignBench:
         trace_cache_clear()
         common.settle()
         previous = configure_observability(str(artifacts / "obs"))
+        patches = Patches(tracer, CAMPAIGN_TARGETS) if tracer else nullcontext()
+        before = tracer.snapshot() if tracer else None
+        reports, error = None, ""
         try:
-            if tracer is None:
+            with patches:
                 start = perf_counter()
-                reports = self._campaigns(artifacts)
+                try:
+                    reports = tracer.call(
+                        "sweep.runner", self._campaigns, (artifacts,), {}) \
+                        if tracer else self._campaigns(artifacts)
+                except Exception as exc:  # a failed pass, counted as such
+                    error = f"{type(exc).__name__}: {exc}"
                 seconds = perf_counter() - start
-                traced = None
-            else:
-                with Patches(tracer, CAMPAIGN_TARGETS):
-                    before = tracer.snapshot()
-                    start = perf_counter()
-                    reports = tracer.call("sweep.runner", self._campaigns,
-                                          (artifacts,), {})
-                    seconds = perf_counter() - start
-                    after = tracer.snapshot()
-                traced = ({k: v - before[0].get(k, 0.0)
-                           for k, v in after[0].items()},
-                          {k: v - before[1].get(k, 0)
-                           for k, v in after[1].items()})
         finally:
             configure_observability(previous)
+        traced = None
+        if tracer:
+            after = tracer.snapshot()
+            traced = ({k: v - before[0].get(k, 0.0)
+                       for k, v in after[0].items()},
+                      {k: v - before[1].get(k, 0)
+                       for k, v in after[1].items()})
+        if reports is None:
+            return self._failed(seconds, error, traced)
         return self._check(reports, seconds, cold, artifacts, traced)
 
     def _campaigns(self, artifacts: Path) -> list:
@@ -155,6 +164,16 @@ class CampaignBench:
             write_report(report, cache)
             reports.append(report)
         return reports
+
+    def _failed(self, seconds: float, error: str, traced) -> Pass:
+        """A pass that raised: every point of it failed."""
+        points = self.points()
+        done = Pass(seconds=seconds, points=points, computed=0, generated=0,
+                    reused=0, cached=0, retried=0, quarantined=0,
+                    failed=points, problem=error)
+        if traced:
+            done.layers, done.calls = traced
+        return done
 
     def _check(self, reports, seconds: float, cold: bool, artifacts: Path,
                traced) -> Pass:
@@ -180,9 +199,18 @@ class CampaignBench:
                 result for _, result in self.cached_results(artifacts))
             if not self.digest:
                 self.digest = done.digest
+        problems = []
+        if done.retried or done.quarantined:
+            problems.append(f"{done.retried} retried, {done.quarantined} "
+                            "quarantined")
+        if not cold and (done.computed or done.generated):
+            problems.append(f"warm pass computed {done.computed} point(s), "
+                            f"generated {done.generated} trace(s)")
         if content != self.reference or (cold and done.digest != self.digest):
             failed = points
+            problems.append("report or results differ from the first pass")
         done.failed = min(points, failed)
+        done.problem = "; ".join(problems)
         if traced:
             done.layers, done.calls = traced
         return done

@@ -8,11 +8,15 @@ import resource
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 from time import perf_counter
 from typing import List, Sequence
 
+#: The ``src`` tree of the checkout this benchmark lives in.
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 #: Set-up is repeated this many times per run and the median reported.
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
 
 #: Reported host times are scaled to a reference host on which one
 #: :class:`HostProbe` sample takes this long.
@@ -31,18 +35,19 @@ def median(values: Sequence[float]) -> float:
     return statistics.median(values) if values else 0.0
 
 
-def import_seconds(src: str, modules: Sequence[str],
+def import_seconds(modules: Sequence[str], probe: "HostProbe",
                    repeats: int = SETUP_REPEATS) -> float:
     """Median time to import ``modules`` in a fresh interpreter.
 
     An import happens once per process, so each sample is taken in a child
     process (which is waited for) and timed from inside it, excluding the
-    interpreter's own start-up.
+    interpreter's own start-up.  ``probe`` is sampled before each one.
     """
     code = _IMPORT_PROBE.format(
-        src=src, imports="\n".join(f"import {name}" for name in modules))
+        src=str(SRC), imports="\n".join(f"import {name}" for name in modules))
     samples: List[float] = []
     for _ in range(repeats):
+        probe.sample()
         done = subprocess.run([sys.executable, "-c", code], check=True,
                               capture_output=True, text=True, timeout=120)
         samples.append(float(done.stdout.strip().splitlines()[-1]))

@@ -7,9 +7,8 @@ Usage (from the root of a checkout)::
 
 ``--trace 0`` reports the end-to-end metrics of ``BENCHMARK.json``;
 ``--trace 1`` reports its per-layer metrics, measured by alternating
-untraced rounds with rounds whose layer boundaries are timed.  ``--src``
-points at another ``src`` tree (e.g. an older commit's, extracted with
-``git archive``) to time the same workload against it.
+untraced rounds with rounds whose layer boundaries are timed.  The program
+measured is the ``src`` tree next to this directory.
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ PER_LAYER_UNITS: Dict[str, str] = {
     "sweep.cache_hit_ratio": "ratio", "sweep.retried": "count",
     "sweep.quarantined": "count",
     "obs.telemetry_s": "s", "obs.heartbeat_s": "s", "obs.heartbeats": "count",
+    "bench.tracer_cost_s": "s",
     "bench.tracing_overhead": "ratio", "bench.accounting_error": "ratio",
     "bench.error_rate": "ratio", "bench.host_probe_s": "s",
 }
@@ -95,6 +95,7 @@ SPAN_METRICS = {
     "sweep.runner": "sweep.runner_self_s",
     "obs.telemetry": "obs.telemetry_s",
     "obs.heartbeat": "obs.heartbeat_s",
+    "bench.tracer": "bench.tracer_cost_s",
 }
 
 
@@ -108,20 +109,40 @@ def median_layers(samples: List[Dict[str, float]]) -> Dict[str, float]:
 
 
 def accounting_error(layers: Dict[str, float], span: float) -> float:
-    """How far the self times miss the independently timed span."""
-    return abs(sum(layers.values()) - span) / span if span > 0 else 1.0
+    """How far the reported self times miss the independently timed span.
+
+    Only spans that map to a per-layer metric count, so time charged to a
+    span the ledger does not report (such as ``sim.other``, a callback of a
+    module missing from ``tracer.CALLBACK_LAYERS``) shows as an error.
+    """
+    reported = sum(value for name, value in layers.items()
+                   if name in SPAN_METRICS)
+    return abs(reported - span) / span if span > 0 else 1.0
 
 
-def run_simulator(workload: str, seed: int, seconds: float, trace: bool,
-                  src: str) -> dict:
+def unreported(samples: List[Dict[str, float]]) -> List[str]:
+    """Spans with time that no per-layer metric reports."""
+    return sorted({name for sample in samples for name, value in sample.items()
+                   if name not in SPAN_METRICS and value})
+
+
+def print_failures(failures: Dict[str, List[str]]) -> None:
+    """Each operation's first problem and how often it failed."""
+    for name, problems in failures.items():
+        if problems:
+            print(f"  {name}: failed {len(problems)}x, e.g. {problems[0]}")
+
+
+def run_simulator(workload: str, seed: int, seconds: float,
+                  trace: bool) -> dict:
     from perfbench import checks, common
     from perfbench.simbench import SimBench, simulated_metrics
     from perfbench.tracer import Tracer
 
     probe = common.HostProbe()
-    probe.sample(3)
-    bench = SimBench(workload, seed, src, probe)
-    setup = bench.setup_seconds()
+    bench = SimBench(workload, seed, probe)
+    setup_probe = common.HostProbe()
+    setup = bench.setup_seconds(setup_probe)
     print(f"{workload} seed {seed}: set-up {setup:.3f} s; warm-up:")
     bench.warm_up()
     digest = bench.digest()
@@ -144,50 +165,55 @@ def run_simulator(workload: str, seed: int, seconds: float, trace: bool,
     correct = all(checks.result_digest(r.results) == digest for r in traced)
     print(f"{len(rounds)} untraced and {len(traced)} traced round(s); "
           f"{failed} of {attempted} executions failed their checks")
+    print_failures({point.name: [problem for r in measured
+                                 for problem in r.executions[i].problems[:1]]
+                    for i, point in enumerate(bench.points)})
     if bench.nondeterministic:
         print(f"{bench.nondeterministic} execution(s) differed from the "
               "warm-up result")
-    print(f"unscaled: {events / untraced.run_s:.0f} events/s, "
+    run_s = untraced.run_s or float("inf")
+    print(f"unscaled: {events / run_s:.0f} events/s, "
           f"{events} events per pass")
 
     if not trace:
         return result(correct, attempted, failed, end_to_end(
-            probe, setup=setup,
-            host_tasks_per_s=bench.tasks / untraced.run_s,
+            probe, setup_probe, setup=setup,
+            host_tasks_per_s=bench.tasks / run_s,
             cold_pass_s=untraced.cold_s, warm_pass_s=untraced.warm_s,
             success_rate=1.0 - failed / attempted))
 
     values = dict.fromkeys(PER_LAYER_UNITS, 0.0)
     values.update(simulated_metrics(p.result for p in bench.points))
     values["sim.events"] = float(events)
-    values["sim.ns_per_event"] = untraced.run_s / events * 1e9
+    values["sim.ns_per_event"] = untraced.run_s / max(events, 1) * 1e9
     values["frontend.dep_violations"] = float(
         sum(p.violated_edges for p in bench.points))
-    values.update(median_layers([r.layers for r in traced]))
+    layers = [r.layers for r in traced]
+    values.update(median_layers(layers))
     outside_run = ("backend.system_build", "workloads.generate")
     errors = [accounting_error({k: v for k, v in r.layers.items()
                                 if k not in outside_run}, r.run_s)
               for r in traced]
     values["bench.accounting_error"] = max(errors)
     values["bench.tracing_overhead"] = (
-        bench.summary(traced).run_s / untraced.run_s - 1.0)
+        bench.summary(traced).run_s / run_s - 1.0)
     values["bench.error_rate"] = failed / attempted
-    correct = correct and max(errors) <= ACCOUNTING_TOLERANCE
-    print_ledger(values, traced[-1].layers if traced else {})
+    correct = check_accounting(correct, errors, layers)
+    print_ledger(values, layers[-1])
     return result(correct, attempted, failed, per_layer(values, probe))
 
 
-def run_campaign(seed: int, seconds: float, trace: bool, src: str) -> dict:
+def run_campaign(seed: int, seconds: float, trace: bool) -> dict:
     from perfbench import campaignbench, common
     from perfbench.simbench import simulated_metrics
     from perfbench.tracer import Tracer
 
     workdir = ROOT / ".perfbench"
     probe = common.HostProbe()
-    probe.sample(3)
-    bench = campaignbench.CampaignBench(seed, src, workdir)
+    bench = campaignbench.CampaignBench(seed, workdir)
+    setup_probe = common.HostProbe()
     try:
-        setup = bench.setup_seconds()
+        setup = bench.setup_seconds(setup_probe)
         print(f"campaign seeds {bench.seeds}: {bench.points()} points per "
               f"pass; set-up {setup:.3f} s; warm-up cycle")
         artifacts = bench.fresh_dir()
@@ -229,11 +255,16 @@ def run_campaign(seed: int, seconds: float, trace: bool, src: str) -> dict:
     print(f"{len(cold)} cycle(s) of 1 cold + {campaignbench.WARM_PASSES} "
           f"warm passes, {len(traced)} traced cycle(s); {failed} of "
           f"{attempted} point-passes failed their checks")
+    print_failures({"cold passes": [p.problem for p in cold if p.problem],
+                    "warm passes": [p.problem for p in warm if p.problem],
+                    "traced passes": [p.problem for pair in traced
+                                      for p in pair if p.problem]})
 
     if not trace:
         cold_s = common.median([p.seconds for p in cold])
         return result(correct, attempted, failed, end_to_end(
-            probe, setup=setup, host_tasks_per_s=tasks_per_pass / cold_s,
+            probe, setup_probe, setup=setup,
+            host_tasks_per_s=tasks_per_pass / cold_s,
             cold_pass_s=cold_s,
             warm_pass_s=common.median([p.seconds for p in warm]),
             success_rate=1.0 - failed / attempted))
@@ -274,9 +305,21 @@ def run_campaign(seed: int, seconds: float, trace: bool, src: str) -> dict:
         (common.median([c.seconds for c, _ in traced])
          + common.median([w.seconds for _, w in traced])) / untraced - 1.0)
     values["bench.error_rate"] = failed / attempted
-    correct = correct and max(errors) <= ACCOUNTING_TOLERANCE
+    correct = check_accounting(correct, errors, cycle_layers)
     print_ledger(values, cycle_layers[-1])
     return result(correct, attempted, failed, per_layer(values, probe))
+
+
+def check_accounting(correct: bool, errors: List[float],
+                     layers: List[Dict[str, float]]) -> bool:
+    """Whether the ledger accounts for every traced second."""
+    missing = unreported(layers)
+    if missing:
+        print(f"time in spans no per-layer metric reports: {missing}")
+    worst = max(errors)
+    if worst > ACCOUNTING_TOLERANCE:
+        print(f"reported self times miss the traced span by {worst:.2%}")
+    return correct and not missing and worst <= ACCOUNTING_TOLERANCE
 
 
 def print_ledger(values: Dict[str, float], layers: Dict[str, float]) -> None:
@@ -290,18 +333,23 @@ def print_ledger(values: Dict[str, float], layers: Dict[str, float]) -> None:
         print(f"  {name:34s} {values[name]:.6g} {PER_LAYER_UNITS[name]}")
 
 
-def end_to_end(probe, setup: float, host_tasks_per_s: float,
+def end_to_end(probe, setup_probe, setup: float, host_tasks_per_s: float,
                cold_pass_s: float, warm_pass_s: float,
                success_rate: float) -> Dict[str, dict]:
-    """The end-to-end metrics, host times scaled to the reference host."""
+    """The end-to-end metrics, host times scaled to the reference host.
+
+    Set-up is scaled by the probe samples taken during set-up, everything
+    else by those taken during the measured rounds.
+    """
     from perfbench.common import peak_rss_mb
 
     scale = probe.scale
     print(f"host probe {probe.seconds:.4f} s (median of "
-          f"{len(probe.samples)}), scale {scale:.4f}; unscaled: set-up "
-          f"{setup:.4f} s, {host_tasks_per_s:.1f} tasks/s, cold pass "
-          f"{cold_pass_s:.4f} s, warm pass {warm_pass_s:.4f} s")
-    values = {"setup_s": setup * scale,
+          f"{len(probe.samples)}), scale {scale:.4f}; set-up probe "
+          f"{setup_probe.seconds:.4f} s, scale {setup_probe.scale:.4f}; "
+          f"unscaled: set-up {setup:.4f} s, {host_tasks_per_s:.1f} tasks/s, "
+          f"cold pass {cold_pass_s:.4f} s, warm pass {warm_pass_s:.4f} s")
+    values = {"setup_s": setup * setup_probe.scale,
               "host_tasks_per_s": host_tasks_per_s / scale,
               "cold_pass_s": cold_pass_s * scale,
               "warm_pass_s": warm_pass_s * scale,
@@ -315,7 +363,7 @@ def per_layer(values: Dict[str, float], probe) -> Dict[str, dict]:
     values = dict(values, **{"bench.host_probe_s": probe.seconds})
     scaled = {name: value * probe.scale
               if PER_LAYER_UNITS[name] in ("s", "ns")
-              and not name.startswith("bench.") else value
+              and name != "bench.host_probe_s" else value
               for name, value in values.items()}
     return {name: {"value": scaled[name], "unit": PER_LAYER_UNITS[name]}
             for name in PER_LAYER_UNITS}
@@ -332,21 +380,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--src", default=None,
-                        help="src tree holding the repro package "
-                             "(default: this checkout's src)")
     args = parser.parse_args(argv)
-    src = Path(args.src).resolve() if args.src else ROOT / "src"
+    src = ROOT / "src"
     if not (src / "repro" / "__init__.py").is_file():
         print(f"perfbench: no repro package under {src}", file=sys.stderr)
         return 2
     sys.path[:0] = [str(src), str(ROOT)]
     if args.workload == "campaign":
-        outcome = run_campaign(args.seed, args.seconds, bool(args.trace),
-                               str(src))
+        outcome = run_campaign(args.seed, args.seconds, bool(args.trace))
     else:
         outcome = run_simulator(args.workload, args.seed, args.seconds,
-                                bool(args.trace), str(src))
+                                bool(args.trace))
     print(json.dumps(outcome), flush=True)
     return 0
 

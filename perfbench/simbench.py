@@ -1,10 +1,12 @@
 """The simulator workloads: ``single_frontend`` and ``sharded_steal``.
 
 Closed loop, one client: each point is simulated in-process only after the
-previous one completed.  A *round* executes every point twice -- once cold
-(generate the trace, build the system, run it) and once warm (the trace is
-in memory: build and run) -- and every execution is checked against the
-gold oracles in :mod:`perfbench.checks` outside the timed region.
+previous one completed.  A *round* executes every point once -- generate the
+trace, build the system, run it -- with a timestamp after each step, and
+every execution is checked against the gold oracles in
+:mod:`perfbench.checks` outside the timed region.  An execution that raises
+(e.g. the ``SchedulingError`` a deadlocked run ends with) is a failed
+operation, not a failed benchmark run.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from perfbench import checks, common
 from perfbench.tracer import SIMULATOR_TARGETS, Patches, Tracer, \
-    traced_engine_class
+    timer_cost, traced_engine_class, traced_loop_cost
 
 #: The five N=1 points of the pinned bench suite on the Table II machine
 #: (1 frontend, 8 TRS / 2 ORT / 2 OVT).
@@ -86,6 +88,7 @@ class Point:
     config: object = None
     trace: object = None
     gold: Optional[checks.GoldGraph] = None
+    #: Reference outcome, from the warm-up execution.
     digest: str = ""
     violated_edges: int = 0
     result: object = None
@@ -96,33 +99,40 @@ class Point:
 class Execution:
     """One simulated point: host times and the outcome of its checks."""
 
-    seconds: float  # whole execution (generate/build/run)
+    seconds: float  # generate + build + run
+    warm_seconds: float  # build + run
     run_seconds: float  # inside TaskSuperscalarSystem.run
-    ok: bool
-    result: object
+    events: int
+    result: object  # None when the execution raised
+    digest: str
+    violated_edges: int
+    #: Why the execution failed its checks; empty when it passed.
+    problems: List[str]
 
 
 @dataclass
 class Round:
-    """One cold and one warm execution of every point, in point order."""
+    """One execution of every point, in point order."""
 
-    executions: Dict[Tuple[str, bool], Execution] = field(default_factory=dict)
+    executions: List[Execution]
     #: Self time per span name (traced rounds only).
     layers: Dict[str, float] = field(default_factory=dict)
 
     @property
     def results(self) -> List[object]:
-        """Results of the warm executions, in point order."""
-        return [e.result for (_, cold), e in self.executions.items()
-                if not cold]
+        return [e.result for e in self.executions]
 
     @property
     def run_s(self) -> float:
-        return sum(e.run_seconds for e in self.executions.values())
+        return sum(e.run_seconds for e in self.executions)
+
+    @property
+    def events(self) -> int:
+        return sum(e.events for e in self.executions)
 
     @property
     def failed(self) -> int:
-        return sum(not e.ok for e in self.executions.values())
+        return sum(bool(e.problems) for e in self.executions)
 
 
 @dataclass
@@ -137,10 +147,9 @@ class Summary:
 class SimBench:
     """Set-up, warm-up and measured rounds of one simulator workload."""
 
-    def __init__(self, workload: str, seed: int, src: str,
+    def __init__(self, workload: str, seed: int,
                  probe: Optional[common.HostProbe] = None):
         self.workload = workload
-        self.src = src
         #: Sampled before every measured execution (see HostProbe).
         self.probe = probe if probe is not None else common.HostProbe()
         self.points = [Point(name, params)
@@ -150,15 +159,20 @@ class SimBench:
 
     # -- Set-up ---------------------------------------------------------
 
-    def setup_seconds(self) -> float:
-        """Import ``repro``, generate every trace and build every system."""
+    def setup_seconds(self, probe: common.HostProbe) -> float:
+        """Import ``repro``, generate every trace and build every system.
+
+        ``probe`` is sampled before every repetition, so that set-up, which
+        runs at one time of the run, is scaled by the host speed of then.
+        """
         from repro.backend.system import TaskSuperscalarSystem
         from repro.sweep.runner import build_point_config
 
-        imports = common.import_seconds(self.src, IMPORTS)
+        imports = common.import_seconds(IMPORTS, probe)
         samples = []
         for _ in range(common.SETUP_REPEATS + 1):
             common.settle()
+            probe.sample()
             start = perf_counter()
             for point in self.points:
                 point.trace = generate_trace(point.params)
@@ -169,75 +183,93 @@ class SimBench:
         return imports + common.median(samples[1:])
 
     def warm_up(self) -> None:
-        """Run every point once, untimed, and record its reference result."""
+        """Run every point once, untimed, and record its reference outcome."""
         for point in self.points:
             point.gold = checks.GoldGraph(point.trace,
                                           point.config.cmp.num_cores)
-            system, result = self._simulate(point, point.trace)
-            check = checks.check_point(point.gold, result,
-                                       system.scheduler.schedule_table())
-            point.digest = checks.result_digest([result])
-            point.violated_edges = check.violated_edges
-            point.result = result
-            point.events = system.engine.events_processed
-            status = "ok" if check.ok else "FAIL: " + "; ".join(check.problems)
-            print(f"  {point.name}: {result.num_tasks} tasks, "
-                  f"{point.events} events, makespan "
-                  f"{result.makespan_cycles} -> {status}")
-
-    @staticmethod
-    def _simulate(point: Point, trace):
-        from repro.backend.system import TaskSuperscalarSystem
-
-        system = TaskSuperscalarSystem(point.config)
-        return system, system.run(trace)
+            first = self._execute(point)
+            point.digest = first.digest
+            point.violated_edges = first.violated_edges
+            point.result = first.result
+            point.events = first.events
+            status = "ok" if not first.problems else \
+                "FAIL: " + "; ".join(first.problems)
+            makespan = getattr(first.result, "makespan_cycles", None)
+            print(f"  {point.name}: {len(point.trace)} tasks, "
+                  f"{point.events} events, makespan {makespan} -> {status}")
 
     # -- Measured rounds ------------------------------------------------
 
-    def _execute(self, point: Point, cold: bool) -> Execution:
+    def _execute(self, point: Point) -> Execution:
+        """Generate, build and run one point; check it outside the timing."""
         from repro.backend.system import TaskSuperscalarSystem
         from repro.sweep.runner import build_point_config
 
         self.probe.sample()
+        system = result = generated = built = None
+        problems: List[str] = []
         start = perf_counter()
-        if cold:
+        try:
             trace = generate_trace(point.params)
             config = build_point_config(point.params)
-        else:
-            trace, config = point.trace, point.config
-        system = TaskSuperscalarSystem(config)
-        run_start = perf_counter()
-        result = system.run(trace)
+            generated = perf_counter()
+            system = TaskSuperscalarSystem(config)
+            built = perf_counter()
+            result = system.run(trace)
+        except Exception as error:  # a failed operation, counted as such
+            problems.append(f"{type(error).__name__}: {error}")
         end = perf_counter()
-        # Checks run outside the timed region.
-        check = checks.check_point(point.gold, result,
-                                   system.scheduler.schedule_table())
-        same = checks.result_digest([result]) == point.digest
-        if not same:
-            self.nondeterministic += 1
-        return Execution(seconds=end - start, run_seconds=end - run_start,
-                         ok=check.ok and same, result=result)
+        generated = end if generated is None else generated
+        built = end if built is None else built
+        violated = 0
+        if result is not None:
+            check = checks.check_point(point.gold, result,
+                                       system.scheduler.schedule_table())
+            violated = check.violated_edges
+            problems.extend(check.problems)
+        return Execution(
+            seconds=end - start, warm_seconds=end - generated,
+            run_seconds=end - built,
+            events=system.engine.events_processed if system else 0,
+            result=result, digest=checks.result_digest([result]),
+            violated_edges=violated, problems=problems)
 
     def round(self) -> Round:
         common.settle()
-        measured = Round()
+        executions = []
         for point in self.points:
-            for cold in (True, False):
-                measured.executions[point.name, cold] = \
-                    self._execute(point, cold)
-        return measured
+            execution = self._execute(point)
+            if execution.digest != point.digest:
+                self.nondeterministic += 1
+                execution.problems.append("result differs from the warm-up's")
+            executions.append(execution)
+        return Round(executions)
 
     def traced_round(self, tracer: Tracer) -> Round:
-        """A round with every layer boundary timed (see ``tracer``)."""
+        """A round with every layer boundary timed (see ``tracer``).
+
+        The tracer's own cost is measured just before and moved into a
+        ``bench.tracer`` span of its own: the clock reads inside every span
+        (:func:`timer_cost` per call) and what the traced engine loop adds
+        per event over ``Engine.run`` (:func:`traced_loop_cost`), which
+        would otherwise sit in the ``sim.loop`` residual.
+        """
         common.settle()
+        per_event, per_span = traced_loop_cost(), timer_cost()
         with Patches(tracer, SIMULATOR_TARGETS) as patches:
             patches.replace("repro.backend.system", "Engine",
                             traced_engine_class(tracer))
-            before, _ = tracer.snapshot()
+            before, before_calls = tracer.snapshot()
             measured = self.round()
-            after, _ = tracer.snapshot()
-        measured.layers = {name: after[name] - before.get(name, 0.0)
-                           for name in after}
+            after, after_calls = tracer.snapshot()
+        calls = {name: after_calls[name] - before_calls.get(name, 0)
+                 for name in after}
+        layers = {name: after[name] - before.get(name, 0.0)
+                  - per_span * calls[name] for name in after}
+        loop = per_event * measured.events
+        layers["sim.loop"] = layers.get("sim.loop", 0.0) - loop
+        layers["bench.tracer"] = loop + per_span * sum(calls.values())
+        measured.layers = layers
         return measured
 
     def digest(self) -> str:
@@ -245,20 +277,19 @@ class SimBench:
 
     def summary(self, rounds: List[Round]) -> Summary:
         """Robust per-pass times: each point's median over the rounds."""
-        def total(value, colds) -> float:
-            return sum(common.median([value(r.executions[p.name, cold])
-                                      for r in rounds for cold in colds])
-                       for p in self.points)
+        def total(value) -> float:
+            return sum(common.median([value(r.executions[i]) for r in rounds])
+                       for i in range(len(self.points)))
 
-        return Summary(
-            run_s=total(lambda e: e.run_seconds, (True, False)),
-            cold_s=total(lambda e: e.seconds, (True,)),
-            warm_s=total(lambda e: e.seconds, (False,)))
+        return Summary(run_s=total(lambda e: e.run_seconds),
+                       cold_s=total(lambda e: e.seconds),
+                       warm_s=total(lambda e: e.warm_seconds))
 
     @property
     def tasks(self) -> int:
         """Simulated tasks completed in one pass."""
-        return sum(p.result.tasks_completed for p in self.points)
+        return sum(p.result.tasks_completed for p in self.points
+                   if p.result is not None)
 
 
 _PACKETS = re.compile(
@@ -278,7 +309,7 @@ def simulated_metrics(results) -> Dict[str, float]:
     values.update({"frontend.gateway.alloc_retries": 0.0,
                    "frontend.gateway.stalls": 0.0,
                    "topology.router.rejected": 0.0})
-    results = list(results)
+    results = [result for result in results if result is not None]
     for result in results:
         for key, value in result.stats.items():
             match = _PACKETS.match(key)

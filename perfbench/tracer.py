@@ -11,7 +11,9 @@ patches are installed for the traced run only and removed afterwards.
 from __future__ import annotations
 
 import functools
+import gc
 import importlib
+import statistics
 from collections import Counter, defaultdict
 from time import perf_counter
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -157,7 +159,9 @@ def traced_engine_class(tracer: Tracer):
     ``_next_entry``/``_pop`` pair :meth:`Engine.step` uses), so results are
     bit-identical to an untraced run.  Callback self time goes to the layer
     of the callback's owner; the engine loop itself is the residual of the
-    enclosing ``sim.loop`` span.
+    enclosing ``sim.loop`` span.  That residual times this loop, not the
+    program's ``Engine.run``; :func:`traced_loop_cost` measures the
+    difference.
     """
     from repro.sim.engine import Engine
 
@@ -213,3 +217,78 @@ def traced_engine_class(tracer: Tracer):
             return self.now
 
     return TracedEngine
+
+
+class _Ticker:
+    """A callback that reschedules itself, as the simulator's modules do.
+
+    The delays mix same-cycle events (the engine's micro-queue) with later
+    ones (its heap).
+    """
+
+    DELAYS = (0, 1, 0, 3, 0, 0, 2, 7)
+
+    def __init__(self, engine, budget: int):
+        self.engine = engine
+        self.left = budget
+
+    def tick(self, step: int) -> None:
+        if self.left:
+            self.left -= 1
+            self.engine.schedule_unref(self.DELAYS[step & 7], self.tick,
+                                       step + 1)
+
+
+def _tick_seconds(engine_class, events: int, tickers: int) -> float:
+    engine = engine_class()
+    for i in range(tickers):
+        ticker = _Ticker(engine, events // tickers)
+        engine.schedule_unref(i % 5, ticker.tick, i)
+    start = perf_counter()
+    engine.run()
+    return perf_counter() - start
+
+
+def timer_cost(samples: int = 20000) -> float:
+    """Seconds a span adds to its own duration: two back-to-back clock reads.
+
+    Every span, callback spans included, reads the clock on entry and exit,
+    so its measured duration exceeds the call by about this much.
+    """
+    deltas = []
+    for _ in range(samples):
+        start = perf_counter()
+        deltas.append(perf_counter() - start)
+    return statistics.median(deltas)
+
+
+def traced_loop_cost(events: int = 20000, tickers: int = 64,
+                     repeats: int = 5) -> float:
+    """Seconds per event that the traced loop adds over ``Engine.run``,
+    outside the callback spans.
+
+    Both loops run the same stream of self-rescheduling callbacks with the
+    collector paused, as ``TaskSuperscalarSystem.run`` pauses it.  The
+    median difference per event, less the :func:`timer_cost` that lands
+    inside each callback span, is what the traced loop adds to the
+    ``sim.loop`` residual.  Subtracting it (times the events of a traced
+    run) leaves an estimate of the program's own engine loop, which moves
+    when ``Engine.run`` does.
+    """
+    from repro.sim.engine import Engine
+
+    scratch = Tracer()
+    scratch.stack.append(0.0)  # the enclosing span the loop reports to
+    traced = traced_engine_class(scratch)
+    untraced_s, traced_s = [], []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            untraced_s.append(_tick_seconds(Engine, events, tickers))
+            traced_s.append(_tick_seconds(traced, events, tickers))
+    finally:
+        if was_enabled:
+            gc.enable()
+    difference = statistics.median(traced_s) - statistics.median(untraced_s)
+    return difference / events - timer_cost()
