@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import heapq
+import random
 import resource
 import statistics
 import subprocess
@@ -64,29 +66,48 @@ def settle() -> None:
     gc.collect()
 
 
-class _Cell:
+class _Node:
     __slots__ = ("value",)
 
     def __init__(self):
         self.value = 0
 
-    def bump(self, amount: int) -> int:
-        self.value += amount
-        return self.value
+
+#: Objects in the probe's working set: a few MB, past the per-core caches,
+#: as the simulator's live state is.
+_PROBE_OBJECTS = 1 << 14
 
 
-def _probe_work(steps: int = 40000) -> int:
-    """A fixed mix of heap, dict and method-call work, like the simulator's."""
+@functools.lru_cache(maxsize=None)
+def _working_set():
+    """Objects, a dict over them and a shuffled order to visit them in."""
+    order = list(range(_PROBE_OBJECTS))
+    random.Random(0).shuffle(order)
+    return ([_Node() for _ in range(_PROBE_OBJECTS)], order,
+            {i * 7919: i for i in range(_PROBE_OBJECTS)})
+
+
+def _probe_work(steps: int = 25000) -> int:
+    """A fixed mix of heap, dict and attribute work, like the simulator's.
+
+    Attribute and dict accesses land all over the working set.  A probe
+    whose data fits in the first-level caches ran in the same process as
+    the ``sharded_steal`` rounds, sped up and slowed down about twice as
+    much as they did when the host's speed changed (log-log slope 0.55);
+    this one follows them more closely (slope 0.70, per-round ratio spread
+    7.8% against 9.8%).
+    """
+    nodes, order, table = _working_set()
+    mask = _PROBE_OBJECTS - 1
     heap: list = []
-    table: dict = {}
-    cells = [_Cell() for _ in range(64)]
     push, pop = heapq.heappush, heapq.heappop
     total = 0
     for i in range(steps):
+        index = order[(i * 13) & mask]
+        nodes[index].value += 1
+        total += table.get(index * 7919, 0)
         push(heap, ((i * 7919) % 1009, i, None))
-        table[i & 1023] = table.get(i & 1023, 0) + 1
-        total += cells[i & 63].bump(i & 7)
-        if len(heap) > 64:
+        if len(heap) > 512:
             total += pop(heap)[1]
     return total
 
