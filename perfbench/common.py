@@ -90,12 +90,12 @@ def _working_set():
 def _probe_work(steps: int = 25000) -> int:
     """A fixed mix of heap, dict and attribute work, like the simulator's.
 
-    Attribute and dict accesses land all over the working set.  A probe
-    whose data fits in the first-level caches ran in the same process as
-    the ``sharded_steal`` rounds, sped up and slowed down about twice as
-    much as they did when the host's speed changed (log-log slope 0.55);
-    this one follows them more closely (slope 0.70, per-round ratio spread
-    7.8% against 9.8%).
+    Attribute and dict accesses land all over the working set.  Timed in
+    one process between ``sharded_steal`` rounds, a probe whose data fit in
+    the first-level caches moved about 1.8x as much as the rounds when the
+    host's speed changed (log-log slope of rounds on probe 0.55); this one
+    follows them more closely (slope 0.70, and the round-to-probe ratio
+    spreads 7.8% per round against 9.8%).
     """
     nodes, order, table = _working_set()
     mask = _PROBE_OBJECTS - 1
