@@ -7,7 +7,8 @@ This example shows the :mod:`repro.sweep` subsystem end to end:
    frontend design-space exploration crossing #TRS with machine width for
    two benchmarks,
 2. fan the points out over a ``multiprocessing`` worker pool with
-   :class:`~repro.sweep.ParallelRunner`,
+   :class:`~repro.sweep.SweepRunner` (``--jobs 1`` runs them in this
+   process instead, with identical results),
 3. persist every simulated point to a content-addressed
    :class:`~repro.sweep.ResultCache`, so re-running the script (or killing it
    halfway and restarting) only simulates points it has never seen -- watch
@@ -25,7 +26,7 @@ campaign writes a manifest under ``<artifacts>/manifests/``.
 
 import argparse
 
-from repro.sweep import ParallelRunner, ResultCache, SweepSpec
+from repro.sweep import ResultCache, SweepRunner, SweepSpec
 
 
 def build_spec(scale_factor: float) -> SweepSpec:
@@ -58,7 +59,7 @@ def main() -> None:
     print(spec.describe())
 
     cache = ResultCache(args.artifacts)
-    runner = ParallelRunner(num_workers=args.jobs, cache=cache)
+    runner = SweepRunner(jobs=args.jobs, cache=cache)
 
     def progress(point, result, was_cached):
         origin = "cache" if was_cached else f"{args.jobs} workers"

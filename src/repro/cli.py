@@ -270,7 +270,7 @@ def _print_resilience(run) -> None:
     line = run.resilience_summary()
     if line is not None:
         print(line)
-    if getattr(run, "journal_path", None) is not None:
+    if run.journal_path is not None:
         print(f"journal: {run.journal_path}")
 
 
@@ -490,9 +490,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if faults_restore is not None:
             faults_restore()
     print(run.summary())
-    store = getattr(runner, "trace_store", None)
-    if store is not None:
-        print(f"{run.trace_summary()} (store: {store.root})")
+    if runner.trace_store is not None:
+        print(f"{run.trace_summary()} (store: {runner.trace_store.root})")
     _print_resilience(run)
     if obs_root is not None:
         _print_telemetry(obs_root,
@@ -742,6 +741,46 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
+    """The runner flags `repro sweep` and `repro campaign run` share.
+
+    They are read back by :func:`_make_runner`, :func:`_configure_obs` and
+    :func:`_configure_faults`.
+    """
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (1 = run in this process)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="recompute every point; write nothing to disk")
+    parser.add_argument("--trace-store", default=None,
+                        help="packed trace store root (default "
+                             "<artifacts>/traces; shared across campaigns)")
+    parser.add_argument("--no-trace-store", action="store_true",
+                        help="regenerate traces per process instead of "
+                             "baking them once")
+    parser.add_argument("--obs", action="store_true",
+                        help="record cycle-resolved telemetry per simulated "
+                             "point (summaries under the obs dir)")
+    parser.add_argument("--obs-dir", default=None, metavar="DIR",
+                        help="obs artifact directory (implies --obs; default "
+                             ".repro-artifacts/obs)")
+    parser.add_argument("--obs-recordings", action="store_true",
+                        help="also keep full .robs event recordings "
+                             "(large; required for `repro obs export`)")
+    parser.add_argument("--retries", type=int, default=None, metavar="N",
+                        help="re-dispatch a crashed or timed-out point up to "
+                             "N times before failing (default 2; only "
+                             "applies with --jobs > 1)")
+    parser.add_argument("--point-timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help="kill and re-dispatch any point still running "
+                             "after this many wall-clock seconds (straggler "
+                             "recovery; only applies with --jobs > 1)")
+    parser.add_argument("--faults", default=None, metavar="SPEC",
+                        help="inject deterministic faults for chaos testing, "
+                             "e.g. 'worker_crash:point=0' "
+                             "(see `repro faults list`)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(prog="repro",
@@ -829,40 +868,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None)
     sweep.add_argument("--fast-generator", action="store_true",
                        help="use the near-zero-cost task-generating thread")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (1 = serial)")
     sweep.add_argument("--artifacts", default=None,
                        help="cache directory (default .repro-artifacts/sweeps)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="recompute every point; write nothing to disk")
-    sweep.add_argument("--trace-store", default=None,
-                       help="packed trace store root (default "
-                            "<artifacts>/traces; shared across campaigns)")
-    sweep.add_argument("--obs", action="store_true",
-                       help="record cycle-resolved telemetry per simulated "
-                            "point (summaries under the obs dir)")
-    sweep.add_argument("--obs-dir", default=None, metavar="DIR",
-                       help="obs artifact directory (implies --obs; default "
-                            ".repro-artifacts/obs)")
-    sweep.add_argument("--obs-recordings", action="store_true",
-                       help="also keep full .robs event recordings "
-                            "(large; required for `repro obs export`)")
-    sweep.add_argument("--no-trace-store", action="store_true",
-                       help="regenerate traces per process instead of baking "
-                            "them once")
-    sweep.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="re-dispatch a crashed or timed-out point up to "
-                            "N times before failing the sweep (default 2; "
-                            "parallel runs only)")
-    sweep.add_argument("--point-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="kill and re-dispatch any point still running "
-                            "after this many wall-clock seconds (straggler "
-                            "recovery; parallel runs only)")
-    sweep.add_argument("--faults", default=None, metavar="SPEC",
-                       help="inject deterministic faults for chaos testing, "
-                            "e.g. 'worker_crash:point=0' "
-                            "(see `repro faults list`)")
+    _add_runner_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     campaign = subparsers.add_parser(
@@ -890,34 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run = campaign_sub.add_parser(
         "run", help="run a campaign (cached + resumable) and write its report")
     _campaign_common(campaign_run)
-    campaign_run.add_argument("--jobs", type=int, default=1,
-                              help="worker processes (1 = serial)")
-    campaign_run.add_argument("--no-cache", action="store_true",
-                              help="recompute every point; write no report")
-    campaign_run.add_argument("--trace-store", default=None,
-                              help="packed trace store root (default "
-                                   "<artifacts>/traces)")
-    campaign_run.add_argument("--obs", action="store_true",
-                              help="record cycle-resolved telemetry per "
-                                   "simulated point")
-    campaign_run.add_argument("--obs-dir", default=None, metavar="DIR",
-                              help="obs artifact directory (implies --obs)")
-    campaign_run.add_argument("--obs-recordings", action="store_true",
-                              help="also keep full .robs event recordings")
-    campaign_run.add_argument("--no-trace-store", action="store_true",
-                              help="regenerate traces per process instead of "
-                                   "baking them once")
-    campaign_run.add_argument("--retries", type=int, default=None,
-                              metavar="N",
-                              help="re-dispatch a crashed or timed-out point "
-                                   "up to N times (default 2; parallel only)")
-    campaign_run.add_argument("--point-timeout", type=float, default=None,
-                              metavar="SECONDS",
-                              help="kill and re-dispatch points still running "
-                                   "after this long (parallel only)")
-    campaign_run.add_argument("--faults", default=None, metavar="SPEC",
-                              help="inject deterministic faults "
-                                   "(see `repro faults list`)")
+    _add_runner_flags(campaign_run)
     campaign_run.set_defaults(func=_cmd_campaign)
     campaign_report = campaign_sub.add_parser(
         "report", help="print the stored report of an already-run campaign")

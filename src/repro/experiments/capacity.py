@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.backend.system import SimulationResult
 from repro.common.units import KB, MB
-from repro.sweep.runner import SerialRunner
+from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import SweepSpec
 from repro.workloads import registry
 
@@ -96,7 +96,7 @@ def _sweep_capacity(name: str, axis: str, capacities: Sequence[int],
                     runner) -> List[CapacityPoint]:
     spec = capacity_spec((name,), axis, capacities, num_cores=num_cores,
                          scale_factor=scale_factor, seed=seed)
-    runner = runner if runner is not None else SerialRunner()
+    runner = runner if runner is not None else SweepRunner()
     run = runner.run(spec)
     return [_capacity_point(point.workload, capacity, result)
             for capacity, (point, result) in zip(capacities, run)]

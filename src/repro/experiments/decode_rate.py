@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.backend.system import SimulationResult, TaskSuperscalarSystem
 from repro.common.units import cycles_to_ns
 from repro.experiments.common import experiment_config, experiment_trace
-from repro.sweep.runner import SerialRunner
+from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import SweepSpec
 from repro.trace.records import TaskTrace
 from repro.workloads import registry
@@ -101,15 +101,14 @@ def sweep_workload(name: str, trs_counts: Sequence[int] = TRS_COUNTS,
                    num_cores: int = 256, runner=None) -> List[DecodeRatePoint]:
     """Figure 12 sweep for one workload.
 
-    ``runner`` is any :mod:`repro.sweep` runner; the default is an uncached
-    :class:`~repro.sweep.runner.SerialRunner`.  Pass a
-    :class:`~repro.sweep.runner.ParallelRunner` (optionally with a
-    :class:`~repro.sweep.cache.ResultCache`) to fan the grid out.
+    ``runner`` is a :class:`~repro.sweep.runner.SweepRunner`; the default
+    is an uncached in-process one.  Pass one with ``jobs > 1`` (optionally
+    with a :class:`~repro.sweep.cache.ResultCache`) to fan the grid out.
     """
     spec = decode_rate_spec((name,), trs_counts, ort_counts,
                             scale_factor=scale_factor, max_tasks=max_tasks,
                             num_cores=num_cores)
-    runner = runner if runner is not None else SerialRunner()
+    runner = runner if runner is not None else SweepRunner()
     run = runner.run(spec)
     return [_decode_point(point.workload,
                           point.as_dict()["frontend.num_trs"],

@@ -30,7 +30,7 @@ def run_all(scale_factor: float = 1.0, quick: bool = False,
         scale_factor: Trace-size multiplier passed to every driver.
         quick: Restrict the expensive sweeps (Figures 12-16) to smaller axes
             so the whole report finishes in a few minutes.
-        jobs: Worker processes for the figure sweeps (1 = serial).
+        jobs: Worker processes for the figure sweeps (1 = in-process).
         artifacts: Optional cache directory for sweep results.
     """
     cache = ResultCache(artifacts) if artifacts else None

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.backend.system import SimulationResult, TaskSuperscalarSystem
 from repro.experiments.common import experiment_config, experiment_trace
 from repro.software.runtime_sim import SoftwareRuntimeSystem
-from repro.sweep.runner import SerialRunner
+from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import SweepSpec
 from repro.trace.records import TaskTrace
 from repro.workloads import registry
@@ -92,7 +92,7 @@ def sweep_workload(name: str, processor_counts: Sequence[int] = PROCESSOR_COUNTS
     """
     spec = scaling_spec((name,), processor_counts, scale_factor=scale_factor,
                         seed=seed)
-    runner = runner if runner is not None else SerialRunner()
+    runner = runner if runner is not None else SweepRunner()
     run = runner.run(spec)
     points: List[ScalingPoint] = []
     for cores in processor_counts:

@@ -19,8 +19,8 @@ campaigns use the :mod:`repro.workloads.synthetic` generators to sweep the
   need a larger task window.
 
 Both campaigns run through :mod:`repro.sweep`, so ``runner=`` accepts a
-cached :class:`~repro.sweep.runner.ParallelRunner` and repeated invocations
-resume from the artifact directory.
+cached :class:`~repro.sweep.runner.SweepRunner` (``jobs > 1`` fans the grid
+out) and repeated invocations resume from the artifact directory.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.sweep.runner import SerialRunner
+from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import SweepSpec
 
 #: Extra INPUT operands per task swept by the operand-pressure campaign
@@ -97,7 +97,7 @@ def window_stress_spec(dep_distances: Sequence[int] = WINDOW_DEP_DISTANCES,
 
 
 def _points(spec: SweepSpec, axis: str, runner) -> List[StressPoint]:
-    runner = runner if runner is not None else SerialRunner()
+    runner = runner if runner is not None else SweepRunner()
     run = runner.run(spec)
     points: List[StressPoint] = []
     for point, result in run:

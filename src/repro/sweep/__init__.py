@@ -8,9 +8,9 @@ cacheable, parallelisable campaigns:
   it into deterministic :class:`~repro.sweep.spec.SweepPoint` s,
 * :class:`~repro.sweep.cache.ResultCache` content-addresses results on disk
   so repeated or interrupted sweeps never recompute a finished point,
-* :class:`~repro.sweep.runner.SerialRunner` and
-  :class:`~repro.sweep.runner.ParallelRunner` execute the points (the latter
-  over a ``multiprocessing`` pool) with bit-identical results,
+* :class:`~repro.sweep.runner.SweepRunner` executes the points, in-process
+  with ``jobs=1`` or over a crash-tolerant ``multiprocessing`` pool
+  otherwise, with bit-identical results,
 * :mod:`repro.sweep.bench` pins a performance-tracking scenario suite on top
   (``repro bench run|compare``), reporting events/sec per ``BENCH_*.json``
   so hot-path regressions are caught by comparison with a tolerance,
@@ -20,11 +20,12 @@ cacheable, parallelisable campaigns:
   diffed against a declared baseline, and JSON/CSV reports under
   ``<artifacts>/campaigns/<campaign_id>/`` -- all incremental thanks to the
   result cache and trace store,
-* the runners pair with a :class:`~repro.trace.store.TraceStore`
-  (``<artifacts>/traces``, derived from the result cache by default): the
-  parent bakes each distinct task trace once as a packed binary before
-  fanning out, and every worker loads it by content address instead of
-  regenerating (``SweepRun.trace_summary()`` reports the amortization).
+* the runner pairs with a :class:`~repro.trace.store.TraceStore`
+  (``<artifacts>/traces``, derived from the result cache by default): each
+  distinct task trace is baked once as a packed binary -- on first use
+  in-process, or by the parent before pool fan-out -- and every later
+  lookup loads it by content address instead of regenerating
+  (``SweepRun.trace_summary()`` reports the amortization).
 
 See ``examples/sweep_campaign.py`` for an end-to-end campaign.
 """
@@ -34,8 +35,8 @@ from repro.sweep.campaign import (Ablation, Campaign, CampaignReport,
                                   aggregate_run, run_campaign)
 from repro.sweep.faults import (FaultPlan, configure_faults, parse_faults)
 from repro.sweep.resilience import RetryPolicy, RunJournal
-from repro.sweep.runner import (ParallelRunner, SerialRunner, SweepRun,
-                                adaptive_chunksize, configure_trace_store,
+from repro.sweep.runner import (SweepRun, SweepRunner, adaptive_chunksize,
+                                configure_trace_store,
                                 default_runner, execute_point,
                                 resolve_trace_store, trace_for_params,
                                 workload_params)
@@ -49,13 +50,12 @@ __all__ = [
     "CampaignReport",
     "DEFAULT_CACHE_ROOT",
     "FaultPlan",
-    "ParallelRunner",
     "ResultCache",
     "RetryPolicy",
     "RunJournal",
-    "SerialRunner",
     "SweepPoint",
     "SweepRun",
+    "SweepRunner",
     "SweepSpec",
     "TraceStore",
     "adaptive_chunksize",

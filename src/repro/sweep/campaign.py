@@ -11,8 +11,7 @@ seed-ensemble axis and an aggregation layer:
   their seed-free parameters and reduces every metric to
   mean / std / min / max / 95% CI per point (:class:`MetricSummary`).
   Aggregation is pure arithmetic over bit-identical runner output, so a
-  campaign report is itself bit-identical between :class:`SerialRunner`
-  and :class:`ParallelRunner`.
+  campaign report is itself bit-identical for every runner ``jobs``.
 * **Ablations** -- :class:`Ablation` builds a campaign whose members share
   one grid but differ in a declared baseline vs. variant parameter set
   (e.g. ORT/OVT capacity halved); :func:`ablation_deltas` then emits
@@ -47,7 +46,7 @@ from repro.common.errors import ArtifactIntegrityError, ConfigurationError
 from repro.common.fileio import atomic_write_text
 from repro.common.hashing import content_digest
 from repro.sweep.cache import ResultCache
-from repro.sweep.runner import SerialRunner, SweepRun
+from repro.sweep.runner import SweepRun, SweepRunner
 from repro.sweep.spec import ParamValue, SweepPoint, SweepSpec, canonical_scalar
 
 #: Bump when the report layout changes; stale reports are rewritten.
@@ -166,7 +165,7 @@ def aggregate_run(run: SweepRun,
 
     Groups appear in first-seen spec order; within a group the seeds keep
     spec order too, so the reduction is deterministic and identical for
-    serial and parallel runners (whose results are already bit-identical).
+    every runner ``jobs`` (whose results are already bit-identical).
     """
     order: List[str] = []
     by_id: Dict[str, Tuple[Dict[str, ParamValue], List[int], Dict[str, List[float]]]] = {}
@@ -532,7 +531,7 @@ class _GroupStream:
     """Adapt per-point runner progress into per-group completion events.
 
     Counts completed seeds per design point as results stream back (in any
-    order -- the parallel runner completes points out of order) and fires
+    order -- a pool run completes points out of order) and fires
     the campaign callback the moment a group's whole ensemble is in.
     Streaming summaries are recomputed from the member's final aggregation,
     so the callback only reports *which* groups finished early, never a
@@ -567,13 +566,13 @@ def run_campaign(campaign: Campaign, runner=None,
                  progress: Optional[GroupProgress] = None) -> CampaignReport:
     """Run every member through ``runner`` and aggregate the ensembles.
 
-    ``runner`` defaults to a cache-less :class:`SerialRunner`; pass a cached
-    serial or parallel runner for resume and fan-out (the report is
-    bit-identical either way).  When the campaign declares a baseline the
-    report also carries the ablation deltas.
+    ``runner`` defaults to a cache-less in-process :class:`SweepRunner`;
+    pass a cached runner for resume and ``jobs > 1`` for fan-out (the
+    report is bit-identical either way).  When the campaign declares a
+    baseline the report also carries the ablation deltas.
     """
     campaign.validate()
-    runner = runner if runner is not None else SerialRunner()
+    runner = runner if runner is not None else SweepRunner()
     members: List[MemberReport] = []
     for declared, spec in zip(campaign.members, campaign.member_specs()):
         point_progress = None
@@ -592,8 +591,8 @@ def run_campaign(campaign: Campaign, runner=None,
             cached_points=run.cached_count,
             trace_generated=run.trace_generated,
             trace_reused=run.trace_reused,
-            retried_points=getattr(run, "retried_points", 0),
-            corrupt_artifacts=getattr(run, "corrupt_artifacts", 0)))
+            retried_points=run.retried_points,
+            corrupt_artifacts=run.corrupt_artifacts))
     report = CampaignReport(
         campaign=campaign.name, campaign_id=campaign.campaign_id,
         seeds=[int(canonical_scalar(seed)) for seed in campaign.seeds],

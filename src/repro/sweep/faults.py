@@ -31,8 +31,8 @@ times (default once); firing is *claimed before the fault takes effect* so a
 worker that crashes cannot re-crash its replacement.  Claims are marker files
 in ``state_dir`` (created with ``O_CREAT | O_EXCL``, so concurrent workers
 race safely); with no state dir the claims are in-process only, which is
-sufficient for serial execution but NOT for pool workers -- the runners and
-the CLI always hand workers a shared state dir for exactly this reason.
+sufficient for in-process execution but NOT for pool workers -- the runner
+and the CLI always hand workers a shared state dir for exactly this reason.
 
 The module-level :func:`configure_faults` / :func:`active_fault_plan` /
 :func:`fire` API mirrors the trace-store pattern in
@@ -150,7 +150,7 @@ def parse_faults(spec: str) -> Tuple[Fault, ...]:
 class FaultPlan:
     """A parsed fault spec plus the claim state that makes firing once-only.
 
-    Plans are cheap plain data: the runners hand ``(plan.spec,
+    Plans are cheap plain data: the runner hands ``(plan.spec,
     plan.state_dir)`` to pool workers through their initializer, and every
     process reconstructs an equivalent plan whose marker files coordinate
     firing across the whole fleet (and across pool restarts).

@@ -2,10 +2,11 @@
 
 Two small, composable pieces:
 
-* :class:`RetryPolicy` -- how the :class:`~repro.sweep.runner.ParallelRunner`
-  reacts to a dead worker or a hung point: how many re-dispatches each point
-  gets, how long to back off before restarting the pool, and the per-point
-  wall-clock timeout that turns a straggler into a retry.
+* :class:`RetryPolicy` -- how a :class:`~repro.sweep.runner.SweepRunner`
+  pool (``jobs > 1``) reacts to a dead worker or a hung point: how many
+  re-dispatches each point gets, how long to back off before restarting the
+  pool, and the per-point wall-clock timeout that turns a straggler into a
+  retry.
 * :class:`RunJournal` -- a crash-safe, atomically-appended JSONL record of
   every point's pending -> running -> done/failed transitions.  The journal
   is written *around* the work (one line per transition, each a single
@@ -35,7 +36,11 @@ JOURNAL_SCHEMA = 1
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How a parallel sweep reacts to crashed workers and hung points.
+    """How a pool sweep reacts to crashed workers and hung points.
+
+    Applies only to :class:`~repro.sweep.runner.SweepRunner` pool runs
+    (``jobs > 1``); an in-process run has no worker to lose and no way to
+    kill a straggler, so it ignores the policy.
 
     ``max_retries`` bounds *per-point* re-dispatches: a point that has
     crashed the pool (or timed out) ``max_retries + 1`` times fails the

@@ -1,44 +1,47 @@
-"""Execute sweep specs: serially, or fanned out over a worker pool.
+"""Execute sweep specs in this process or over a crash-tolerant worker pool.
 
 :func:`execute_point` is the single entry point that turns one
 :class:`repro.sweep.spec.SweepPoint` into a
 :class:`repro.backend.system.SimulationResult`.  It is a module-level
 function taking only plain data, so it pickles cleanly into
-``multiprocessing`` workers; every worker builds its own engine, frontend and
-backend, which is what keeps parallel execution bit-identical to serial
+``multiprocessing`` workers; every call builds its own engine, frontend and
+backend, which is what keeps pool execution bit-identical to in-process
 execution -- simulations share no mutable state, and the runner reassembles
 results in spec order regardless of completion order.
 
-Both runners consult an optional :class:`repro.sweep.cache.ResultCache`
-before simulating and persist each fresh result as soon as it arrives, so an
-interrupted sweep resumes from its last completed point.
+:class:`SweepRunner` is the one runner.  It consults an optional
+:class:`repro.sweep.cache.ResultCache` before simulating, runs each distinct
+pending configuration once -- in this process with ``jobs=1``, over a worker
+pool otherwise -- and persists each fresh result as soon as it arrives, so
+an interrupted sweep resumes from its last completed point.
 
-Trace amortization: when a result cache is configured the runners also pair
+Trace amortization: when a result cache is configured the runner also pairs
 with a :class:`repro.trace.store.TraceStore` (``<artifacts>/traces`` by
-default).  :class:`ParallelRunner` bakes each distinct trace once in the
-parent before fan-out; workers (and later runs, and other processes sharing
-the artifacts directory) load the packed file by content address instead of
-regenerating it.  The per-process memo that backs :func:`trace_for_params`
-is keyed by the same canonical digest and its size is configurable via
-``REPRO_TRACE_CACHE_SIZE``, so multi-workload grids no longer thrash it.
+default).  In-process runs bake each trace on first use; pool runs bake each
+distinct trace once in the parent before fan-out, and workers (and later
+runs, and other processes sharing the artifacts directory) load the packed
+file by content address instead of regenerating it.  The per-process memo
+that backs :func:`trace_for_params` is keyed by the same canonical digest
+and its size is configurable via ``REPRO_TRACE_CACHE_SIZE``, so
+multi-workload grids no longer thrash it.
 
-Fault tolerance: :class:`ParallelRunner` runs on a
-``concurrent.futures.ProcessPoolExecutor`` and treats a dead worker as a
+Fault tolerance: pool runs use a
+``concurrent.futures.ProcessPoolExecutor`` and treat a dead worker as a
 recoverable event -- completed points are already in the cache, the broken
 pool is replaced (with exponential backoff, see
 :class:`repro.sweep.resilience.RetryPolicy`), and the in-flight points are
 re-dispatched with a bounded per-point retry budget.  A per-point wall-clock
-timeout re-dispatches stragglers the same way.  Every transition is recorded
-in a crash-safe :class:`repro.sweep.resilience.RunJournal`, and the
-deterministic fault injector (:mod:`repro.sweep.faults`) can crash, slow or
-corrupt any of it on demand -- the chaos suite proves recovered runs are
-bit-identical to clean ones.
+timeout re-dispatches stragglers the same way.  In both modes every
+transition is recorded in a crash-safe
+:class:`repro.sweep.resilience.RunJournal`, and the deterministic fault
+injector (:mod:`repro.sweep.faults`) can crash, slow or corrupt any of it on
+demand -- the chaos suite proves recovered runs are bit-identical to clean
+ones.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import multiprocessing
 import os
 import time
 import warnings
@@ -141,7 +144,7 @@ class TraceStats:
     """Per-process counters of how traces were obtained (see ``snapshot``)."""
 
     generated: int = 0    #: built by running a workload generator (the slow path)
-    packed_hits: int = 0  #: loaded from the packed trace store
+    packed_hits: int = 0  #: found in the packed trace store
     memo_hits: int = 0    #: answered by the in-process memo
 
     def snapshot(self) -> "TraceStats":
@@ -153,7 +156,7 @@ class TraceStats:
                           self.memo_hits - base.memo_hits)
 
 
-#: Process-wide trace accounting (parallel workers keep their own copies).
+#: Process-wide trace accounting (pool workers keep their own copies).
 TRACE_STATS = TraceStats()
 
 #: LRU memo of trace objects keyed by their canonical digest -- the *same*
@@ -473,15 +476,16 @@ class SweepRun:
     results: List[SimulationResult]
     computed_count: int
     cached_count: int
-    #: Parent-side trace accounting.  For :class:`SerialRunner` this counts
-    #: every trace the run generated (cold bakes, or plain generation when no
-    #: store is configured); for :class:`ParallelRunner` it counts the
-    #: parent's pre-fan-out bakes -- with a store, workers never regenerate,
-    #: so 0 means every needed trace was already baked.  A *store-less*
-    #: parallel run regenerates inside the workers, which the parent cannot
-    #: observe; both counters stay 0 there.
+    #: Parent-side trace accounting: the :data:`TRACE_STATS` delta over the
+    #: run.  In-process runs count per lookup -- every trace the run
+    #: generated (cold bakes, or plain generation when no store is
+    #: configured).  Pool runs count per distinct trace the parent bakes
+    #: before fan-out -- with a store, workers never regenerate, so 0 means
+    #: every needed trace was already baked.  A *store-less* pool run
+    #: regenerates inside the workers, which the parent cannot observe; both
+    #: counters stay 0 there.
     trace_generated: int = 0
-    #: Traces answered without regeneration (packed-store loads + memo hits),
+    #: Traces answered without regeneration (packed-store hits + memo hits),
     #: counted parent-side under the same caveat as ``trace_generated``.
     trace_reused: int = 0
     #: Points re-dispatched after a worker crash or a per-point timeout.
@@ -557,27 +561,20 @@ def resolve_trace_store(trace_store: Union[TraceStore, str, None, bool],
     return None
 
 
-JournalOption = Union[RunJournal, str, Path, None, bool]
+def _use_trace_store(setting: Union[TraceStore, None, bool],
+                     ) -> Callable[[], object]:
+    """Apply a runner's trace-store setting to this process; return the undo.
 
-
-def resolve_journal(journal: JournalOption, cache: Optional[ResultCache],
-                    points: List[SweepPoint]) -> RunJournal:
-    """Pick a runner's journal.
-
-    ``None`` derives the conventional location from the result cache
-    (``<artifacts>/journals/<spec_id>.jsonl``, next to ``objects/`` and
-    ``quarantine/``) so every cached sweep is journaled by default; ``False``
-    disables journaling; a path or :class:`RunJournal` is used as given.
-    Cache-less runs have no artifact root to journal under, so they run
-    unjournaled unless given a path.
+    A :class:`TraceStore` is installed and ``False`` disables the store,
+    ``REPRO_TRACE_STORE`` included.  ``None`` -- a store-less runner that was
+    not told to disable one -- leaves the process's configuration alone, so
+    a store set by :func:`configure_trace_store` or the environment stays in
+    effect rather than being silently cleared.
     """
-    if isinstance(journal, RunJournal):
-        return journal
-    if isinstance(journal, (str, os.PathLike)):
-        return RunJournal(journal)
-    if journal is False or cache is None:
-        return RunJournal(None)
-    return RunJournal.for_root(Path(cache.root), spec_id_of(points))
+    if setting is None:
+        return lambda: None
+    previous = configure_trace_store(setting)
+    return lambda: configure_trace_store(previous)
 
 
 def _integrity_snapshot(cache: Optional[ResultCache],
@@ -599,82 +596,20 @@ def _integrity_since(base: Tuple[int, int], cache: Optional[ResultCache],
     return (cache_now - base[0]) + (store_now - base[1]), paths
 
 
-class SerialRunner:
-    """Run every point in-process, in spec order (the reference executor)."""
+def _point_failure(journal: RunJournal, points: List[SweepPoint],
+                   attempt: int, exc: Exception) -> SweepExecutionError:
+    """Journal points that raised and build the error naming them.
 
-    def __init__(self, cache: Optional[ResultCache] = None,
-                 trace_store: Union[TraceStore, str, None, bool] = None,
-                 journal: JournalOption = None):
-        self.cache = cache
-        self.trace_store_disabled = trace_store is False
-        self.trace_store = resolve_trace_store(trace_store, cache)
-        self.journal = journal
-
-    def run(self, spec: SweepSpec,
-            progress: Optional[ProgressCallback] = None) -> SweepRun:
-        """Execute ``spec`` and return its :class:`SweepRun`."""
-        points = spec.points()
-        results: List[SimulationResult] = []
-        seen: Dict[str, SimulationResult] = {}
-        computed = cached = 0
-        stats_base = TRACE_STATS.snapshot()
-        integrity_base = _integrity_snapshot(self.cache, self.trace_store)
-        journal = resolve_journal(self.journal, self.cache, points)
-        journal.emit("sweep_start", spec=spec.name, points=len(points),
-                     workers=1)
-        # Install this runner's store for the duration of the run -- but only
-        # when it actually has an opinion: a store-less, non-disabled runner
-        # leaves any process-global store (configure_trace_store / env var)
-        # in effect rather than silently clearing it.
-        reconfigure = self.trace_store is not None or self.trace_store_disabled
-        previous_store = (configure_trace_store(
-            False if self.trace_store_disabled else self.trace_store)
-            if reconfigure else None)
-        try:
-            for point in points:
-                result = seen.get(point.point_id)
-                if result is None and self.cache is not None:
-                    result = self.cache.get(point)
-                was_cached = result is not None
-                if result is None:
-                    journal.emit("point_running", point_id=point.point_id,
-                                 attempt=0)
-                    try:
-                        result = result_from_dict(
-                            execute_point(point.as_dict()))
-                    except Exception as exc:
-                        journal.emit("point_failed", point_id=point.point_id,
-                                     attempt=0, reason=repr(exc))
-                        raise
-                    computed += 1
-                    if self.cache is not None:
-                        self.cache.put(point, result)
-                    journal.emit("point_done", point_id=point.point_id)
-                else:
-                    cached += 1
-                    journal.emit("point_cached", point_id=point.point_id)
-                seen[point.point_id] = result
-                results.append(result)
-                if progress is not None:
-                    progress(point, result, was_cached)
-        finally:
-            if reconfigure:
-                configure_trace_store(previous_store)
-        if self.cache is not None:
-            self.cache.write_manifest(spec_id_of(points), spec.name, points)
-        delta = TRACE_STATS.since(stats_base)
-        corrupt, quarantined = _integrity_since(integrity_base, self.cache,
-                                                self.trace_store)
-        journal.emit("sweep_done", computed=computed, cached=cached,
-                     retried=0, pool_restarts=0, corrupt_artifacts=corrupt)
-        return SweepRun(spec=spec, points=points, results=results,
-                        computed_count=computed, cached_count=cached,
-                        trace_generated=delta.generated,
-                        trace_reused=delta.packed_hits + delta.memo_hits,
-                        corrupt_artifacts=corrupt,
-                        quarantined_paths=quarantined,
-                        journal_path=(str(journal.path)
-                                      if journal.enabled else None))
+    A raising point is a deterministic application error: retrying would
+    fail identically, so the sweep fails now -- but with the point context a
+    bare traceback lacks.  Callers raise the result ``from exc``.
+    """
+    for point in points:
+        journal.emit("point_failed", point_id=point.point_id,
+                     attempt=attempt, reason=repr(exc))
+    labels = ", ".join(point.label() for point in points[:5])
+    return SweepExecutionError(
+        f"sweep point(s) {labels} raised {type(exc).__name__}: {exc}")
 
 
 def adaptive_chunksize(num_pending: int, num_workers: int) -> int:
@@ -690,201 +625,218 @@ def adaptive_chunksize(num_pending: int, num_workers: int) -> int:
     return max(1, min(32, num_pending // (num_workers * 4)))
 
 
-class ParallelRunner:
-    """Fan uncached points out over a crash-tolerant process pool.
+def _bake_traces(store: TraceStore,
+                 points: List[Dict[str, ParamValue]]) -> None:
+    """Bake each distinct trace of ``points`` (params) once, before fan-out.
 
-    Cached points are answered from the artifact directory without touching
-    the pool; fresh results are written to the cache as they stream back, so
-    killing a sweep midway loses at most the points still in flight (at most
-    one chunk per worker; see :func:`adaptive_chunksize`).  The returned
-    results are ordered by spec point order -- identical to
-    :class:`SerialRunner` output for the same spec.
+    With ``W`` workers and no store, every worker regenerates every trace
+    it touches (up to ``W`` regenerations per trace).  Baking in the parent
+    makes generation a one-time cost: workers find the packed file by
+    content address and load it with a bulk ``frombytes``.  Each distinct
+    trace counts into :data:`TRACE_STATS` -- ``generated`` when baked here,
+    ``packed_hits`` when already in the store.
 
-    A dead worker (OOM kill, container preemption, an injected
-    ``worker_crash``) no longer loses the sweep: the broken pool is replaced
-    after an exponential backoff, and every in-flight point is re-dispatched
-    as its own single-point task with a bounded per-point retry budget
-    (:class:`RetryPolicy`).  With ``point_timeout_seconds`` set, a chunk that
-    exceeds its wall-clock deadline is treated the same way: the pool is
-    torn down (terminating the straggler) and the timed-out points retried
-    while innocent in-flight points are re-dispatched without spending their
-    retry budget.  Deterministic application errors raised by a point are
-    *not* retried -- they would fail identically -- but they are re-raised
-    as :class:`SweepExecutionError` naming the failed point.
+    The bake loop is deliberately serial: it guarantees exactly-once
+    generation at the cost of startup latency proportional to the number
+    of *cold* distinct traces.  (Letting workers bake on demand would
+    overlap generation with simulation but admits up to ``W`` redundant
+    generations per trace -- the cost this subsystem exists to remove.
+    Warm traces are skipped via ``contains``, so the latency is paid only
+    on the first campaign to touch a trace.)
+    """
+    seen: set = set()
+    for params in points:
+        key_params, digest = trace_key_for_params(params)
+        if digest in seen:
+            continue
+        seen.add(digest)
+        if store.contains(digest):
+            TRACE_STATS.packed_hits += 1
+            continue
+        _, baked = store.get_or_bake(
+            key_params, lambda kp=key_params: generate_trace_for_key(kp))
+        if baked:
+            TRACE_STATS.generated += 1
+        else:  # pragma: no cover - benign race with a concurrent baker
+            TRACE_STATS.packed_hits += 1
+
+
+def _dispose_executor(executor: concurrent.futures.ProcessPoolExecutor,
+                      kill: bool = False) -> None:
+    """Tear a pool down without waiting on work that will never finish.
+
+    ``kill=True`` terminates the worker processes first -- the straggler
+    path, where a hung point would otherwise block shutdown forever.
+    The ``_processes`` map is CPython implementation detail, hence the
+    defensive ``getattr``; losing the kill merely leaves an orphan worker
+    to finish a result nobody collects.
+    """
+    if kill:
+        processes = getattr(executor, "_processes", None) or {}
+        for process in list(processes.values()):
+            try:
+                process.terminate()
+            except (OSError, AttributeError):  # pragma: no cover - racing exit
+                pass
+    executor.shutdown(wait=False, cancel_futures=True)
+
+
+#: A dispatched pool work item: its ``(spec index, params)`` payloads and
+#: the attempt number the chunk is on.
+_WorkItem = Tuple[Tuple[Tuple[int, Dict[str, ParamValue]], ...], int]
+
+
+class SweepRunner:
+    """Run a spec's points in this process (``jobs=1``) or over a pool.
+
+    Cached points are answered from the artifact directory, and each
+    distinct pending configuration is simulated once: grids whose axes
+    repeat a parameter set (e.g. clamped capacity points) share the result.
+    Fresh results are written to the cache as they arrive, so killing a
+    sweep midway loses at most the points still in flight.  Results come
+    back in spec point order, bit-identical for every ``jobs``.
+
+    With ``jobs == 1`` the points run in this process, in spec order, with
+    the runner's trace store installed around the loop.  With more jobs
+    they fan out over a crash-tolerant process pool (at most one chunk per
+    worker in flight; see :func:`adaptive_chunksize`).  A dead worker (OOM
+    kill, container preemption, an injected ``worker_crash``) does not lose
+    the sweep: the broken pool is replaced after an exponential backoff,
+    and every in-flight point is re-dispatched as its own single-point task
+    with a bounded per-point retry budget (:class:`RetryPolicy`).  With
+    ``point_timeout_seconds`` set, a chunk that exceeds its wall-clock
+    deadline is treated the same way: the pool is torn down (terminating
+    the straggler) and the timed-out points retried while innocent
+    in-flight points are re-dispatched without spending their retry budget.
+
+    In both modes a point that *raises* is not retried -- a deterministic
+    error would fail identically -- but journaled as ``point_failed`` and
+    re-raised as :class:`SweepExecutionError` naming the point, chained to
+    the original exception.
     """
 
-    def __init__(self, num_workers: int = 2, cache: Optional[ResultCache] = None,
-                 start_method: Optional[str] = None,
+    def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
                  trace_store: Union[TraceStore, str, None, bool] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 journal: JournalOption = None):
-        if num_workers < 1:
-            raise ConfigurationError(
-                f"num_workers must be positive, got {num_workers}")
-        self.num_workers = num_workers
+                 retry: Optional[RetryPolicy] = None):
+        if jobs < 1:
+            raise ConfigurationError(f"jobs must be positive, got {jobs}")
+        self.jobs = jobs
         self.cache = cache
-        self.start_method = start_method
-        self.trace_store_disabled = trace_store is False
         self.trace_store = resolve_trace_store(trace_store, cache)
+        #: What this runner asks of each simulating process's trace store
+        #: (see :func:`_use_trace_store`).
+        self._store_setting = (False if trace_store is False
+                               else self.trace_store)
         self.retry = retry if retry is not None else RetryPolicy()
-        self.journal = journal
-
-    def _bake_traces(self, pending_points: List[SweepPoint]) -> Tuple[int, int]:
-        """Bake each distinct trace once before fan-out.
-
-        With ``W`` workers and no store, every worker regenerates every trace
-        it touches (up to ``W`` regenerations per trace).  Baking in the
-        parent makes generation a one-time cost: workers find the packed file
-        by content address and load it with a bulk ``frombytes``.  Returns
-        ``(generated, reused)`` counts over the distinct traces.
-
-        The bake loop is deliberately serial: it guarantees exactly-once
-        generation at the cost of startup latency proportional to the number
-        of *cold* distinct traces.  (Letting workers bake on demand would
-        overlap generation with simulation but admits up to ``W`` redundant
-        generations per trace -- the cost this subsystem exists to remove.
-        Warm traces are skipped via ``contains``, so the latency is paid only
-        on the first campaign to touch a trace.)
-        """
-        store = self.trace_store
-        generated = reused = 0
-        seen: set = set()
-        for point in pending_points:
-            key_params, digest = trace_key_for_params(point.as_dict())
-            if digest in seen:
-                continue
-            seen.add(digest)
-            if store.contains(digest):
-                reused += 1
-                continue
-            _, baked = store.get_or_bake(
-                key_params, lambda kp=key_params: generate_trace_for_key(kp))
-            if baked:
-                generated += 1
-            else:  # pragma: no cover - benign race with a concurrent baker
-                reused += 1
-        return generated, reused
 
     def run(self, spec: SweepSpec,
             progress: Optional[ProgressCallback] = None) -> SweepRun:
         """Execute ``spec`` and return its :class:`SweepRun`."""
         points = spec.points()
+        spec_id = spec_id_of(points)
         results: List[Optional[SimulationResult]] = [None] * len(points)
-        # One pool task per *distinct* configuration: grids whose axes repeat
-        # a parameter set (e.g. clamped capacity points) simulate it once.
-        pending: Dict[str, List[int]] = {}
-        cached = 0
+        stats_base = TRACE_STATS.snapshot()
         integrity_base = _integrity_snapshot(self.cache, self.trace_store)
-        journal = resolve_journal(self.journal, self.cache, points)
+        journal = RunJournal.for_root(
+            None if self.cache is None else self.cache.root, spec_id)
         journal.emit("sweep_start", spec=spec.name, points=len(points),
-                     workers=self.num_workers)
+                     workers=self.jobs)
+        # Every spec index each pending configuration serves, by point_id.
+        pending: Dict[str, List[int]] = {}
         for index, point in enumerate(points):
             if point.point_id in pending:
                 pending[point.point_id].append(index)
                 continue
             result = self.cache.get(point) if self.cache is not None else None
-            if result is not None:
-                results[index] = result
-                cached += 1
-                journal.emit("point_cached", point_id=point.point_id)
-                if progress is not None:
-                    progress(point, result, True)
-            else:
+            if result is None:
                 pending[point.point_id] = [index]
+                continue
+            results[index] = result
+            journal.emit("point_cached", point_id=point.point_id)
+            if progress is not None:
+                progress(point, result, True)
 
-        trace_generated = trace_reused = 0
-        retried_points = pool_restarts = 0
-        if pending:
-            pending_points = [points[indexes[0]] for indexes in pending.values()]
-            if self.trace_store is not None:
-                trace_generated, trace_reused = self._bake_traces(pending_points)
-            retried_points, pool_restarts = self._execute_pending(
-                points, pending, results, journal, progress)
+        def record(first: int, data: Dict) -> None:
+            """Cache, journal and report one fresh result (by first index)."""
+            point = points[first]
+            result = result_from_dict(data)
+            if self.cache is not None:
+                self.cache.put(point, result)
+            journal.emit("point_done", point_id=point.point_id)
+            for index in pending[point.point_id]:
+                results[index] = result
+                if progress is not None:
+                    progress(points[index], result, index != first)
 
-        duplicates = sum(len(indexes) - 1 for indexes in pending.values())
+        retried = restarts = 0
+        if pending and self.jobs == 1:
+            self._run_in_process(points, pending, journal, record)
+        elif pending:
+            retried, restarts = self._run_pool(points, pending, journal,
+                                               record)
+
         _require_complete(points, results)
         if self.cache is not None:
-            self.cache.write_manifest(spec_id_of(points), spec.name, points)
+            self.cache.write_manifest(spec_id, spec.name, points)
+        stats = TRACE_STATS.since(stats_base)
         corrupt, quarantined = _integrity_since(integrity_base, self.cache,
                                                 self.trace_store)
-        journal.emit("sweep_done", computed=len(pending),
-                     cached=cached + duplicates, retried=retried_points,
-                     pool_restarts=pool_restarts, corrupt_artifacts=corrupt)
+        computed = len(pending)
+        cached = len(points) - computed
+        journal.emit("sweep_done", computed=computed, cached=cached,
+                     retried=retried, pool_restarts=restarts,
+                     corrupt_artifacts=corrupt)
         return SweepRun(spec=spec, points=points, results=list(results),
-                        computed_count=len(pending), cached_count=cached + duplicates,
-                        trace_generated=trace_generated,
-                        trace_reused=trace_reused,
-                        retried_points=retried_points,
-                        pool_restarts=pool_restarts,
+                        computed_count=computed, cached_count=cached,
+                        trace_generated=stats.generated,
+                        trace_reused=stats.packed_hits + stats.memo_hits,
+                        retried_points=retried, pool_restarts=restarts,
                         corrupt_artifacts=corrupt,
                         quarantined_paths=quarantined,
                         journal_path=(str(journal.path)
                                       if journal.enabled else None))
 
-    # -- The crash-tolerant dispatch loop ----------------------------------
-
-    def _executor_setup(self) -> Tuple[multiprocessing.context.BaseContext,
-                                       Tuple]:
-        """The (mp context, initializer args) every pool generation shares."""
-        store_arg: Optional[str] = _KEEP_STORE
-        if self.trace_store is not None:
-            store_arg = str(self.trace_store.root)
-        elif self.trace_store_disabled:
-            store_arg = None
-        obs = active_obs_settings()
-        plan = active_fault_plan()
-        fault_args = (None if plan is None
-                      else (plan.spec, plan.state_dir))
-        context = (multiprocessing.get_context(self.start_method)
-                   if self.start_method else multiprocessing.get_context())
-        return context, (store_arg, obs, fault_args)
-
-    def _new_executor(self, workers: int, context, initargs: Tuple,
-                      ) -> concurrent.futures.ProcessPoolExecutor:
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=context,
-            initializer=_worker_init, initargs=initargs)
-
-    @staticmethod
-    def _dispose_executor(executor: concurrent.futures.ProcessPoolExecutor,
-                          kill: bool = False) -> None:
-        """Tear a pool down without waiting on work that will never finish.
-
-        ``kill=True`` terminates the worker processes first -- the straggler
-        path, where a hung point would otherwise block shutdown forever.
-        The ``_processes`` map is CPython implementation detail, hence the
-        defensive ``getattr``; losing the kill merely leaves an orphan worker
-        to finish a result nobody collects.
-        """
-        if kill:
-            processes = getattr(executor, "_processes", None) or {}
-            for process in list(processes.values()):
+    def _run_in_process(self, points: List[SweepPoint],
+                        pending: Dict[str, List[int]], journal: RunJournal,
+                        record: Callable[[int, Dict], None]) -> None:
+        """Simulate every pending configuration here, in spec order."""
+        restore = _use_trace_store(self._store_setting)
+        try:
+            for indexes in pending.values():
+                point = points[indexes[0]]
+                journal.emit("point_running", point_id=point.point_id,
+                             attempt=0)
                 try:
-                    process.terminate()
-                except (OSError, AttributeError):  # pragma: no cover - racing exit
-                    pass
-        executor.shutdown(wait=False, cancel_futures=True)
+                    data = execute_point(point.as_dict())
+                except Exception as exc:
+                    raise _point_failure(journal, [point], 0, exc) from exc
+                record(indexes[0], data)
+        finally:
+            restore()
 
-    def _execute_pending(self, points: List[SweepPoint],
-                         pending: Dict[str, List[int]],
-                         results: List[Optional[SimulationResult]],
-                         journal: RunJournal,
-                         progress: Optional[ProgressCallback],
-                         ) -> Tuple[int, int]:
+    # -- The crash-tolerant pool -------------------------------------------
+
+    def _run_pool(self, points: List[SweepPoint],
+                  pending: Dict[str, List[int]], journal: RunJournal,
+                  record: Callable[[int, Dict], None]) -> Tuple[int, int]:
         """Dispatch every pending point, surviving crashes and stragglers.
 
-        Returns ``(retried_points, pool_restarts)``.  The loop keeps a queue
-        of (chunk, attempt) work items and at most ``workers`` chunks in
-        flight; a chunk that dies with its worker is requeued as single-point
-        items with its attempt count bumped, so one bad point can exhaust its
-        own retry budget without dragging chunk-mates down with it.
+        Returns ``(retried_points, pool_restarts)``.  With a trace store the
+        parent first bakes every trace the points need (:func:`_bake_traces`).
+        The loop keeps a queue of (chunk, attempt) work items and at most
+        ``workers`` chunks in flight; a chunk that dies with its worker is
+        requeued as single-point items with its attempt count bumped, so one
+        bad point can exhaust its own retry budget without dragging
+        chunk-mates down with it.
         """
         retry = self.retry
         payloads = [(indexes[0], points[indexes[0]].as_dict())
                     for indexes in pending.values()]
-        workers = min(self.num_workers, len(payloads))
+        if self.trace_store is not None:
+            _bake_traces(self.trace_store, [params for _, params in payloads])
+        workers = min(self.jobs, len(payloads))
         chunk = adaptive_chunksize(len(payloads), workers)
-        queue: Deque[Tuple[Tuple, int]] = deque(
+        queue: Deque[_WorkItem] = deque(
             (tuple(payloads[start:start + chunk]), 0)
             for start in range(0, len(payloads), chunk))
 
@@ -893,169 +845,130 @@ class ParallelRunner:
         if obs is not None:
             from repro.obs.report import HeartbeatWriter
             heartbeats = HeartbeatWriter(obs.root)
+        plan = active_fault_plan()
+        initargs = (self._store_setting, obs,
+                    None if plan is None else (plan.spec, plan.state_dir))
 
-        retried_points = restarts = 0
-        context, initargs = self._executor_setup()
-        executor = self._new_executor(workers, context, initargs)
-        in_flight: Dict[concurrent.futures.Future, Tuple[Tuple, int, Optional[float]]] = {}
+        def new_pool() -> concurrent.futures.ProcessPoolExecutor:
+            return concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_worker_init,
+                initargs=initargs)
+
+        retried = restarts = 0
+        executor = new_pool()
+
+        def replace_pool(reason: str, kill: bool = False) -> None:
+            """Dispose the pool, journal the restart, back off, start anew.
+
+            A straggler kill (``kill=True``) skips the backoff: the pool
+            itself was healthy.
+            """
+            nonlocal executor, restarts
+            _dispose_executor(executor, kill=kill)
+            journal.emit("pool_restart", restart=restarts + 1, reason=reason)
+            delay = 0.0 if kill else retry.backoff_delay(restarts)
+            restarts += 1
+            if delay > 0:
+                time.sleep(delay)
+            executor = new_pool()
+
+        def collect(future: concurrent.futures.Future,
+                    item: _WorkItem) -> bool:
+            """Record a finished chunk; ``False`` when its worker died."""
+            try:
+                chunk_results = future.result()
+            except BrokenProcessPool:
+                return False
+            except Exception as exc:
+                raise _point_failure(
+                    journal, [points[index] for index, _ in item[0]],
+                    item[1], exc) from exc
+            for first, data in chunk_results:
+                record(first, data)
+            return True
+
+        in_flight: Dict[concurrent.futures.Future,
+                        Tuple[_WorkItem, Optional[float]]] = {}
         try:
             while queue or in_flight:
                 while queue and len(in_flight) < workers:
-                    chunk_payloads, attempt = queue.popleft()
+                    item = queue.popleft()
                     try:
-                        future = executor.submit(_execute_chunk,
-                                                 list(chunk_payloads))
+                        future = executor.submit(_execute_chunk, list(item[0]))
                     except BrokenProcessPool:
                         # The pool broke between waits (e.g. an idle worker
                         # died).  Push the work back; if nothing is in flight
                         # the wait loop can never discover the break, so
                         # replace the pool here.
-                        queue.appendleft((chunk_payloads, attempt))
+                        queue.appendleft(item)
                         if in_flight:
                             break
-                        self._dispose_executor(executor)
-                        journal.emit("pool_restart", restart=restarts + 1,
-                                     reason="broken pool")
-                        delay = retry.backoff_delay(restarts)
-                        restarts += 1
-                        if delay > 0:
-                            time.sleep(delay)
-                        executor = self._new_executor(workers, context,
-                                                      initargs)
+                        replace_pool("broken pool")
                         continue
                     deadline = (None if retry.point_timeout_seconds is None
                                 else time.monotonic()
                                 + retry.point_timeout_seconds)
-                    in_flight[future] = (chunk_payloads, attempt, deadline)
-                    for index, _ in chunk_payloads:
+                    in_flight[future] = (item, deadline)
+                    for index, _ in item[0]:
                         journal.emit("point_running",
                                      point_id=points[index].point_id,
-                                     attempt=attempt)
+                                     attempt=item[1])
                 timeout = None
                 if retry.point_timeout_seconds is not None:
-                    now = time.monotonic()
-                    timeout = max(0.0, min(entry[2] for entry
-                                           in in_flight.values()) - now)
+                    timeout = max(0.0, min(deadline for _, deadline
+                                           in in_flight.values())
+                                  - time.monotonic())
                 done, _ = concurrent.futures.wait(
                     in_flight, timeout=timeout,
                     return_when=concurrent.futures.FIRST_COMPLETED)
 
-                broken = False
+                victims: List[_WorkItem] = []
                 for future in done:
-                    chunk_payloads, attempt, _ = in_flight.pop(future)
-                    try:
-                        chunk_results = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        retried_points += self._requeue(
-                            [(chunk_payloads, attempt)], queue, points,
-                            journal, heartbeats,
-                            reason="worker process died (broken pool)")
-                    except Exception as exc:
-                        # A deterministic application error: retrying would
-                        # fail identically, so fail the sweep now -- but with
-                        # the point context a bare worker traceback lacks.
-                        for index, _ in chunk_payloads:
-                            journal.emit("point_failed",
-                                         point_id=points[index].point_id,
-                                         attempt=attempt, reason=repr(exc))
-                        labels = ", ".join(points[index].label()
-                                           for index, _ in chunk_payloads[:5])
-                        raise SweepExecutionError(
-                            f"sweep point(s) {labels} raised "
-                            f"{type(exc).__name__}: {exc}") from exc
-                    else:
-                        self._record_chunk(chunk_results, points, pending,
-                                           results, journal, progress)
-
-                if broken:
+                    item, _ = in_flight.pop(future)
+                    if not collect(future, item):
+                        victims.append(item)
+                if victims:
                     # The pool is gone: every other in-flight chunk died with
-                    # it.  Chunks that already delivered results were handled
-                    # above; the rest go back on the queue with their attempt
-                    # count bumped (the crash could have been any of them).
-                    victims = [(payloads_, attempt_)
-                               for payloads_, attempt_, _ in in_flight.values()]
+                    # it.  Chunks that already delivered results were
+                    # recorded above; the rest go back on the queue with
+                    # their attempt count bumped (the crash could have been
+                    # any of them).
+                    victims += [item for item, _ in in_flight.values()]
                     in_flight.clear()
-                    retried_points += self._requeue(
+                    retried += self._requeue(
                         victims, queue, points, journal, heartbeats,
                         reason="worker process died (broken pool)")
-                    self._dispose_executor(executor)
-                    journal.emit("pool_restart", restart=restarts + 1,
-                                 reason="broken pool")
-                    delay = retry.backoff_delay(restarts)
-                    restarts += 1
-                    if delay > 0:
-                        time.sleep(delay)
-                    executor = self._new_executor(workers, context, initargs)
+                    replace_pool("broken pool")
                     continue
 
-                if retry.point_timeout_seconds is None or not in_flight:
-                    continue
                 now = time.monotonic()
-                if not any(entry[2] is not None and now >= entry[2]
-                           for entry in in_flight.values()):
+                if not any(deadline is not None and now >= deadline
+                           for _, deadline in in_flight.values()):
                     continue
-                # At least one chunk blew its wall-clock deadline.  Killing
-                # the pool is the only reliable way to stop a stuck worker,
-                # so collect whatever finished in the meantime, then requeue:
+                # At least one chunk blew its wall-clock deadline.  Collect
+                # whatever finished in the meantime and requeue the rest --
                 # expired chunks spend retry budget, innocent bystanders are
-                # re-dispatched for free.
-                self._dispose_executor(executor, kill=True)
-                expired: List[Tuple[Tuple, int]] = []
-                innocent: List[Tuple[Tuple, int]] = []
-                for future, (chunk_payloads, attempt,
-                             deadline) in in_flight.items():
-                    collected = False
-                    if future.done() and not future.cancelled():
-                        try:
-                            chunk_results = future.result()
-                        except BrokenProcessPool:
-                            pass
-                        else:
-                            self._record_chunk(chunk_results, points, pending,
-                                               results, journal, progress)
-                            collected = True
-                    if collected:
+                # re-dispatched for free -- then kill the pool, the only
+                # reliable way to stop a stuck worker.
+                expired: List[_WorkItem] = []
+                innocent: List[_WorkItem] = []
+                for future, (item, deadline) in in_flight.items():
+                    if future.done() and collect(future, item):
                         continue
-                    if deadline is not None and now >= deadline:
-                        expired.append((chunk_payloads, attempt))
-                    else:
-                        innocent.append((chunk_payloads, attempt))
+                    (expired if now >= deadline else innocent).append(item)
                 in_flight.clear()
-                retried_points += self._requeue(
+                retried += self._requeue(
                     expired, queue, points, journal, heartbeats,
                     reason=(f"point exceeded its "
                             f"{retry.point_timeout_seconds:g}s wall-clock "
                             f"timeout"))
-                for chunk_payloads, attempt in innocent:
-                    queue.append((chunk_payloads, attempt))
-                journal.emit("pool_restart", restart=restarts + 1,
-                             reason="straggler timeout")
-                restarts += 1
-                executor = self._new_executor(workers, context, initargs)
+                queue.extend(innocent)
+                replace_pool("straggler timeout", kill=True)
         finally:
-            self._dispose_executor(executor)
-        return retried_points, restarts
+            _dispose_executor(executor)
+        return retried, restarts
 
-    def _record_chunk(self, chunk_results: List[Tuple[int, Dict]],
-                      points: List[SweepPoint],
-                      pending: Dict[str, List[int]],
-                      results: List[Optional[SimulationResult]],
-                      journal: RunJournal,
-                      progress: Optional[ProgressCallback]) -> None:
-        """Cache and slot in one completed chunk's results."""
-        for first_index, data in chunk_results:
-            point = points[first_index]
-            result = result_from_dict(data)
-            for index in pending[point.point_id]:
-                results[index] = result
-            if self.cache is not None:
-                self.cache.put(point, result)
-            journal.emit("point_done", point_id=point.point_id)
-            if progress is not None:
-                progress(point, result, False)
-
-    def _requeue(self, victims: List[Tuple[Tuple, int]], queue: Deque,
+    def _requeue(self, victims: List[_WorkItem], queue: Deque[_WorkItem],
                  points: List[SweepPoint], journal: RunJournal, heartbeats,
                  reason: str) -> int:
         """Requeue crashed/timed-out chunks as single-point retry items.
@@ -1092,26 +1005,19 @@ class ParallelRunner:
         return retries
 
 
-#: Worker-init sentinel: leave the worker's trace-store configuration alone
-#: (the runner had no store opinion; only observability needed the initializer).
-_KEEP_STORE = "__keep__"
-
-
-def _worker_init(store_root: Optional[str],
+def _worker_init(store_setting: Union[TraceStore, None, bool],
                  obs_settings: Optional[ObsSettings] = None,
                  fault_args: Optional[Tuple[str, Optional[str]]] = None) -> None:
     """Pool initializer: hand the parent's trace store, obs and faults over.
 
-    ``store_root=None`` means the parent explicitly disabled the store
-    (``trace_store=False``), which must override any ``REPRO_TRACE_STORE``
-    environment variable the worker inherited; the :data:`_KEEP_STORE`
-    sentinel leaves the store configuration untouched.  ``fault_args`` is the
-    parent's ``(spec, state_dir)`` fault plan, reconstructed here so spawned
-    workers inject the same faults as forked ones (the shared state dir keeps
-    firing once-only across the whole fleet and across pool restarts).
+    ``store_setting`` is the runner's :func:`_use_trace_store` setting, so a
+    disabled store (``False``) overrides any ``REPRO_TRACE_STORE`` the
+    worker inherited.  ``fault_args`` is the parent's ``(spec, state_dir)``
+    fault plan, reconstructed here so spawned workers inject the same faults
+    as forked ones (the shared state dir keeps firing once-only across the
+    whole fleet and across pool restarts).
     """
-    if store_root != _KEEP_STORE:
-        configure_trace_store(False if store_root is None else store_root)
+    _use_trace_store(store_setting)
     if obs_settings is not None:
         configure_observability(obs_settings)
     if fault_args is not None:
@@ -1139,12 +1045,7 @@ def _require_complete(points: List[SweepPoint],
 
 def default_runner(jobs: int = 1, cache: Optional[ResultCache] = None,
                    trace_store: Union[TraceStore, str, None, bool] = None,
-                   retry: Optional[RetryPolicy] = None,
-                   journal: JournalOption = None):
-    """Pick the runner matching a ``--jobs`` CLI value."""
-    if jobs <= 1:
-        return SerialRunner(cache=cache, trace_store=trace_store,
-                            journal=journal)
-    return ParallelRunner(num_workers=jobs, cache=cache,
-                          trace_store=trace_store, retry=retry,
-                          journal=journal)
+                   retry: Optional[RetryPolicy] = None) -> SweepRunner:
+    """The runner for a ``--jobs`` CLI value (below 1 runs in-process)."""
+    return SweepRunner(jobs=max(1, jobs), cache=cache,
+                       trace_store=trace_store, retry=retry)

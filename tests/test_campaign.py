@@ -5,8 +5,7 @@ The acceptance-critical scenarios:
 * a seed-ensemble campaign (>= 3 seeds, >= 2 workloads) produces per-point
   mean/std/CI summaries that match a hand-computed reduction of the
   per-seed runs,
-* the report is bit-identical between :class:`SerialRunner` and
-  :class:`ParallelRunner`,
+* the report is bit-identical between ``jobs=1`` and ``jobs=2`` runners,
 * a second ``run_campaign`` against the same artifacts is fully
   cache-served: zero recomputed points, zero regenerated traces, and a
   widened ensemble simulates only the new seeds,
@@ -22,7 +21,7 @@ import math
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.sweep import ParallelRunner, ResultCache, SerialRunner
+from repro.sweep import ResultCache, SweepRunner
 from repro.sweep.campaign import (Ablation, Campaign, CampaignReport,
                                   MetricSummary, aggregate_run,
                                   ablation_deltas, campaign_dir, format_report,
@@ -129,7 +128,7 @@ class TestAggregation:
         """Acceptance: >=3 seeds x >=2 workloads, mean/std/CI per point."""
         campaign = tiny_campaign(seeds=(0, 1, 2))
         report = run_campaign(campaign,
-                              SerialRunner(cache=ResultCache(tmp_path)))
+                              SweepRunner(cache=ResultCache(tmp_path)))
         member = report.members[0]
         # 2 workloads x 2 TRS settings = 4 design points, 3 seeds each.
         assert len(member.groups) == 4
@@ -137,7 +136,7 @@ class TestAggregation:
 
         # Recompute the reduction by hand from individual per-seed runs.
         spec = campaign.member_specs()[0]
-        run = SerialRunner(cache=ResultCache(tmp_path)).run(spec)
+        run = SweepRunner(cache=ResultCache(tmp_path)).run(spec)
         per_group = {}
         for point, result in run:
             gid = group_id_of(point.as_dict())
@@ -158,10 +157,9 @@ class TestAggregation:
     def test_serial_and_parallel_reports_are_bit_identical(self, tmp_path):
         campaign = tiny_campaign(seeds=(0, 1, 2))
         serial = run_campaign(
-            campaign, SerialRunner(cache=ResultCache(tmp_path / "s")))
+            campaign, SweepRunner(cache=ResultCache(tmp_path / "s")))
         parallel = run_campaign(
-            campaign, ParallelRunner(num_workers=2,
-                                     cache=ResultCache(tmp_path / "p")))
+            campaign, SweepRunner(jobs=2, cache=ResultCache(tmp_path / "p")))
         strip = ("computed_points", "cached_points", "trace_generated",
                  "trace_reused", "recomputed_points", "regenerated_traces")
 
@@ -180,12 +178,12 @@ class TestAggregation:
         campaign = tiny_campaign(seeds=(0, 1, 2))
         trace_cache_clear()
         first = run_campaign(campaign,
-                             SerialRunner(cache=ResultCache(tmp_path)))
+                             SweepRunner(cache=ResultCache(tmp_path)))
         assert first.recomputed_points == 12
         assert first.regenerated_traces > 0
         trace_cache_clear()  # the rerun must be served by the *disk* stores
         second = run_campaign(campaign,
-                              SerialRunner(cache=ResultCache(tmp_path)))
+                              SweepRunner(cache=ResultCache(tmp_path)))
         assert second.recomputed_points == 0
         assert second.regenerated_traces == 0
         assert [m.cached_points for m in second.members] == [12]
@@ -193,9 +191,9 @@ class TestAggregation:
     def test_widened_ensemble_simulates_only_new_seeds(self, tmp_path):
         trace_cache_clear()
         run_campaign(tiny_campaign(seeds=(0, 1)),
-                     SerialRunner(cache=ResultCache(tmp_path)))
+                     SweepRunner(cache=ResultCache(tmp_path)))
         widened = run_campaign(tiny_campaign(seeds=(0, 1, 2)),
-                               SerialRunner(cache=ResultCache(tmp_path)))
+                               SweepRunner(cache=ResultCache(tmp_path)))
         # 4 design points x 1 new seed; the old 8 points come from the cache.
         assert widened.recomputed_points == 4
         assert widened.members[0].cached_points == 8
@@ -204,7 +202,7 @@ class TestAggregation:
         campaign = tiny_campaign(seeds=(0, 1))
         events = []
         run_campaign(campaign,
-                     SerialRunner(cache=ResultCache(tmp_path)),
+                     SweepRunner(cache=ResultCache(tmp_path)),
                      progress=lambda member, group, done, total:
                          events.append((member, group.group_id, done, total)))
         assert len(events) == 4
@@ -229,7 +227,7 @@ class TestAblation:
     def test_deltas_are_baseline_relative(self, tmp_path):
         campaign = self.ablation().campaign(seeds=(0, 1))
         report = run_campaign(campaign,
-                              SerialRunner(cache=ResultCache(tmp_path)))
+                              SweepRunner(cache=ResultCache(tmp_path)))
         assert report.baseline == "baseline"
         assert len(report.ablation) == 2  # 2 variants x 1 design point
         baseline = report.member("baseline").groups[0]
@@ -275,7 +273,7 @@ class TestReportPersistence:
     def test_report_roundtrip_json_and_csv(self, tmp_path):
         campaign = tiny_campaign(seeds=(0, 1))
         cache = ResultCache(tmp_path)
-        report = run_campaign(campaign, SerialRunner(cache=cache))
+        report = run_campaign(campaign, SweepRunner(cache=cache))
         directory = write_report(report, cache)
         assert directory == campaign_dir(cache, campaign.campaign_id)
 
@@ -299,7 +297,7 @@ class TestReportPersistence:
         ablation = TestAblation().ablation()
         cache = ResultCache(tmp_path)
         report = run_campaign(ablation.campaign(seeds=(0,)),
-                              SerialRunner(cache=cache))
+                              SweepRunner(cache=cache))
         directory = write_report(report, cache)
         with open(directory / "ablation.csv", newline="", encoding="utf-8") as f:
             rows = list(csv.DictReader(f))
@@ -308,7 +306,7 @@ class TestReportPersistence:
 
     def test_format_report_mentions_every_member(self, tmp_path):
         report = run_campaign(tiny_campaign(seeds=(0,)),
-                              SerialRunner(cache=ResultCache(tmp_path)))
+                              SweepRunner(cache=ResultCache(tmp_path)))
         text = format_report(report)
         assert "tiny-campaign" in text
         assert "member grid" in text

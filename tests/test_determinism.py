@@ -9,8 +9,8 @@ guarantee down so parallel-sweep work cannot silently erode it:
 * the full frontend pipeline run twice in-process produces bit-identical
   :class:`SimulationResult` s (including the stats dict),
 * the same configuration executed through :func:`repro.sweep.runner
-  .execute_point` (the worker entry point) and through a 2-worker
-  :class:`ParallelRunner` agrees with the direct in-process run,
+  .execute_point` (the worker entry point) and through a ``jobs=2``
+  :class:`SweepRunner` pool agrees with the direct in-process run,
 * the software-runtime baseline is deterministic too,
 * traces themselves regenerate identically from a (name, scale, seed) triple.
 """
@@ -22,8 +22,7 @@ from dataclasses import asdict
 from repro.backend.system import TaskSuperscalarSystem
 from repro.experiments.common import experiment_config, experiment_trace
 from repro.software.runtime_sim import SoftwareRuntimeSystem
-from repro.sweep.runner import (ParallelRunner, SerialRunner, execute_point,
-                                trace_cache_clear)
+from repro.sweep.runner import SweepRunner, execute_point, trace_cache_clear
 from repro.sweep.spec import SweepSpec
 from repro.trace.packed import pack_trace
 from repro.trace.store import TraceStore
@@ -66,7 +65,7 @@ class TestPipelineDeterminism:
         assert via_worker == direct
 
 
-class TestParallelRunnerDeterminism:
+class TestPoolRunnerDeterminism:
     def test_parallel_runner_matches_serial_bit_for_bit(self):
         spec = SweepSpec(
             name="determinism",
@@ -75,8 +74,8 @@ class TestParallelRunnerDeterminism:
             base={"scale_factor": 0.25, "max_tasks": 50, "fast_generator": True},
         )
         assert spec.cardinality == 8
-        serial = SerialRunner().run(spec)
-        parallel = ParallelRunner(num_workers=2).run(spec)
+        serial = SweepRunner().run(spec)
+        parallel = SweepRunner(jobs=2).run(spec)
         for point, mine, theirs in zip(spec.points(), serial.results,
                                        parallel.results):
             assert asdict(mine) == asdict(theirs), (
@@ -112,13 +111,13 @@ class TestPackedReplayDeterminism:
             base={"scale_factor": 0.25, "max_tasks": 50, "num_cores": 16,
                   "fast_generator": True},
         )
-        baseline = SerialRunner().run(spec)
+        baseline = SweepRunner().run(spec)
         store = TraceStore(tmp_path / "traces")
         trace_cache_clear()  # force the first store run to bake
-        baked = SerialRunner(trace_store=store).run(spec)
+        baked = SweepRunner(trace_store=store).run(spec)
         assert baked.trace_generated == len(WORKLOADS)
         trace_cache_clear()  # force the second store run to load packed files
-        replayed = SerialRunner(trace_store=store).run(spec)
+        replayed = SweepRunner(trace_store=store).run(spec)
         assert replayed.trace_generated == 0
         assert replayed.trace_reused >= len(WORKLOADS)
         for point, expected, from_bake, from_store in zip(

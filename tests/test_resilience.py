@@ -24,7 +24,7 @@ from repro.sweep.faults import (CRASH_EXIT_CODE, FAULTS_DIR_ENV, FAULTS_ENV,
                                 fire, parse_faults)
 from repro.sweep.resilience import (JOURNAL_SCHEMA, RetryPolicy, RunJournal,
                                     replay)
-from repro.sweep.runner import (ObsSettings, ParallelRunner, SerialRunner,
+from repro.sweep.runner import (ObsSettings, SweepRunner,
                                 configure_observability, execute_point,
                                 trace_cache_clear)
 from repro.sweep.spec import SweepSpec
@@ -148,14 +148,13 @@ class TestWorkerCrashRecovery:
         completes, results equal a clean serial run, the journal shows the
         retry, and a follow-up run recomputes nothing."""
         spec = crash_spec()
-        clean = SerialRunner().run(spec)
+        clean = SweepRunner().run(spec)
 
         configure_faults(FaultPlan("worker_crash:point=0",
                                    state_dir=tmp_path / "faults"))
         trace_cache_clear()
         cache = ResultCache(tmp_path / "arts")
-        run = ParallelRunner(num_workers=2, cache=cache,
-                             retry=fast_retry()).run(spec)
+        run = SweepRunner(jobs=2, cache=cache, retry=fast_retry()).run(spec)
 
         assert run.retried_points >= 1
         assert run.pool_restarts >= 1
@@ -172,8 +171,8 @@ class TestWorkerCrashRecovery:
 
         # Recovery converged: the follow-up run is pure cache.
         configure_faults(None)
-        rerun = ParallelRunner(num_workers=2,
-                               cache=ResultCache(tmp_path / "arts")).run(spec)
+        rerun = SweepRunner(jobs=2,
+                            cache=ResultCache(tmp_path / "arts")).run(spec)
         assert rerun.computed_count == 0
         assert rerun.cached_count == spec.cardinality
         for mine, theirs in zip(clean.results, rerun.results):
@@ -186,8 +185,7 @@ class TestWorkerCrashRecovery:
         configure_faults(FaultPlan("worker_crash:point=0",
                                    state_dir=tmp_path / "faults"))
         trace_cache_clear()
-        runner = ParallelRunner(num_workers=2,
-                                retry=fast_retry(max_retries=0))
+        runner = SweepRunner(jobs=2, retry=fast_retry(max_retries=0))
         with pytest.raises(SweepExecutionError) as info:
             runner.run(spec)
         message = str(info.value)
@@ -196,19 +194,28 @@ class TestWorkerCrashRecovery:
         assert any(point.point_id[:12] in message
                    for point in spec.points())
 
-    def test_deterministic_app_error_is_not_retried(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deterministic_app_error_is_not_retried(self, jobs, tmp_path):
         """A point that *raises* (vs. crashes) fails the sweep immediately,
-        wrapped with the point's identity -- retrying a deterministic error
+        in-process or in a pool, wrapped with the point's identity and
+        chained to the original error -- retrying a deterministic error
         would just fail max_retries more times."""
         spec = SweepSpec(name="boom", workloads=("Cholesky",),
                          axes={"frontend.no_such_field": (1,)},
                          base={"num_cores": 8, "scale_factor": 0.2,
                                "max_tasks": 25})
         trace_cache_clear()
-        runner = ParallelRunner(num_workers=2, retry=fast_retry())
+        runner = SweepRunner(jobs=jobs, cache=ResultCache(tmp_path),
+                             retry=fast_retry())
         with pytest.raises(SweepExecutionError) as info:
             runner.run(spec)
         assert "raised" in str(info.value)
+        assert spec.points()[0].label() in str(info.value)
+        assert isinstance(info.value.__cause__, TypeError)
+        assert "no_such_field" in str(info.value.__cause__)
+        state = replay(RunJournal.for_root(tmp_path, spec.spec_id).read())
+        assert state["points"] == {spec.points()[0].point_id: "failed"}
+        assert state["retries"] == 0 and not state["completed"]
 
     def test_crash_exit_code_is_distinctive(self):
         assert CRASH_EXIT_CODE == 87
@@ -220,13 +227,13 @@ class TestStragglerTimeout:
         re-dispatched (where the claimed fault no longer fires) and the
         sweep completes bit-identical to a clean run."""
         spec = crash_spec()
-        clean = SerialRunner().run(spec)
+        clean = SweepRunner().run(spec)
 
         configure_faults(FaultPlan("slow_point:point=1,seconds=60",
                                    state_dir=tmp_path / "faults"))
         trace_cache_clear()
-        run = ParallelRunner(
-            num_workers=2, cache=ResultCache(tmp_path / "arts"),
+        run = SweepRunner(
+            jobs=2, cache=ResultCache(tmp_path / "arts"),
             retry=fast_retry(point_timeout_seconds=1.5)).run(spec)
 
         assert run.retried_points >= 1
@@ -244,10 +251,10 @@ class TestStragglerTimeout:
 class TestTornCacheWrite:
     def test_torn_entry_quarantined_and_recomputed(self, tmp_path):
         spec = crash_spec()
-        clean = SerialRunner().run(spec)
+        clean = SweepRunner().run(spec)
 
         configure_faults("torn_cache:point=0")
-        first = SerialRunner(cache=ResultCache(tmp_path)).run(spec)
+        first = SweepRunner(cache=ResultCache(tmp_path)).run(spec)
         for mine, theirs in zip(clean.results, first.results):
             assert asdict(mine) == asdict(theirs)
 
@@ -256,7 +263,7 @@ class TestTornCacheWrite:
         configure_faults(None)
         cache = ResultCache(tmp_path)
         with pytest.warns(ArtifactIntegrityWarning, match="quarantined"):
-            second = SerialRunner(cache=cache).run(spec)
+            second = SweepRunner(cache=cache).run(spec)
         assert second.corrupt_artifacts == 1
         assert second.computed_count == 1
         assert second.cached_count == spec.cardinality - 1
@@ -266,7 +273,7 @@ class TestTornCacheWrite:
             assert asdict(mine) == asdict(theirs)
 
         # And the recompute healed the cache: third run is all hits.
-        third = SerialRunner(cache=ResultCache(tmp_path)).run(spec)
+        third = SweepRunner(cache=ResultCache(tmp_path)).run(spec)
         assert third.computed_count == 0 and third.corrupt_artifacts == 0
 
 
@@ -361,7 +368,7 @@ class TestResultCacheFuzz:
         spec = crash_spec()
         point = spec.points()[0]
         cache = ResultCache(tmp_path)
-        SerialRunner(cache=cache).run(spec)
+        SweepRunner(cache=cache).run(spec)
         path = cache._object_path(point.point_id)
         return point, path, path.read_text()
 
@@ -410,7 +417,7 @@ class TestCampaignReportFuzz:
                                           write_report)
         campaign = Campaign(name="fuzz", members=(crash_spec(),))
         cache = ResultCache(tmp_path)
-        report = run_campaign(campaign, SerialRunner(cache=cache))
+        report = run_campaign(campaign, SweepRunner(cache=cache))
         directory = write_report(report, cache)
         return directory / "report.json", load_report, report
 
@@ -512,7 +519,7 @@ class TestRunJournal:
 
     def test_serial_runner_journals_the_run(self, tmp_path):
         spec = crash_spec()
-        run = SerialRunner(cache=ResultCache(tmp_path)).run(spec)
+        run = SweepRunner(cache=ResultCache(tmp_path)).run(spec)
         assert run.journal_path is not None
         state = replay(RunJournal(run.journal_path).read())
         assert state["completed"]

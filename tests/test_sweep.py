@@ -1,9 +1,9 @@
-"""Tests for the sweep subsystem: specs, cache, serial and parallel runners.
+"""Tests for the sweep subsystem: specs, cache, in-process and pool runs.
 
 The acceptance-critical scenarios live here:
 
-* a 2-worker :class:`ParallelRunner` sweep over >= 8 configuration points
-  produces results identical to the :class:`SerialRunner`,
+* a ``jobs=2`` :class:`SweepRunner` sweep over >= 8 configuration points
+  produces results identical to the in-process ``jobs=1`` run,
 * re-running the same sweep against the same artifacts directory answers
   every point from the cache (zero recomputed points),
 * an interrupted sweep resumes: points cached before the interruption are
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import canonical_json, content_digest, fingerprint64
 from repro.sweep.cache import ResultCache, result_from_dict
-from repro.sweep.runner import (ParallelRunner, SerialRunner, build_point_config,
+from repro.sweep.runner import (SweepRunner, build_point_config,
                                 default_runner, execute_point,
                                 resolve_trace_store, trace_cache_clear,
                                 trace_cache_size)
@@ -192,9 +192,9 @@ class TestScalarCanonicalization:
 
         cache = ResultCache(tmp_path)
         trace_cache_clear()
-        first = SerialRunner(cache=cache).run(spec(0))
+        first = SweepRunner(cache=cache).run(spec(0))
         assert first.computed_count == 1
-        rerun = SerialRunner(cache=ResultCache(tmp_path)).run(spec("0"))
+        rerun = SweepRunner(cache=ResultCache(tmp_path)).run(spec("0"))
         assert rerun.computed_count == 0, \
             "string seed missed the cache entry of the equivalent int seed"
         assert rerun.cached_count == 1
@@ -277,14 +277,14 @@ class TestResultCache:
         point = spec.points()[0]
         cache = ResultCache(tmp_path)
         assert cache.get(point) is None
-        run = SerialRunner(cache=cache).run(spec)
+        run = SweepRunner(cache=cache).run(spec)
         reloaded = ResultCache(tmp_path).get(point)
         assert asdict(reloaded) == asdict(run.results[0])
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         spec = tiny_spec()
         cache = ResultCache(tmp_path)
-        SerialRunner(cache=cache).run(spec)
+        SweepRunner(cache=cache).run(spec)
         for path in (tmp_path / "objects").glob("*/*.json"):
             path.write_text("{truncated", encoding="utf-8")
         fresh = ResultCache(tmp_path)
@@ -294,7 +294,7 @@ class TestResultCache:
     def test_manifest_written_on_completion(self, tmp_path):
         spec = tiny_spec()
         cache = ResultCache(tmp_path)
-        SerialRunner(cache=cache).run(spec)
+        SweepRunner(cache=cache).run(spec)
         manifest = cache.read_manifest(spec.spec_id)
         assert manifest is not None
         assert manifest["num_points"] == spec.cardinality
@@ -304,7 +304,7 @@ class TestResultCache:
         spec = tiny_spec()
         cache = ResultCache(tmp_path)
         assert len(cache) == 0
-        SerialRunner(cache=cache).run(spec)
+        SweepRunner(cache=cache).run(spec)
         assert len(cache) == spec.cardinality
 
 
@@ -318,9 +318,9 @@ class TestRunners:
         spec = acceptance_spec()
         assert spec.cardinality >= 8
 
-        serial = SerialRunner().run(spec)
+        serial = SweepRunner().run(spec)
         parallel_cache = ResultCache(tmp_path)
-        parallel = ParallelRunner(num_workers=2, cache=parallel_cache).run(spec)
+        parallel = SweepRunner(jobs=2, cache=parallel_cache).run(spec)
 
         assert parallel.computed_count == spec.cardinality
         assert parallel.cached_count == 0
@@ -328,7 +328,7 @@ class TestRunners:
         for mine, theirs in zip(serial.results, parallel.results):
             assert asdict(mine) == asdict(theirs)
 
-        rerun = ParallelRunner(num_workers=2, cache=ResultCache(tmp_path)).run(spec)
+        rerun = SweepRunner(jobs=2, cache=ResultCache(tmp_path)).run(spec)
         assert rerun.computed_count == 0, "re-run must recompute zero points"
         assert rerun.cached_count == spec.cardinality
         for mine, theirs in zip(serial.results, rerun.results):
@@ -341,41 +341,46 @@ class TestRunners:
         # Simulate an interrupted sweep: only the first half completed.
         for point in points[:4]:
             cache.put(point, result_from_dict(execute_point(point.as_dict())))
-        resumed = SerialRunner(cache=ResultCache(tmp_path)).run(spec)
+        resumed = SweepRunner(cache=ResultCache(tmp_path)).run(spec)
         assert resumed.cached_count == 4
         assert resumed.computed_count == 4
         # And the resumed results equal an uncached run.
-        reference = SerialRunner().run(spec)
+        reference = SweepRunner().run(spec)
         for mine, theirs in zip(resumed.results, reference.results):
             assert asdict(mine) == asdict(theirs)
 
     def test_duplicate_grid_points_are_simulated_once(self):
         # Clamped axes can legitimately repeat a parameter set (e.g. the two
-        # smallest Figure 14 capacities both clamp to the 4 KB floor); both
-        # runners must simulate the configuration once and share the result.
+        # smallest Figure 14 capacities both clamp to the 4 KB floor); every
+        # jobs setting must simulate the configuration once, share the
+        # result, and still report progress once per spec point.
         spec = SweepSpec(
             name="dup",
             workloads=("Cholesky",),
             axes={"capacity": [{"frontend.num_trs": 2}, {"frontend.num_trs": 2}]},
             base={"num_cores": 8, "scale_factor": 0.2, "max_tasks": 25},
         )
-        serial = SerialRunner().run(spec)
-        assert serial.computed_count == 1
-        assert serial.cached_count == 1
-        parallel = ParallelRunner(num_workers=2).run(spec)
-        assert parallel.computed_count == 1
-        assert parallel.cached_count == 1
+        runs = {}
+        for jobs in (1, 2):
+            seen = []
+            runs[jobs] = SweepRunner(jobs=jobs).run(
+                spec, progress=lambda p, r, cached: seen.append(
+                    (p.index, cached)))
+            assert runs[jobs].computed_count == 1
+            assert runs[jobs].cached_count == 1
+            assert seen == [(0, False), (1, True)], f"jobs={jobs}"
+        serial, parallel = runs[1], runs[2]
         assert asdict(parallel.results[0]) == asdict(parallel.results[1])
         assert asdict(parallel.results[0]) == asdict(serial.results[0])
 
     def test_progress_callback_reports_cache_origin(self, tmp_path):
         spec = tiny_spec()
         seen = []
-        SerialRunner(cache=ResultCache(tmp_path)).run(
+        SweepRunner(cache=ResultCache(tmp_path)).run(
             spec, progress=lambda p, r, cached: seen.append(cached))
         assert seen == [False, False]
         seen.clear()
-        SerialRunner(cache=ResultCache(tmp_path)).run(
+        SweepRunner(cache=ResultCache(tmp_path)).run(
             spec, progress=lambda p, r, cached: seen.append(cached))
         assert seen == [True, True]
 
@@ -385,17 +390,17 @@ class TestRunners:
         assert data["tasks_completed"] == data["num_tasks"] > 0
 
     def test_result_for_filters_uniquely(self):
-        run = SerialRunner().run(tiny_spec())
+        run = SweepRunner().run(tiny_spec())
         result = run.result_for(**{"frontend.num_trs": 2})
         assert result.tasks_completed > 0
         with pytest.raises(KeyError):
             run.result_for(workload="Cholesky")  # two points match
 
     def test_default_runner_selection(self):
-        assert isinstance(default_runner(1), SerialRunner)
-        assert isinstance(default_runner(3), ParallelRunner)
+        assert default_runner(1).jobs == 1
+        assert default_runner(3).jobs == 3
         with pytest.raises(ConfigurationError):
-            ParallelRunner(num_workers=0)
+            SweepRunner(jobs=0)
 
     def test_parallel_chunked_grid_matches_serial(self):
         # 24 cheap points with 2 workers batches several points per pool task
@@ -409,8 +414,8 @@ class TestRunners:
                   "fast_generator": True},
         )
         assert spec.cardinality == 24
-        serial = SerialRunner().run(spec)
-        parallel = ParallelRunner(num_workers=2).run(spec)
+        serial = SweepRunner().run(spec)
+        parallel = SweepRunner(jobs=2).run(spec)
         assert len(parallel.results) == spec.cardinality
         for mine, theirs in zip(serial.results, parallel.results):
             assert asdict(mine) == asdict(theirs)
@@ -419,11 +424,11 @@ class TestRunners:
 class TestTraceStoreIntegration:
     def test_cache_derives_the_conventional_store(self, tmp_path):
         cache = ResultCache(tmp_path)
-        runner = SerialRunner(cache=cache)
+        runner = SweepRunner(cache=cache)
         assert runner.trace_store is not None
         assert runner.trace_store.root == tmp_path / "traces"
-        assert SerialRunner(cache=cache, trace_store=False).trace_store is None
-        assert SerialRunner().trace_store is None
+        assert SweepRunner(cache=cache, trace_store=False).trace_store is None
+        assert SweepRunner().trace_store is None
 
     def test_resolve_trace_store_accepts_paths_and_stores(self, tmp_path):
         store = TraceStore(tmp_path / "s")
@@ -434,8 +439,7 @@ class TestTraceStoreIntegration:
     def test_parent_bakes_each_distinct_trace_once(self, tmp_path):
         spec = acceptance_spec()
         trace_cache_clear()
-        run = ParallelRunner(num_workers=2,
-                             cache=ResultCache(tmp_path)).run(spec)
+        run = SweepRunner(jobs=2, cache=ResultCache(tmp_path)).run(spec)
         # Two workloads share every other parameter: exactly two bakes.
         assert run.trace_generated == 2
         assert run.trace_reused == 0
@@ -450,14 +454,14 @@ class TestTraceStoreIntegration:
         spec = acceptance_spec()
         first_cache = ResultCache(tmp_path / "a")
         trace_cache_clear()
-        first = ParallelRunner(num_workers=2, cache=first_cache).run(spec)
+        first = SweepRunner(jobs=2, cache=first_cache).run(spec)
         assert first.trace_generated == 2
         # A different campaign cache but the same trace store: every trace is
         # answered by a packed load, zero regenerations anywhere.
         second_cache = ResultCache(tmp_path / "b")
         trace_cache_clear()
-        second = ParallelRunner(
-            num_workers=2, cache=second_cache,
+        second = SweepRunner(
+            jobs=2, cache=second_cache,
             trace_store=TraceStore(tmp_path / "a" / "traces")).run(spec)
         assert second.trace_generated == 0
         assert second.trace_reused == 2
@@ -468,9 +472,9 @@ class TestTraceStoreIntegration:
         """A store configured after the memo warmed up still gets baked."""
         spec = tiny_spec(fast_generator=True)
         trace_cache_clear()
-        SerialRunner().run(spec)  # warms the in-process memo, no store
+        SweepRunner().run(spec)  # warms the in-process memo, no store
         fresh = TraceStore(tmp_path / "fresh")
-        run = SerialRunner(cache=ResultCache(tmp_path / "c"),
+        run = SweepRunner(cache=ResultCache(tmp_path / "c"),
                            trace_store=fresh).run(spec)
         assert run.trace_generated == 0
         assert len(fresh) == 1, "memoized trace was not baked into the store"
@@ -481,7 +485,7 @@ class TestTraceStoreIntegration:
         env_root = tmp_path / "env-store"
         monkeypatch.setenv("REPRO_TRACE_STORE", str(env_root))
         trace_cache_clear()
-        run = SerialRunner(cache=ResultCache(tmp_path / "c"),
+        run = SweepRunner(cache=ResultCache(tmp_path / "c"),
                            trace_store=False).run(tiny_spec())
         assert run.trace_generated == 1
         assert not env_root.exists(), "disabled runner wrote to the env store"
@@ -527,7 +531,7 @@ class TestTraceStoreIntegration:
         )
         assert spec.cardinality == 18
         trace_cache_clear()
-        run = SerialRunner(cache=ResultCache(tmp_path)).run(spec)
+        run = SweepRunner(cache=ResultCache(tmp_path)).run(spec)
         # 9 distinct traces generated once each; the second TRS pass is
         # answered by the packed store (or memo) despite the tiny memo.
         assert run.trace_generated == 9

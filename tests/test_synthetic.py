@@ -18,7 +18,7 @@ import pytest
 
 from repro.common.errors import SweepExecutionError, WorkloadError
 from repro.runtime.taskgraph import build_dependency_graph
-from repro.sweep.runner import (SerialRunner, adaptive_chunksize,
+from repro.sweep.runner import (SweepRunner, adaptive_chunksize,
                                 _require_complete, build_point_config,
                                 execute_point, workload_params)
 from repro.sweep.cache import ResultCache
@@ -267,9 +267,9 @@ class TestSweepIntegration:
 
     def test_serial_runner_caches_synthetic_grid(self, tmp_path):
         spec = synth_spec()
-        first = SerialRunner(cache=ResultCache(tmp_path)).run(spec)
+        first = SweepRunner(cache=ResultCache(tmp_path)).run(spec)
         assert first.computed_count == 2
-        second = SerialRunner(cache=ResultCache(tmp_path)).run(spec)
+        second = SweepRunner(cache=ResultCache(tmp_path)).run(spec)
         assert second.computed_count == 0
         assert second.cached_count == 2
         from dataclasses import asdict
@@ -280,7 +280,7 @@ class TestSweepIntegration:
         spec = SweepSpec(name="string-spec",
                          workloads=("random_dag:width=4,depth=2",),
                          base={"num_cores": 4})
-        run = SerialRunner().run(spec)
+        run = SweepRunner().run(spec)
         assert run.results[0].num_tasks == 8
 
 

@@ -25,7 +25,7 @@ from repro.backend.system import TaskSuperscalarSystem
 from repro.common.config import TopologyConfig
 from repro.common.errors import ConfigurationError
 from repro.experiments.common import experiment_config, experiment_trace
-from repro.sweep.runner import ParallelRunner, SerialRunner, execute_point
+from repro.sweep.runner import SweepRunner, execute_point
 from repro.sweep.spec import SweepSpec
 from repro.workloads import registry
 
@@ -139,8 +139,8 @@ class TestShardDeterminismAcrossRunners:
             base={"scale_factor": 0.25, "max_tasks": 50, "num_cores": 16,
                   "fast_generator": True, "topology.steal_policy": "nearest"},
         )
-        serial = SerialRunner().run(spec)
-        parallel = ParallelRunner(num_workers=2).run(spec)
+        serial = SweepRunner().run(spec)
+        parallel = SweepRunner(jobs=2).run(spec)
         for point, mine, theirs in zip(spec.points(), serial.results,
                                        parallel.results):
             assert asdict(mine) == asdict(theirs), (
