@@ -2,9 +2,9 @@
 
 The sweep refactor (and any future one) must not silently change the numbers
 behind the paper's figures.  These tests run small but fixed configurations
-of the Figure 12 decode-rate sweep and the Figure 16 speedup sweep and
-compare every measured value bit-for-bit against JSON snapshots checked into
-``tests/golden/``.  The simulation is pure integer-cycle Python, so the
+of the Figure 12 decode-rate sweep and the Figure 16 speedup sweep, plus one
+two-frontend work-stealing point, and compare every measured value
+bit-for-bit against JSON snapshots checked into ``tests/golden/``.  The simulation is pure integer-cycle Python, so the
 numbers are machine-independent; any diff is a real behaviour change.
 
 If a change is *intended* (a model fix that legitimately moves the numbers),
@@ -22,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.backend.system import TaskSuperscalarSystem
 from repro.experiments import decode_rate, scaling
+from repro.experiments.common import experiment_config, experiment_trace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -31,6 +33,10 @@ REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 FIG12_KWARGS = dict(trs_counts=(1, 4, 16), ort_counts=(1, 2),
                     scale_factor=0.4, max_tasks=120)
 FIG16_KWARGS = dict(processor_counts=(16, 64), scale_factor=0.4)
+#: A sharded, stealing machine: pins the multi-frontend merge, the fabric
+#: and the stealing scheduler that the one-frontend figures never reach.
+TOPOLOGY_N2 = dict(num_frontends=2, shard_policy="hash_by_object",
+                   steal_policy="random")
 
 
 def fig12_snapshot() -> dict:
@@ -47,6 +53,16 @@ def fig16_snapshot() -> dict:
             "config": {k: list(v) if isinstance(v, tuple) else v
                        for k, v in FIG16_KWARGS.items()},
             "points": [asdict(point) for point in points]}
+
+
+def topology_n2_snapshot() -> dict:
+    trace = experiment_trace("Cholesky", scale_factor=0.3, max_tasks=80)
+    config = experiment_config(num_cores=16).with_topology(**TOPOLOGY_N2)
+    result = TaskSuperscalarSystem(config).run(trace)
+    return {"experiment": "topology_n2", "workload": "Cholesky",
+            "config": dict(TOPOLOGY_N2, num_cores=16, scale_factor=0.3,
+                           max_tasks=80),
+            "result": asdict(result)}
 
 
 def _check_against_golden(name: str, snapshot: dict) -> None:
@@ -72,3 +88,6 @@ class TestGoldenSnapshots:
 
     def test_fig16_speedup_matches_golden(self):
         _check_against_golden("fig16_matmul", fig16_snapshot())
+
+    def test_topology_n2_matches_golden(self):
+        _check_against_golden("topology_n2", topology_n2_snapshot())
