@@ -9,13 +9,13 @@ order within a cluster is FIFO.
 
 The paper's evaluated system has a single frontend and no task stealing --
 that remains the default (one cluster covering every core, ``steal_policy
-"none"``), and it reproduces the original scheduler event-for-event.  For
-multi-frontend topologies (:mod:`repro.topology`) the scheduler additionally
-supports work stealing between clusters: a cluster whose own queue has
-drained may pull tasks from another pipeline's queue (``random`` picks a
-victim uniformly among backlogged clusters, ``nearest`` scans the ring of
-clusters outward), paying the inter-frontend forward latency on top of the
-dispatch latency for the remote pull.
+"none"``), and it runs through the same code as every other machine size.
+For multi-frontend topologies (:mod:`repro.topology`) the scheduler
+additionally supports work stealing between clusters: a cluster whose own
+queue has drained may pull tasks from another pipeline's queue (``random``
+picks a victim uniformly among backlogged clusters, ``nearest`` scans the
+ring of clusters outward), paying the inter-frontend forward latency on top
+of the dispatch latency for the remote pull.
 """
 
 from __future__ import annotations
@@ -41,15 +41,10 @@ class TaskScheduler(SimModule):
     """Dispatches ready tasks onto worker cores and reports completions."""
 
     def __init__(self, engine: Engine, config: BackendConfig, cores: List[WorkerCore],
-                 ready_queue, frontend,
+                 ready_queues: List[ReadyQueue], frontends: List,
                  stats: Optional[StatsCollector] = None,
                  topology: Optional[TopologyConfig] = None):
-        # Normalise the single-pipeline call (a bare queue + frontend) and the
-        # topology call (parallel lists, one entry per pipeline).
-        ready_queues = (list(ready_queue) if isinstance(ready_queue, (list, tuple))
-                        else [ready_queue])
-        frontends = (list(frontend) if isinstance(frontend, (list, tuple))
-                     else [frontend])
+        # Parallel lists: one ready queue and one frontend per pipeline.
         if len(frontends) != len(ready_queues):
             raise SchedulingError(
                 f"{len(frontends)} frontends for {len(ready_queues)} ready queues")
@@ -63,15 +58,11 @@ class TaskScheduler(SimModule):
         self.cores = cores
         self.ready_queues = ready_queues
         self.frontends = frontends
-        #: Legacy single-pipeline aliases (first entry).
-        self.ready_queue = ready_queues[0]
-        self.frontend = frontends[0]
         #: Global TRS index -> owning frontend (completion routing).
         self._trs_per_fe = frontends[0].config.num_trs
 
         # Contiguous core clusters, one per pipeline; remainder cores go to
-        # the leading clusters.  A single pipeline owns every core, and its
-        # idle list is exactly the legacy ``list(range(len(cores)))``.
+        # the leading clusters.  A single pipeline owns every core.
         num_clusters = len(ready_queues)
         base, extra = divmod(len(cores), num_clusters)
         self._cluster_idle: List[List[int]] = []
@@ -135,11 +126,6 @@ class TaskScheduler(SimModule):
             # Work arrived: idle clusters elsewhere may steal the backlog.
             self._balance()
         return hook
-
-    def _dispatch_pending(self) -> None:
-        """Dispatch every cluster (legacy entry point, kept for tests)."""
-        for cluster in range(len(self.ready_queues)):
-            self._dispatch_cluster(cluster)
 
     def _dispatch_cluster(self, cluster: int) -> None:
         idle = self._cluster_idle[cluster]
@@ -230,20 +216,12 @@ class TaskScheduler(SimModule):
             self.on_task_complete(task, record)
         # Notify the owning frontend (global TRS index -> pipeline) so the
         # TRS can run the completion path.
-        if len(self.frontends) == 1:
-            owner = self.frontend
-        else:
-            owner = self.frontends[task.trs // self._trs_per_fe]
-        owner.notify_finished(task, latency=self.config.completion_latency_cycles)
+        self.frontends[task.trs // self._trs_per_fe].notify_finished(
+            task, latency=self.config.completion_latency_cycles)
         # The freed core may immediately pick up more work.
         self._dispatch_cluster(cluster)
 
     # -- Introspection -----------------------------------------------------------------
-
-    @property
-    def idle_core_count(self) -> int:
-        """Number of cores currently idle."""
-        return sum(map(len, self._cluster_idle))
 
     def schedule_table(self) -> Dict[int, Tuple[int, int]]:
         """Mapping of task sequence -> (start, finish) cycles."""

@@ -131,11 +131,6 @@ class TaskSuperscalarSystem:
     # -- Hooks -----------------------------------------------------------------------
 
     def _on_task_complete(self, task, record) -> None:
-        if len(self.frontends) == 1:
-            self.frontend.sample_occupancy()
-            self._window_peak = max(self._window_peak,
-                                    self.frontend.window_occupancy())
-            return
         total = 0
         for fe in self.frontends:
             fe.sample_occupancy()
@@ -150,12 +145,10 @@ class TaskSuperscalarSystem:
     def _decode_rate_cycles(self) -> float:
         """Machine-wide decode rate: cycles between successive graph adds.
 
-        On a single-frontend machine this is exactly the pipeline's own
-        measurement; with several pipelines the decode streams are merged
-        first (the task graph grows whenever *any* pipeline decodes).
+        The pipelines' decode streams are merged first (the task graph grows
+        whenever *any* pipeline decodes); on a single-frontend machine this
+        is exactly the pipeline's own measurement.
         """
-        if len(self.frontends) == 1:
-            return self.frontend.decode_rate_cycles()
         times = sorted(t for fe in self.frontends for t in fe.decode_times)
         if len(times) < 2:
             return 0.0

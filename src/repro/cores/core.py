@@ -38,11 +38,6 @@ class WorkerCore(SimModule):
         """True while the core is executing a task."""
         return self._busy
 
-    @property
-    def current_task(self) -> Optional[TaskID]:
-        """The task currently executing, if any."""
-        return self._current
-
     def execute(self, task: TaskID, record: TaskRecord,
                 on_finish: Callable[[TaskID, TaskRecord, int], None]) -> None:
         """Start executing ``task``; call ``on_finish(task, record, core)`` when done.

@@ -57,11 +57,6 @@ class TaskGeneratingThread(SimModule):
     # -- Introspection ---------------------------------------------------------------
 
     @property
-    def tasks_generated(self) -> int:
-        """Number of tasks already handed to the frontend."""
-        return self._next_index
-
-    @property
     def done(self) -> bool:
         """True once every task of the trace has been submitted."""
         return self._next_index >= len(self.trace)

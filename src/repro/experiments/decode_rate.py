@@ -18,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.backend.system import SimulationResult, TaskSuperscalarSystem
+from repro.backend.system import SimulationResult
 from repro.common.units import cycles_to_ns
-from repro.experiments.common import experiment_config, experiment_trace
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import SweepSpec
-from repro.trace.records import TaskTrace
 from repro.workloads import registry
 
 #: Sweep axes used by the paper.
@@ -47,16 +45,6 @@ class DecodeRatePoint:
     decode_rate_cycles: float
     decode_rate_ns: float
     tasks_decoded: int
-
-
-def measure_decode_rate(trace: TaskTrace, num_trs: int, num_ort: int,
-                        num_cores: int = 256) -> DecodeRatePoint:
-    """Run ``trace`` through the pipeline and measure its decode rate."""
-    config = experiment_config(num_cores=num_cores, fast_generator=True)
-    config = config.with_frontend(num_trs=num_trs, num_ort=num_ort, num_ovt=num_ort)
-    system = TaskSuperscalarSystem(config)
-    result = system.run(trace)
-    return _decode_point(trace.name, num_trs, num_ort, result)
 
 
 def _decode_point(workload: str, num_trs: int, num_ort: int,

@@ -191,7 +191,8 @@ class ObjectRenamingTable(PacketProcessor):
                                            version_id=version_id,
                                            previous_version=previous_version),
                   latency=latency)
-        self._update_entry(request, version_id, row)
+        table.insert_row(request.address, request.size, request.operand,
+                         version_id, True)
         self._stat_writer_decodes.value += 1
 
     def _decode_inout(self, request: OperandDecodeRequest) -> None:
@@ -214,7 +215,8 @@ class ObjectRenamingTable(PacketProcessor):
                                            version_id=version_id,
                                            previous_version=previous_version),
                   latency=latency)
-        self._update_entry(request, version_id, row)
+        table.insert_row(request.address, request.size, request.operand,
+                         version_id, True)
         self._stat_inout_decodes.value += 1
 
     # -- Helpers -------------------------------------------------------------------------
@@ -223,18 +225,6 @@ class ObjectRenamingTable(PacketProcessor):
         version_id = self._next_version
         self._next_version += 1
         return version_id
-
-    def _update_entry(self, request: OperandDecodeRequest, version_id: int,
-                      row: int) -> None:
-        table = self.table
-        if row < 0:
-            table.insert_row(request.address, request.size, request.operand,
-                             version_id, True)
-        else:
-            table.user_col[row] = request.operand
-            table.writer_col[row] = True
-            table.version_col[row] = version_id
-            table.size_col[row] = request.size
 
     def _send_operand_info(self, request: OperandDecodeRequest,
                            previous_user, expected_ready: int) -> None:

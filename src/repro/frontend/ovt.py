@@ -86,10 +86,6 @@ class ObjectVersioningTable(PacketProcessor):
         self.trs_list = trs_list
         self.gateway = gateway
 
-    def can_accept_version(self) -> bool:
-        """Capacity check used by the paired ORT before decoding an allocator."""
-        return self.table.can_create()
-
     def update_pressure(self) -> None:
         """Back-pressure the gateway while the version table is full.
 
@@ -145,8 +141,7 @@ class ObjectVersioningTable(PacketProcessor):
         if request.kind is VersionKind.READER_MISS:
             # Track the missing reader as a user so the version lives until it
             # finishes (create() only auto-registers writers).
-            table.usage_col[row] += 1
-            table.operand_version[request.operand] = table.vid_col[row]
+            table.add_user_row(row, request.operand)
             self._stat_reader_miss_versions.value += 1
             return
         latency = self._latency
@@ -181,8 +176,7 @@ class ObjectVersioningTable(PacketProcessor):
             # lost -- just account for it.
             self._stat_use_after_release.value += 1
             return
-        table.usage_col[row] += 1
-        table.operand_version[use.operand] = use.version
+        table.add_user_row(row, use.operand)
 
     def _release_use(self, release: VersionRelease) -> None:
         table = self.table

@@ -6,9 +6,7 @@ Three untimed data structures back the timed pipeline modules:
   fixed 128-byte blocks.  Variable-size tasks use an inode-inspired layout
   (Figure 11): one main block holding the task globals and the first four
   operands, plus up to three indirect blocks of five operands each (19
-  operands maximum).  Free blocks are chained in a list whose first 64
-  entries are cached in a small SRAM buffer, so a typical allocation is
-  satisfied in one cycle.
+  operands maximum).  Free blocks are kept on a LIFO free list.
 * :class:`RenamingTable` -- the ORT's map from object base address to its most
   recent user and current version, organised as a 16-way set-associative
   cache that never evicts (a full set stalls the gateway instead).
@@ -24,19 +22,16 @@ is a row whose valid bit is set, not a Python object -- and removes the
 per-entry object allocation and attribute traffic that previously dominated
 the decode hot path.  Row lookup goes through a small per-set (ORT) or
 per-table (OVT) index dict, the model's O(1) stand-in for the hardware's
-parallel 16-way tag compare.  The timed modules (:mod:`repro.frontend.ort`,
-:mod:`repro.frontend.ovt`) operate on rows and columns directly; the
-:class:`RenamingEntry` / :class:`VersionRecord` tuples remain as read-only
-*views* materialised only on cold paths (tests, debugging).
-
-Keeping these structures separate from the timed modules makes them easy to
-unit-test and lets the property-based tests hammer the allocators directly.
+parallel 16-way tag compare.  Each table has one interface -- row lookup,
+insert, release, remove and direct column access -- used the same way by the
+timed modules (:mod:`repro.frontend.ort`, :mod:`repro.frontend.ovt`) and by
+the unit and property-based tests.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import AllocationError, CapacityError
 from repro.common.hashing import bucket_for
@@ -56,16 +51,16 @@ class BlockStorage:
         operands_in_main_block: Operands stored in a task's main block (4).
         operands_per_indirect_block: Operands per indirect block (5).
         max_indirect_blocks: Maximum indirect blocks per task (3).
-        sram_buffer_entries: Number of free-block addresses cached in the SRAM
-            head buffer (64); allocations served from the buffer cost a single
-            cycle, refills cost an eDRAM access.
+
+    The paper caches the head of the free list in a small SRAM buffer so a
+    typical allocation takes one cycle; the model does not time allocations
+    here (the TRS charges one fixed service time per allocation request).
     """
 
     def __init__(self, num_blocks: int, block_bytes: int = 128,
                  operands_in_main_block: int = 4,
                  operands_per_indirect_block: int = 5,
-                 max_indirect_blocks: int = 3,
-                 sram_buffer_entries: int = 64):
+                 max_indirect_blocks: int = 3):
         if num_blocks <= 0:
             raise CapacityError(f"TRS must have at least one block, got {num_blocks}")
         self.num_blocks = num_blocks
@@ -73,14 +68,8 @@ class BlockStorage:
         self.operands_in_main_block = operands_in_main_block
         self.operands_per_indirect_block = operands_per_indirect_block
         self.max_indirect_blocks = max_indirect_blocks
-        self.sram_buffer_entries = sram_buffer_entries
-        # Free list: a simple LIFO of block indices.  The SRAM buffer is the
-        # tail of this list; refills are tracked for statistics.
+        # Free list: a LIFO of block indices.
         self._free: List[int] = list(range(num_blocks - 1, -1, -1))
-        self._sram_level = min(sram_buffer_entries, num_blocks)
-        self.sram_refills = 0
-        self.allocations = 0
-        self.internal_fragmentation_bytes = 0
 
     # -- Layout ------------------------------------------------------------------
 
@@ -127,8 +116,8 @@ class BlockStorage:
         """Allocate blocks for a task.
 
         Returns:
-            ``(main_block, indirect_blocks)``; the main block index doubles as
-            the task's slot number.
+            ``(main_block, indirect_blocks)``.  Block indices are storage
+            addresses only; the TRS numbers its task slots separately.
 
         Raises:
             AllocationError: if there is not enough free space (callers are
@@ -141,20 +130,6 @@ class BlockStorage:
                 f"cannot allocate {needed} blocks; only {len(self._free)} free"
             )
         blocks = [self._free.pop() for _ in range(needed)]
-        served_from_sram = min(needed, self._sram_level)
-        self._sram_level -= served_from_sram
-        if self._sram_level == 0 and self._free:
-            self._sram_level = min(self.sram_buffer_entries, len(self._free))
-            self.sram_refills += 1
-        self.allocations += 1
-        # Track internal fragmentation: unused operand slots in the last block.
-        capacity = (self.operands_in_main_block
-                    + (needed - 1) * self.operands_per_indirect_block)
-        wasted_slots = capacity - num_operands
-        # Approximate an operand record as a fifth of an indirect block.
-        self.internal_fragmentation_bytes += (
-            wasted_slots * self.block_bytes // self.operands_per_indirect_block
-        )
         return blocks[0], blocks[1:]
 
     def free(self, main_block: int, indirect_blocks: List[int]) -> None:
@@ -163,7 +138,6 @@ class BlockStorage:
             if block < 0 or block >= self.num_blocks:
                 raise AllocationError(f"block index {block} out of range")
             self._free.append(block)
-        self._sram_level = min(self.sram_buffer_entries, len(self._free))
 
     def utilization(self) -> float:
         """Fraction of blocks currently allocated."""
@@ -173,22 +147,6 @@ class BlockStorage:
 # ---------------------------------------------------------------------------
 # ORT renaming table
 # ---------------------------------------------------------------------------
-
-class RenamingEntry(NamedTuple):
-    """Read-only view of one ORT entry (cold paths and tests only).
-
-    The live table stores entries as packed columns (see
-    :class:`RenamingTable`); this tuple is materialised on demand by
-    :meth:`RenamingTable.lookup` / :meth:`RenamingTable.peek` and accepted by
-    the compatibility :meth:`RenamingTable.insert`.
-    """
-
-    address: int
-    size: int
-    last_user: OperandID
-    version: int
-    last_user_is_writer: bool
-
 
 class RenamingTable:
     """Set-associative object-renaming table that never evicts.
@@ -203,22 +161,22 @@ class RenamingTable:
     operand ID.  A freed row's tag is reset to ``-1`` (its valid bit) and the
     row is recycled through a free list.  The hardware locates an entry with
     a parallel tag compare across the 16 ways of a set; the model's O(1)
-    equivalent is one ``{address: row}`` index dict per set.  The hot-path
-    row API (:meth:`lookup_row` / :meth:`peek_row` / :meth:`insert_row` plus
-    direct column access) is what the ORT module uses; :meth:`lookup` /
-    :meth:`peek` / :meth:`insert` remain as view-based wrappers.
+    equivalent is one ``{address: row}`` index dict per set.  The interface
+    is :meth:`lookup_row` / :meth:`insert_row` / :meth:`remove` plus direct
+    column access.
 
     Capacity policy: the hardware stalls the *gateway* when an allocation
     targets a full set, so no new work is admitted until an entry is released
     by the paired OVT.  Operands already inside the pipeline, however, must
     still decode correctly (dropping the mapping would silently lose a
     dependency), so the model lets a set transiently exceed its associativity
-    and accounts for it in ``overflow_insertions`` / :meth:`is_pressured`,
-    which the ORT converts into gateway back-pressure.  This keeps the
+    and reports it through :meth:`is_pressured`, which the ORT converts into
+    gateway back-pressure.  This keeps the
     performance effect of a small ORT (a throttled task window) while
-    guaranteeing forward progress; the divergence from the strict never-
-    overflow hardware is visible in the overflow counter and stays tiny for
-    the configurations of the paper.
+    guaranteeing forward progress.  The divergence from the strict never-
+    overflow hardware is counted in the ``overflow_insertions`` attribute,
+    which tests read and no result reports; it stays tiny for the
+    configurations of the paper.
     """
 
     def __init__(self, num_sets: int, assoc: int = 16):
@@ -242,10 +200,7 @@ class RenamingTable:
         self._set_cache: Dict[int, int] = {}
         self._pressured_sets: int = 0
         self._occupancy: int = 0
-        self.insertions = 0
         self.overflow_insertions = 0
-        self.hits = 0
-        self.misses = 0
 
     def set_index(self, address: int) -> int:
         """Set index for ``address``.
@@ -260,19 +215,8 @@ class RenamingTable:
             self._set_cache[address] = index
         return index
 
-    # -- Hot-path row API (used by the ORT module) ---------------------------
-
     def lookup_row(self, address: int) -> int:
-        """Row holding ``address``, or -1 (recording hit/miss)."""
-        row = self._index[self.set_index(address)].get(address, -1)
-        if row < 0:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return row
-
-    def peek_row(self, address: int) -> int:
-        """Like :meth:`lookup_row` but without touching the hit/miss counters."""
+        """Row holding ``address``, or -1."""
         return self._index[self.set_index(address)].get(address, -1)
 
     def insert_row(self, address: int, size: int, last_user: OperandID,
@@ -287,7 +231,6 @@ class RenamingTable:
         if row < 0:
             if len(bucket) >= self.assoc:
                 self.overflow_insertions += 1
-            self.insertions += 1
             free = self._free_rows
             if free:
                 row = free.pop()
@@ -313,35 +256,6 @@ class RenamingTable:
             self.writer_col[row] = writer
             self.user_col[row] = last_user
         return row
-
-    # -- View-based compatibility API ---------------------------------------
-
-    def _view(self, row: int) -> RenamingEntry:
-        return RenamingEntry(address=self.addr_col[row], size=self.size_col[row],
-                             last_user=self.user_col[row],
-                             version=self.version_col[row],
-                             last_user_is_writer=bool(self.writer_col[row]))
-
-    def lookup(self, address: int) -> Optional[RenamingEntry]:
-        """Return a view of the entry for ``address``, or None (recording
-        hit/miss)."""
-        row = self.lookup_row(address)
-        return self._view(row) if row >= 0 else None
-
-    def peek(self, address: int) -> Optional[RenamingEntry]:
-        """Like :meth:`lookup` but without touching the hit/miss counters."""
-        row = self.peek_row(address)
-        return self._view(row) if row >= 0 else None
-
-    def can_insert(self, address: int) -> bool:
-        """True if ``address`` already has an entry or its set has a free way."""
-        bucket = self._index[self.set_index(address)]
-        return address in bucket or len(bucket) < self.assoc
-
-    def insert(self, entry: RenamingEntry) -> None:
-        """Insert or update the entry for ``entry.address`` (view-based)."""
-        self.insert_row(entry.address, entry.size, entry.last_user,
-                        entry.version, entry.last_user_is_writer)
 
     def is_pressured(self) -> bool:
         """True when the table should back-pressure the gateway.
@@ -396,37 +310,6 @@ class RenamingTable:
 # OVT version table and rename-buffer allocator
 # ---------------------------------------------------------------------------
 
-class VersionRecord(NamedTuple):
-    """Read-only view of one OVT entry (cold paths and tests only).
-
-    The live table stores versions as packed columns (see
-    :class:`VersionTable`); this tuple is materialised on demand by
-    :meth:`VersionTable.get` / :meth:`VersionTable.find`.
-
-    Attributes:
-        version_id: Identifier of the version within its OVT.
-        address: Base address of the renamed object.
-        size: Object size in bytes.
-        producer: Operand that created the version (writer), or None for a
-            version created by a reader miss (the data already in memory).
-        usage_count: Number of in-flight task operands mapped to this version;
-            decremented as tasks finish, the version is released at zero.
-        renamed_address: Rename-buffer address for renamed (output) versions.
-        next_version: The version that superseded this one, if any.
-        waiting_inout: Operand of the superseding inout version waiting for
-            this version's release (Figure 9's second data-ready message).
-    """
-
-    version_id: int
-    address: int
-    size: int
-    producer: Optional[OperandID]
-    usage_count: int = 0
-    renamed_address: Optional[int] = None
-    next_version: Optional[int] = None
-    waiting_inout: Optional[OperandID] = None
-
-
 class RenameBufferAllocator:
     """Power-of-two bucket allocator for rename buffers (Section IV.B.4).
 
@@ -442,7 +325,6 @@ class RenameBufferAllocator:
         self._min_bucket = min_bucket_bytes
         self.allocated_buffers = 0
         self.allocated_bytes = 0
-        self.bucket_histogram: Dict[int, int] = {}
 
     def bucket_size(self, size: int) -> int:
         """Smallest power-of-two bucket that fits ``size`` bytes."""
@@ -458,7 +340,6 @@ class RenameBufferAllocator:
         self._next += bucket
         self.allocated_buffers += 1
         self.allocated_bytes += bucket
-        self.bucket_histogram[bucket] = self.bucket_histogram.get(bucket, 0) + 1
         return address
 
 
@@ -471,8 +352,8 @@ class VersionTable:
     the parallel object columns ``waiting_col`` / ``producer_col``.  Rows are
     located through the ``{version_id: row}`` index and recycled through a
     free list; a freed row's ``vid_col`` is reset to ``-1`` (its valid bit).
-    The OVT module reads and writes columns directly on its hot path; the
-    view-based :meth:`get` / :meth:`find` remain for cold paths and tests.
+    The interface is :meth:`create` / :meth:`row_of` / :meth:`add_user_row` /
+    :meth:`release_use_row` / :meth:`remove_row` plus direct column access.
     """
 
     def __init__(self, capacity: int):
@@ -494,9 +375,6 @@ class VersionTable:
         #: rows: a mapping may legitimately outlive its version, and rows are
         #: recycled).
         self.operand_version: Dict[OperandID, int] = {}
-        self._next_id = 0
-        self.created = 0
-        self.released = 0
         self.overflow_creations = 0
         self.renamer = RenameBufferAllocator()
 
@@ -504,10 +382,6 @@ class VersionTable:
     def live_versions(self) -> int:
         """Number of versions currently live."""
         return len(self._row_of)
-
-    def can_create(self) -> bool:
-        """True if a new version fits within the nominal capacity."""
-        return len(self._row_of) < self.capacity
 
     def is_pressured(self) -> bool:
         """True when the table is at or beyond its nominal capacity.
@@ -519,25 +393,21 @@ class VersionTable:
         return len(self._row_of) >= self.capacity
 
     def create(self, address: int, size: int, producer: Optional[OperandID],
-               renamed: bool, version_id: Optional[int] = None) -> int:
+               renamed: bool, version_id: int) -> int:
         """Create a new version and return its row.
 
         Args:
-            version_id: Optional externally assigned identifier.  The paired
-                ORT pre-allocates version IDs so it can keep decoding without
-                waiting for the OVT's reply; passing them through here keeps
-                both modules' numbering consistent.
+            version_id: The identifier the paired ORT assigned.  The ORT
+                numbers versions itself so it can keep decoding without
+                waiting for the OVT's reply.
 
+        Raises:
+            AllocationError: if ``version_id`` is already live.
         """
         if len(self._row_of) >= self.capacity:
             self.overflow_creations += 1
-        if version_id is None:
-            version_id = self._next_id
-            self._next_id += 1
-        elif version_id in self._row_of:
+        if version_id in self._row_of:
             raise AllocationError(f"version id {version_id} is already live")
-        else:
-            self._next_id = max(self._next_id, version_id + 1)
         renamed_address = self.renamer.allocate(size) if renamed else -1
         usage = 0
         if producer is not None:
@@ -565,16 +435,19 @@ class VersionTable:
             self.waiting_col.append(None)
             self.producer_col.append(producer)
         self._row_of[version_id] = row
-        self.created += 1
         return row
-
-    # -- Row API (used by the OVT module) ------------------------------------
 
     def row_of(self, version_id: Optional[int]) -> int:
         """Row of a live version, or -1 if it was already released."""
         if version_id is None:
             return -1
         return self._row_of.get(version_id, -1)
+
+    def add_user_row(self, row: int, operand: OperandID) -> None:
+        """Register reader ``operand`` on the version in ``row``: usage + 1
+        and ``operand -> version`` membership."""
+        self.usage_col[row] += 1
+        self.operand_version[operand] = self.vid_col[row]
 
     def release_use_row(self, operand: OperandID) -> int:
         """Decrement the usage count of the version ``operand`` maps to.
@@ -606,57 +479,3 @@ class VersionTable:
         self.waiting_col[row] = None
         self.producer_col[row] = None
         self._free_rows.append(row)
-        self.released += 1
-
-    # -- View-based compatibility API ---------------------------------------
-
-    def _view(self, row: int) -> VersionRecord:
-        next_version = self.next_col[row]
-        renamed = self.renamed_col[row]
-        return VersionRecord(
-            version_id=self.vid_col[row], address=self.addr_col[row],
-            size=self.size_col[row], producer=self.producer_col[row],
-            usage_count=self.usage_col[row],
-            renamed_address=None if renamed < 0 else renamed,
-            next_version=None if next_version < 0 else next_version,
-            waiting_inout=self.waiting_col[row],
-        )
-
-    def get(self, version_id: int) -> VersionRecord:
-        """Return a view of a live version record.
-
-        Raises:
-            KeyError: if the version does not exist or was already released.
-        """
-        return self._view(self._row_of[version_id])
-
-    def find(self, version_id: Optional[int]) -> Optional[VersionRecord]:
-        """Return a view of a live version record, or None if released."""
-        if version_id is None:
-            return None
-        row = self._row_of.get(version_id, -1)
-        return self._view(row) if row >= 0 else None
-
-    def add_user(self, version_id: int, operand: OperandID) -> None:
-        """Map a reader operand onto an existing version (usage count + 1).
-
-        Raises:
-            KeyError: if the version does not exist or was already released.
-        """
-        self.usage_col[self._row_of[version_id]] += 1
-        self.operand_version[operand] = version_id
-
-    def version_of(self, operand: OperandID) -> Optional[int]:
-        """Version an operand is mapped to, if any."""
-        return self.operand_version.get(operand)
-
-    def release_use(self, operand: OperandID) -> Optional[VersionRecord]:
-        """View-based :meth:`release_use_row` (cold paths and tests)."""
-        row = self.release_use_row(operand)
-        return self._view(row) if row >= 0 else None
-
-    def remove(self, version_id: int) -> None:
-        """Delete a (dead) version from the table by ID."""
-        row = self._row_of.get(version_id, -1)
-        if row >= 0:
-            self.remove_row(row)

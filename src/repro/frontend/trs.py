@@ -101,17 +101,6 @@ class _TaskEntry:
     def num_operands(self) -> int:
         return len(self.dir_col)
 
-    @property
-    def pending_operands(self) -> int:
-        """Operands still blocking dispatch (introspection/tests only)."""
-        ready = self.decoded_mask & self.input_mask & self.output_mask
-        return len(self.dir_col) - bin(ready).count("1")
-
-    @property
-    def undecoded_operands(self) -> int:
-        """Operands not yet decoded (introspection/tests only)."""
-        return len(self.dir_col) - bin(self.decoded_mask).count("1")
-
 
 #: Sentinel distinguishing "operand never existed" from "no chained consumer
 #: yet" in the retired-operand map (whose values are the chained consumer's

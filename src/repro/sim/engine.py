@@ -351,10 +351,3 @@ class Engine:
         if until is not None and until > self.now:
             self.now = until
         return self.now
-
-    def drain_idle(self) -> bool:
-        """Return True if nothing further can happen (queues empty or all cancelled)."""
-        return (all(entry[2] is not None and entry[2].cancelled
-                    for entry in self._heap)
-                and all(entry[2] is not None and entry[2].cancelled
-                        for entry in self._ready[self._ready_pos:]))

@@ -7,7 +7,6 @@ from repro.common.ids import OperandID
 from repro.frontend.storage import (
     BlockStorage,
     RenameBufferAllocator,
-    RenamingEntry,
     RenamingTable,
     VersionTable,
 )
@@ -69,17 +68,6 @@ class TestBlockStorage:
         with pytest.raises(AllocationError):
             storage.free(10, [])
 
-    def test_sram_buffer_refills(self):
-        storage = BlockStorage(num_blocks=256, sram_buffer_entries=4)
-        for _ in range(16):
-            storage.allocate(4)
-        assert storage.sram_refills > 0
-
-    def test_fragmentation_accounting(self):
-        storage = BlockStorage(num_blocks=64)
-        storage.allocate(5)  # 2 blocks with 9 operand slots for 5 operands
-        assert storage.internal_fragmentation_bytes > 0
-
     def test_utilization(self):
         storage = BlockStorage(num_blocks=10)
         assert storage.utilization() == 0.0
@@ -87,52 +75,49 @@ class TestBlockStorage:
         assert storage.utilization() == pytest.approx(0.1)
 
 
-def entry(address, trs=0, slot=0, index=0, version=0, writer=True, size=64):
-    return RenamingEntry(address=address, size=size,
-                         last_user=OperandID(trs, slot, index),
-                         version=version, last_user_is_writer=writer)
+def insert(table, address, version=0):
+    return table.insert_row(address, 64, OperandID(0, 0, 0), version, True)
 
 
 class TestRenamingTable:
     def test_lookup_hit_and_miss(self):
         table = RenamingTable(num_sets=8, assoc=2)
-        assert table.lookup(0x1000) is None
-        table.insert(entry(0x1000))
-        found = table.lookup(0x1000)
-        assert found is not None and found.address == 0x1000
-        assert table.hits == 1 and table.misses == 1
+        assert table.lookup_row(0x1000) == -1
+        insert(table, 0x1000)
+        row = table.lookup_row(0x1000)
+        assert row >= 0 and table.addr_col[row] == 0x1000
 
     def test_update_existing_entry_does_not_grow(self):
         table = RenamingTable(num_sets=4, assoc=2)
-        table.insert(entry(0x1000, version=0))
-        table.insert(entry(0x1000, version=1))
+        row = insert(table, 0x1000, version=0)
+        assert insert(table, 0x1000, version=1) == row
         assert table.occupancy == 1
-        assert table.peek(0x1000).version == 1
+        assert table.version_col[table.lookup_row(0x1000)] == 1
 
     def test_overflow_is_allowed_but_flagged(self):
         table = RenamingTable(num_sets=1, assoc=2)
-        table.insert(entry(0x1000))
-        table.insert(entry(0x2000))
+        insert(table, 0x1000)
+        insert(table, 0x2000)
         assert table.is_pressured()
-        table.insert(entry(0x3000))
+        insert(table, 0x3000)
         assert table.overflow_insertions == 1
         assert table.occupancy == 3
 
     def test_pressure_clears_after_removal(self):
         table = RenamingTable(num_sets=1, assoc=2)
-        table.insert(entry(0x1000, version=1))
-        table.insert(entry(0x2000, version=2))
+        insert(table, 0x1000, version=1)
+        insert(table, 0x2000, version=2)
         assert table.is_pressured()
         assert table.remove(0x1000, version=1)
         assert not table.is_pressured()
 
     def test_versioned_removal_ignores_stale_version(self):
         table = RenamingTable(num_sets=2, assoc=4)
-        table.insert(entry(0x1000, version=3))
+        insert(table, 0x1000, version=3)
         assert not table.remove(0x1000, version=2)
-        assert table.peek(0x1000) is not None
+        assert table.lookup_row(0x1000) >= 0
         assert table.remove(0x1000, version=3)
-        assert table.peek(0x1000) is None
+        assert table.lookup_row(0x1000) == -1
 
     def test_remove_missing_returns_false(self):
         table = RenamingTable(num_sets=2, assoc=4)
@@ -151,67 +136,75 @@ class TestVersionTable:
     def test_writer_version_lifecycle(self):
         table = VersionTable(capacity=16)
         producer = OperandID(0, 0, 0)
-        row = table.create(0x1000, 64, producer=producer, renamed=True)
-        version_id = table.vid_col[row]
-        version = table.get(version_id)
-        assert version.usage_count == 1
-        assert version.renamed_address is not None
-        assert table.version_of(producer) == version_id
-        dead = table.release_use(producer)
-        assert dead is not None and dead.version_id == version_id
-        table.remove(version_id)
+        row = table.create(0x1000, 64, producer=producer, renamed=True,
+                           version_id=7)
+        assert table.usage_col[row] == 1
+        assert table.renamed_col[row] >= 0
+        assert table.operand_version[producer] == 7
+        assert table.release_use_row(producer) == row
+        assert table.vid_col[row] == 7
+        table.remove_row(row)
         assert table.live_versions == 0
 
     def test_reader_usage_counting(self):
         table = VersionTable(capacity=16)
         producer = OperandID(0, 0, 0)
-        row = table.create(0x1000, 64, producer=producer, renamed=False)
-        version_id = table.vid_col[row]
+        row = table.create(0x1000, 64, producer=producer, renamed=False,
+                           version_id=0)
         readers = [OperandID(0, i + 1, 0) for i in range(3)]
         for reader in readers:
-            table.add_user(version_id, reader)
+            table.add_user_row(row, reader)
         assert table.usage_col[row] == 4
-        assert table.release_use(producer) is None
-        assert table.release_use(readers[0]) is None
-        assert table.release_use(readers[1]) is None
-        dead = table.release_use(readers[2])
-        assert dead is not None and dead.version_id == version_id
+        assert table.operand_version[readers[0]] == 0
+        assert table.release_use_row(producer) == -1
+        assert table.release_use_row(readers[0]) == -1
+        assert table.release_use_row(readers[1]) == -1
+        assert table.release_use_row(readers[2]) == row
 
     def test_release_unknown_operand_is_noop(self):
         table = VersionTable(capacity=4)
-        assert table.release_use(OperandID(0, 9, 9)) is None
+        assert table.release_use_row(OperandID(0, 9, 9)) == -1
 
     def test_external_version_ids(self):
         table = VersionTable(capacity=4)
         row = table.create(0x1000, 64, producer=OperandID(0, 0, 0), renamed=False,
                            version_id=42)
         assert table.vid_col[row] == 42
-        found = table.find(42)
-        assert found is not None and found.version_id == 42
+        assert table.row_of(42) == row
         with pytest.raises(AllocationError):
             table.create(0x2000, 64, producer=None, renamed=False, version_id=42)
 
     def test_overflow_counted_not_fatal(self):
         table = VersionTable(capacity=1)
-        table.create(0x1000, 64, producer=None, renamed=False)
+        table.create(0x1000, 64, producer=None, renamed=False, version_id=0)
         assert table.is_pressured()
-        table.create(0x2000, 64, producer=None, renamed=False)
+        table.create(0x2000, 64, producer=None, renamed=False, version_id=1)
         assert table.overflow_creations == 1
         assert table.live_versions == 2
 
-    def test_negative_usage_detected(self):
+    def test_double_release_is_noop(self):
         table = VersionTable(capacity=4)
         producer = OperandID(0, 0, 0)
-        row = table.create(0x1000, 64, producer=producer, renamed=False)
-        dead = table.release_use(producer)
-        assert dead is not None and dead.version_id == table.vid_col[row]
+        row = table.create(0x1000, 64, producer=producer, renamed=False,
+                           version_id=0)
+        assert table.release_use_row(producer) == row
         # Releasing again is a no-op because the operand mapping is gone.
-        assert table.release_use(producer) is None
+        assert table.release_use_row(producer) == -1
+
+    def test_negative_usage_detected(self):
+        table = VersionTable(capacity=4)
+        table.create(0x1000, 64, producer=None, renamed=False, version_id=5)
+        # A reader-miss version starts with no users; a mapping made without
+        # add_user_row leaves its usage count at zero.
+        reader = OperandID(0, 1, 0)
+        table.operand_version[reader] = 5
+        with pytest.raises(AllocationError, match="went negative"):
+            table.release_use_row(reader)
 
     def test_find_none(self):
         table = VersionTable(capacity=4)
-        assert table.find(None) is None
-        assert table.find(123) is None
+        assert table.row_of(None) == -1
+        assert table.row_of(123) == -1
 
 
 class TestRenameBufferAllocator:

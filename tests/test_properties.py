@@ -27,7 +27,7 @@ import pytest
 from repro.analysis.metrics import decode_rate_limit_ns
 from repro.backend.system import run_trace
 from repro.common.ids import OperandID
-from repro.frontend.storage import BlockStorage, RenamingEntry, RenamingTable, VersionTable
+from repro.frontend.storage import BlockStorage, RenamingTable, VersionTable
 from repro.runtime.taskgraph import build_dependency_graph
 from repro.sim.engine import Engine, SimulationLimitExceeded
 from repro.sim.stats import Histogram
@@ -115,9 +115,7 @@ class TestRenamingTableProperties:
         for address, is_insert in operations:
             if is_insert:
                 version += 1
-                table.insert(RenamingEntry(address=address, size=64,
-                                           last_user=OperandID(0, 0, 0),
-                                           version=version, last_user_is_writer=True))
+                table.insert_row(address, 64, OperandID(0, 0, 0), version, True)
                 live[address] = version
             else:
                 removed = table.remove(address)
@@ -125,7 +123,7 @@ class TestRenamingTableProperties:
                 live.pop(address, None)
         assert table.occupancy == len(live)
         for address, expected_version in live.items():
-            assert table.peek(address).version == expected_version
+            assert table.version_col[table.lookup_row(address)] == expected_version
         # Pressure is consistent with the per-set occupancy.
         pressured = any(
             sum(1 for a in live if table.set_index(a) == s) >= table.assoc
@@ -143,21 +141,21 @@ class TestVersionTableProperties:
     def test_release_fires_exactly_when_last_user_leaves(self, readers, extra_releases):
         table = VersionTable(capacity=64)
         producer = OperandID(0, 0, 0)
-        row = table.create(0x1000, 64, producer=producer, renamed=False)
-        version_id = table.vid_col[row]
+        row = table.create(0x1000, 64, producer=producer, renamed=False,
+                           version_id=0)
         reader_ids = [OperandID(0, i + 1, 0) for i in range(readers)]
         for reader in reader_ids:
-            table.add_user(version_id, reader)
+            table.add_user_row(row, reader)
         users = [producer, *reader_ids]
         random.Random(readers).shuffle(users)
         for index, user in enumerate(users):
-            dead = table.release_use(user)
+            dead = table.release_use_row(user)
             if index < len(users) - 1:
-                assert dead is None
+                assert dead == -1
             else:
-                assert dead is not None and dead.version_id == version_id
+                assert dead == row and table.vid_col[row] == 0
         for _ in range(extra_releases):
-            assert table.release_use(producer) is None
+            assert table.release_use_row(producer) == -1
 
 
 # ---------------------------------------------------------------------------
