@@ -6,7 +6,9 @@ Three untimed data structures back the timed pipeline modules:
   fixed 128-byte blocks.  Variable-size tasks use an inode-inspired layout
   (Figure 11): one main block holding the task globals and the first four
   operands, plus up to three indirect blocks of five operands each (19
-  operands maximum).  Free blocks are kept on a LIFO free list.
+  operands maximum).  Returned blocks are kept on a LIFO free list; blocks
+  never handed out are not materialised at all, so an eDRAM of any nominal
+  size costs only what its live window uses.
 * :class:`RenamingTable` -- the ORT's map from object base address to its most
   recent user and current version, organised as a 16-way set-associative
   cache that never evicts (a full set stalls the gateway instead).
@@ -20,12 +22,13 @@ parallel object columns for the operand IDs, indexed by a recycled row
 number.  This mirrors the hardware's fixed tag/payload arrays -- a live entry
 is a row whose valid bit is set, not a Python object -- and removes the
 per-entry object allocation and attribute traffic that previously dominated
-the decode hot path.  Row lookup goes through a small per-set (ORT) or
-per-table (OVT) index dict, the model's O(1) stand-in for the hardware's
-parallel 16-way tag compare.  Each table has one interface -- row lookup,
-insert, release, remove and direct column access -- used the same way by the
-timed modules (:mod:`repro.frontend.ort`, :mod:`repro.frontend.ovt`) and by
-the unit and property-based tests.
+the decode hot path.  Row lookup goes through one index dict per table, the
+model's O(1) stand-in for the hardware's parallel 16-way tag compare; the ORT
+keeps only a live-row count per set, which is all its capacity policy reads.
+Each table has one interface -- row lookup, insert, release, remove and
+direct column access -- used the same way by the timed modules
+(:mod:`repro.frontend.ort`, :mod:`repro.frontend.ovt`) and by the unit and
+property-based tests.
 """
 
 from __future__ import annotations
@@ -52,6 +55,12 @@ class BlockStorage:
         operands_per_indirect_block: Operands per indirect block (5).
         max_indirect_blocks: Maximum indirect blocks per task (3).
 
+    The free list is kept lazily: blocks returned by :meth:`free` sit on a
+    LIFO and are popped first, and blocks never handed out are taken in
+    ascending order from a bump pointer.  That is the order an eagerly built
+    LIFO of every block (lowest index on top) would give, while costing only
+    the blocks that have been in use at once.
+
     The paper caches the head of the free list in a small SRAM buffer so a
     typical allocation takes one cycle; the model does not time allocations
     here (the TRS charges one fixed service time per allocation request).
@@ -68,8 +77,10 @@ class BlockStorage:
         self.operands_in_main_block = operands_in_main_block
         self.operands_per_indirect_block = operands_per_indirect_block
         self.max_indirect_blocks = max_indirect_blocks
-        # Free list: a LIFO of block indices.
-        self._free: List[int] = list(range(num_blocks - 1, -1, -1))
+        #: Returned blocks, a LIFO popped before any fresh block.
+        self._free: List[int] = []
+        #: Bump pointer: blocks ``[_next, num_blocks)`` were never handed out.
+        self._next = 0
 
     # -- Layout ------------------------------------------------------------------
 
@@ -101,16 +112,17 @@ class BlockStorage:
     @property
     def free_blocks(self) -> int:
         """Number of currently free blocks."""
-        return len(self._free)
+        return self.num_blocks - self._next + len(self._free)
 
     @property
     def used_blocks(self) -> int:
         """Number of currently allocated blocks."""
-        return self.num_blocks - len(self._free)
+        return self._next - len(self._free)
 
     def can_allocate(self, num_operands: int) -> bool:
         """True if a task with ``num_operands`` operands fits right now."""
-        return self.blocks_for(num_operands) <= len(self._free)
+        return (self.blocks_for(num_operands)
+                <= self.num_blocks - self._next + len(self._free))
 
     def allocate(self, num_operands: int) -> Tuple[int, List[int]]:
         """Allocate blocks for a task.
@@ -125,19 +137,42 @@ class BlockStorage:
                 gateway only sends allocation requests to TRSs with space).
         """
         needed = self.blocks_for(num_operands)
-        if needed > len(self._free):
-            raise AllocationError(
-                f"cannot allocate {needed} blocks; only {len(self._free)} free"
-            )
-        blocks = [self._free.pop() for _ in range(needed)]
+        free = self._free
+        if needed <= len(free):
+            blocks = [free.pop() for _ in range(needed)]
+        else:
+            fresh = self._next
+            stop = fresh + needed - len(free)
+            if stop > self.num_blocks:
+                raise AllocationError(
+                    f"cannot allocate {needed} blocks; only "
+                    f"{self.num_blocks - fresh + len(free)} free"
+                )
+            blocks = free[::-1]
+            free.clear()
+            blocks.extend(range(fresh, stop))
+            self._next = stop
         return blocks[0], blocks[1:]
 
     def free(self, main_block: int, indirect_blocks: List[int]) -> None:
-        """Return a task's blocks to the free list."""
-        for block in [main_block, *indirect_blocks]:
-            if block < 0 or block >= self.num_blocks:
-                raise AllocationError(f"block index {block} out of range")
-            self._free.append(block)
+        """Return a task's blocks to the free list.
+
+        Raises:
+            AllocationError: if a block was never handed out, or if more
+                blocks are returned than are in use (a double free).
+        """
+        blocks = [main_block, *indirect_blocks]
+        handed_out = self._next
+        for block in blocks:
+            if block < 0 or block >= handed_out:
+                raise AllocationError(f"block index {block} was never allocated")
+        free = self._free
+        if len(free) + len(blocks) > handed_out:
+            raise AllocationError(
+                f"freeing {len(blocks)} blocks with only "
+                f"{handed_out - len(free)} in use (double free?)"
+            )
+        free.extend(blocks)
 
     def utilization(self) -> float:
         """Fraction of blocks currently allocated."""
@@ -161,8 +196,11 @@ class RenamingTable:
     operand ID.  A freed row's tag is reset to ``-1`` (its valid bit) and the
     row is recycled through a free list.  The hardware locates an entry with
     a parallel tag compare across the 16 ways of a set; the model's O(1)
-    equivalent is one ``{address: row}`` index dict per set.  The interface
-    is :meth:`lookup_row` / :meth:`insert_row` / :meth:`remove` plus direct
+    equivalent is one ``{address: row}`` index dict over all sets.  Each set
+    keeps only its live-row count, which the capacity policy below reads, so
+    a lookup or an update of a live row never hashes the address to its set;
+    only inserting or removing a row does.  The interface is
+    :meth:`lookup_row` / :meth:`insert_row` / :meth:`remove` plus direct
     column access.
 
     Capacity policy: the hardware stalls the *gateway* when an allocation
@@ -186,6 +224,8 @@ class RenamingTable:
             raise CapacityError("ORT associativity must be positive")
         self.num_sets = num_sets
         self.assoc = assoc
+        #: Total number of ways across all sets.
+        self.capacity = num_sets * assoc
         #: Packed columns, indexed by row; rows are recycled via ``_free_rows``.
         self.addr_col = array("q")
         self.size_col = array("q")
@@ -193,13 +233,14 @@ class RenamingTable:
         self.writer_col = array("b")
         self.user_col: List[Optional[OperandID]] = []
         self._free_rows: List[int] = []
-        #: Per-set ``{address: row}`` index (the parallel tag compare).
-        self._index: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
+        #: ``{address: row}`` over every set (the parallel tag compare).
+        self._row_of: Dict[int, int] = {}
+        #: Live rows per set; only inserting or removing a row touches it.
+        self._set_rows: List[int] = [0] * num_sets
         #: Memoised ``address -> set index`` (the hash is pure, and operand
         #: addresses repeat across the tasks touching the same object).
         self._set_cache: Dict[int, int] = {}
         self._pressured_sets: int = 0
-        self._occupancy: int = 0
         self.overflow_insertions = 0
 
     def set_index(self, address: int) -> int:
@@ -217,7 +258,7 @@ class RenamingTable:
 
     def lookup_row(self, address: int) -> int:
         """Row holding ``address``, or -1."""
-        return self._index[self.set_index(address)].get(address, -1)
+        return self._row_of.get(address, -1)
 
     def insert_row(self, address: int, size: int, last_user: OperandID,
                    version: int, writer: bool) -> int:
@@ -226,35 +267,38 @@ class RenamingTable:
         Inserting into a full set is allowed (see the class docstring) but
         recorded as an overflow and reflected by :meth:`is_pressured`.
         """
-        bucket = self._index[self.set_index(address)]
-        row = bucket.get(address, -1)
-        if row < 0:
-            if len(bucket) >= self.assoc:
-                self.overflow_insertions += 1
-            free = self._free_rows
-            if free:
-                row = free.pop()
-                self.addr_col[row] = address
-                self.size_col[row] = size
-                self.version_col[row] = version
-                self.writer_col[row] = writer
-                self.user_col[row] = last_user
-            else:
-                row = len(self.addr_col)
-                self.addr_col.append(address)
-                self.size_col.append(size)
-                self.version_col.append(version)
-                self.writer_col.append(writer)
-                self.user_col.append(last_user)
-            bucket[address] = row
-            self._occupancy += 1
-            if len(bucket) == self.assoc:
-                self._pressured_sets += 1
-        else:
+        row = self._row_of.get(address, -1)
+        if row >= 0:
             self.size_col[row] = size
             self.version_col[row] = version
             self.writer_col[row] = writer
             self.user_col[row] = last_user
+            return row
+        index = self._set_cache.get(address)
+        if index is None:
+            index = self.set_index(address)
+        live = self._set_rows[index] + 1
+        self._set_rows[index] = live
+        if live > self.assoc:
+            self.overflow_insertions += 1
+        elif live == self.assoc:
+            self._pressured_sets += 1
+        free = self._free_rows
+        if free:
+            row = free.pop()
+            self.addr_col[row] = address
+            self.size_col[row] = size
+            self.version_col[row] = version
+            self.writer_col[row] = writer
+            self.user_col[row] = last_user
+        else:
+            row = len(self.addr_col)
+            self.addr_col.append(address)
+            self.size_col.append(size)
+            self.version_col.append(version)
+            self.writer_col.append(writer)
+            self.user_col.append(last_user)
+        self._row_of[address] = row
         return row
 
     def is_pressured(self) -> bool:
@@ -266,7 +310,7 @@ class RenamingTable:
         gateway waiting for a release.  Checked on every ORT packet, so both
         terms are O(1) maintained counts, never scans.
         """
-        return self._pressured_sets > 0 or self._occupancy >= self.capacity
+        return self._pressured_sets > 0 or len(self._row_of) >= self.capacity
 
     def remove(self, address: int, version: Optional[int] = None) -> bool:
         """Remove the entry for ``address``.
@@ -279,18 +323,20 @@ class RenamingTable:
         Returns:
             True if an entry was removed.
         """
-        bucket = self._index[self.set_index(address)]
-        row = bucket.get(address, -1)
+        row = self._row_of.get(address, -1)
         if row < 0:
             return False
         if version is not None and self.version_col[row] != version:
             return False
-        del bucket[address]
+        del self._row_of[address]
         self.addr_col[row] = -1
         self.user_col[row] = None
         self._free_rows.append(row)
-        self._occupancy -= 1
-        if len(bucket) == self.assoc - 1:
+        # Inserting the row memoised its set, so this never misses.
+        index = self._set_cache[address]
+        live = self._set_rows[index] - 1
+        self._set_rows[index] = live
+        if live == self.assoc - 1:
             # The set just dropped back below its associativity.
             self._pressured_sets -= 1
         return True
@@ -298,12 +344,7 @@ class RenamingTable:
     @property
     def occupancy(self) -> int:
         """Total number of live entries."""
-        return self._occupancy
-
-    @property
-    def capacity(self) -> int:
-        """Total number of ways across all sets."""
-        return self.num_sets * self.assoc
+        return len(self._row_of)
 
 
 # ---------------------------------------------------------------------------

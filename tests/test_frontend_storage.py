@@ -1,9 +1,14 @@
 """Tests for the TRS block allocator, ORT renaming table and OVT version table."""
 
+import tracemalloc
+
 import pytest
 
+from repro.backend.system import TaskSuperscalarSystem
+from repro.common.config import default_table2_config
 from repro.common.errors import AllocationError, CapacityError
 from repro.common.ids import OperandID
+from repro.common.units import MB
 from repro.frontend.storage import (
     BlockStorage,
     RenameBufferAllocator,
@@ -64,15 +69,45 @@ class TestBlockStorage:
         assert storage.free_blocks == 16
 
     def test_free_rejects_out_of_range(self):
-        storage = BlockStorage(num_blocks=4)
-        with pytest.raises(AllocationError):
-            storage.free(10, [])
+        # (blocks to free first, block to free) -- each case on a fresh
+        # storage of four blocks whose blocks 0 and 1 are handed out.
+        cases = [
+            ([], (10, [])),        # beyond the eDRAM
+            ([], (-1, [])),        # negative
+            ([], (3, [])),         # in range but never handed out
+            ([], (0, [2])),        # an indirect block never handed out
+            ([(0, []), (1, [])], (0, [])),  # a double free with none in use
+            ([(0, [])], (1, [0])),  # block 0 freed again alongside block 1
+        ]
+        for freed, (main, indirect) in cases:
+            storage = BlockStorage(num_blocks=4)
+            storage.allocate(0)
+            storage.allocate(0)
+            for block, extra in freed:
+                storage.free(block, extra)
+            with pytest.raises(AllocationError):
+                storage.free(main, indirect)
+            assert storage.used_blocks == 2 - len(freed)
 
     def test_utilization(self):
         storage = BlockStorage(num_blocks=10)
         assert storage.utilization() == 0.0
         storage.allocate(4)
         assert storage.utilization() == pytest.approx(0.1)
+
+    def test_system_build_memory_is_independent_of_trs_capacity(self):
+        # 32 TRSs x 131,072 blocks: an effectively unbounded task window.
+        # Storage is sized by the blocks in use, not by the nominal eDRAM,
+        # so building the machine allocates next to nothing.
+        config = default_table2_config().with_frontend(
+            num_trs=32, total_trs_capacity_bytes=512 * MB)
+        tracemalloc.start()
+        try:
+            TaskSuperscalarSystem(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * MB
 
 
 def insert(table, address, version=0):

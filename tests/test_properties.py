@@ -3,9 +3,9 @@
 The properties cover:
 
 * the TRS block allocator (no double allocation, conservation of blocks,
-  layout arithmetic),
-* the ORT renaming table (occupancy bookkeeping and pressure detection under
-  arbitrary insert/remove interleavings),
+  layout arithmetic, the same block order as an eagerly built LIFO),
+* the ORT renaming table (occupancy, overflow and pressure bookkeeping after
+  every step of arbitrary insert/remove interleavings),
 * the OVT version table (usage counts never go negative, releases are
   detected exactly when the last user leaves),
 * the gold dependency-graph builder (edges always point forward, sequential
@@ -18,6 +18,7 @@ The properties cover:
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ import pytest
 
 from repro.analysis.metrics import decode_rate_limit_ns
 from repro.backend.system import run_trace
+from repro.common.errors import AllocationError
 from repro.common.ids import OperandID
 from repro.frontend.storage import BlockStorage, RenamingTable, VersionTable
 from repro.runtime.taskgraph import build_dependency_graph
@@ -72,6 +74,21 @@ def trace_strategy(draw, max_tasks: int = 18):
 # Block allocator
 # ---------------------------------------------------------------------------
 
+class EagerFreeList:
+    """Reference block order: every block on one LIFO from the start, the
+    lowest index on top, freed blocks pushed back in the order given."""
+
+    def __init__(self, num_blocks: int):
+        self.free_list = list(range(num_blocks - 1, -1, -1))
+
+    def allocate(self, needed: int):
+        blocks = [self.free_list.pop() for _ in range(needed)]
+        return blocks[0], blocks[1:]
+
+    def free(self, main: int, indirect) -> None:
+        self.free_list.extend([main, *indirect])
+
+
 class TestBlockStorageProperties:
     @given(st.lists(st.integers(min_value=0, max_value=19), min_size=1, max_size=60),
            st.integers(min_value=64, max_value=512))
@@ -88,6 +105,33 @@ class TestBlockStorageProperties:
         for main, indirect in live:
             storage.free(main, indirect)
         assert storage.free_blocks == num_blocks
+
+    @given(st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=19),
+                              st.integers(min_value=0, max_value=63)),
+                    min_size=1, max_size=80),
+           st.integers(min_value=1, max_value=40))
+    def test_block_order_matches_eager_free_list(self, operations, num_blocks):
+        storage = BlockStorage(num_blocks=num_blocks)
+        reference = EagerFreeList(num_blocks)
+        live = []
+        for allocate, operands, pick in operations:
+            if allocate or not live:
+                needed = storage.blocks_for(operands)
+                fits = needed <= len(reference.free_list)
+                assert storage.can_allocate(operands) == fits
+                if fits:
+                    blocks = storage.allocate(operands)
+                    assert blocks == reference.allocate(needed)
+                    live.append(blocks)
+                else:
+                    with pytest.raises(AllocationError):
+                        storage.allocate(operands)
+            else:
+                main, indirect = live.pop(pick % len(live))
+                storage.free(main, indirect)
+                reference.free(main, indirect)
+            assert storage.free_blocks == len(reference.free_list)
+            assert storage.used_blocks == num_blocks - len(reference.free_list)
 
     @given(st.integers(min_value=0, max_value=19))
     def test_blocks_for_matches_layout(self, operands):
@@ -112,24 +156,30 @@ class TestRenamingTableProperties:
         table = RenamingTable(num_sets=num_sets, assoc=2)
         live = {}
         version = 0
+        overflows = 0
         for address, is_insert in operations:
             if is_insert:
                 version += 1
+                if address not in live:
+                    # A new row in a set already holding ``assoc`` rows.
+                    same_set = [a for a in live
+                                if table.set_index(a) == table.set_index(address)]
+                    overflows += len(same_set) >= table.assoc
                 table.insert_row(address, 64, OperandID(0, 0, 0), version, True)
                 live[address] = version
             else:
                 removed = table.remove(address)
                 assert removed == (address in live)
                 live.pop(address, None)
-        assert table.occupancy == len(live)
+            # The bookkeeping matches the live entries after every step.
+            assert table.occupancy == len(live)
+            assert table.overflow_insertions == overflows
+            per_set = Counter(table.set_index(a) for a in live)
+            pressured = (any(n >= table.assoc for n in per_set.values())
+                         or len(live) >= table.capacity)
+            assert table.is_pressured() == pressured
         for address, expected_version in live.items():
             assert table.version_col[table.lookup_row(address)] == expected_version
-        # Pressure is consistent with the per-set occupancy.
-        pressured = any(
-            sum(1 for a in live if table.set_index(a) == s) >= table.assoc
-            for s in range(num_sets)
-        ) or table.occupancy >= table.capacity
-        assert table.is_pressured() == pressured
 
 
 # ---------------------------------------------------------------------------
