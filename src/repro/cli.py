@@ -29,10 +29,11 @@ Python:
   aggregation and baseline-relative ablation tables, reports under
   ``<artifacts>/campaigns/<campaign_id>/`` (:mod:`repro.sweep.campaign`,
   :mod:`repro.experiments.campaigns`).
-* ``python -m repro bench run|compare|trace`` -- time the pinned performance
-  suite, write a ``BENCH_<label>.json`` report, diff two reports with a
-  regression tolerance, or measure packed trace-store loads against cold
-  generation (:mod:`repro.sweep.bench`).
+* ``python -m repro bench obs-overhead|trace|profile`` -- the host-side
+  checks the repository benchmark (``python3 perfbench/run.py``, which
+  measures throughput) does not make: gate the telemetry overhead at 5% of
+  the pinned suite, time packed trace-store loads against cold generation,
+  or cProfile one pinned scenario (:mod:`repro.sweep.bench`).
 * ``python -m repro obs record|report|export|heartbeats|gc`` -- cycle-resolved
   pipeline telemetry: record one observed run, print its stall-attribution
   report, or export it as Chrome/Perfetto trace JSON (:mod:`repro.obs`);
@@ -336,39 +337,26 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.sweep import bench
 
-    if args.action == "run":
-        def progress(entry):
-            timing = entry["timing"]
-            print(f"  {entry['name']:18s} {timing['wall_seconds']:6.2f}s "
-                  f"{timing['events_per_sec']:11.0f} events/s")
-
-        report = bench.run_suite(quick=args.quick, repeat=args.repeat,
-                                 label=args.label, only=args.only,
-                                 progress=progress, obs=args.obs)
-        path = args.output or bench.report_path(args.label)
-        bench.write_report(report, path)
-        print(bench.format_report(report))
-        print(f"wrote {path}")
-        return 0
-
     if args.action == "obs-overhead":
-        def progress(entry_off, entry_on):
-            off = entry_off["timing"]["wall_seconds"]
-            on = entry_on["timing"]["wall_seconds"]
-            overhead = entry_on["timing"]["overhead_ratio"]
-            print(f"  {entry_off['name']:18s} off {off:6.2f}s "
-                  f"on {on:6.2f}s  overhead {overhead:.3f}x "
-                  f"(median of paired rounds)")
-
-        report_off, report_on = bench.run_suite_pair(
-            quick=args.quick, repeat=args.repeat, label_off=args.label_off,
-            label_on=args.label_on, only=args.only, progress=progress)
-        path_off = bench.report_path(args.label_off)
-        path_on = bench.report_path(args.label_on)
-        bench.write_report(report_off, path_off)
-        bench.write_report(report_on, path_on)
-        print(f"wrote {path_off} and {path_on} (paired interleaved runs; "
-              f"gate with 'repro bench compare')")
+        runs = []
+        for scenario in bench.SUITE:
+            run = bench.run_scenario_pair(scenario, quick=args.quick,
+                                          repeat=args.repeat)
+            runs.append(run)
+            flag = ("" if run.metrics_off == run.metrics_on
+                    else "  [metrics differ]")
+            print(f"  {run.name:18s} off {run.off_seconds:6.2f}s "
+                  f"on {run.on_seconds:6.2f}s  off/on {run.speed_ratio:.3f}x"
+                  f"{flag}")
+        geomean = bench.overhead_geomean(runs)
+        floor = 1.0 - bench.OBS_OVERHEAD_BUDGET
+        print(f"geomean off/on speed {geomean:.4f}x over {len(runs)} "
+              f"scenarios (median of {args.repeat} paired rounds each; "
+              f"floor {floor:.2f}x)")
+        if geomean < floor:
+            print(f"FAIL: telemetry overhead beyond the "
+                  f"{bench.OBS_OVERHEAD_BUDGET:.0%} budget")
+            return 1
         return 0
 
     if args.action == "trace":
@@ -389,34 +377,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return 1
         return 0
 
-    if args.action == "profile":
-        report = bench.run_profile(scenario_name=args.scenario,
-                                   quick=args.quick, top=args.top,
-                                   sort=args.sort)
-        print(bench.format_profile(report))
-        if args.out:
-            bench.write_report(report, args.out)
-            print(f"wrote {args.out}")
-        return 0
-
-    # action == "compare"
-    old = bench.load_report(args.old)
-    new = bench.load_report(args.new)
-    comparison = bench.compare_reports(old, new, tolerance=args.tolerance,
-                                       aggregate=args.geomean)
-    print(comparison.format())
-    if comparison.mismatches:
-        print("note: deterministic metrics differ for "
-              f"{', '.join(comparison.mismatches)}; those ratios mix "
-              "behaviour changes with performance changes")
-    if not comparison.ok:
-        if args.geomean:
-            print(f"FAIL: geomean {comparison.overall_ratio:.2f}x beyond "
-                  f"{args.tolerance:.0%}")
-        else:
-            names = ", ".join(delta.name for delta in comparison.regressions)
-            print(f"FAIL: regression beyond {args.tolerance:.0%} in {names}")
-        return 1
+    # action == "profile"
+    report = bench.run_profile(scenario_name=args.scenario, quick=args.quick,
+                               top=args.top, sort=args.sort)
+    print(bench.format_profile(report))
+    if args.out:
+        bench.write_report(report, args.out)
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -905,47 +872,25 @@ def build_parser() -> argparse.ArgumentParser:
     _campaign_common(campaign_report)
     campaign_report.set_defaults(func=_cmd_campaign)
 
+    from repro.sweep.bench import OBS_OVERHEAD_BUDGET, PROFILE_SORTS, SUITE
+
     bench = subparsers.add_parser(
-        "bench", help="performance-tracking suite (see repro.sweep.bench)")
+        "bench", help="telemetry-overhead, trace-load and profiling checks "
+                      "(see repro.sweep.bench; throughput is perfbench/run.py)")
     bench_sub = bench.add_subparsers(dest="action", required=True)
-    bench_run = bench_sub.add_parser(
-        "run", help="time the pinned scenario suite and write BENCH_<label>.json")
-    bench_run.add_argument("--label", default="local",
-                           help="report label (default 'local'; the report is "
-                                "written to BENCH_<label>.json)")
-    bench_run.add_argument("--output", default=None,
-                           help="explicit report path (overrides --label naming)")
-    bench_run.add_argument("--quick", action="store_true",
-                           help="shrunk traces so the suite finishes in seconds")
-    bench_run.add_argument("--repeat", type=int, default=1,
-                           help="time each scenario N times, report the fastest")
-    bench_run.add_argument("--obs", action="store_true",
-                           help="attach a telemetry observer to every run "
-                                "(times the instrumented hot path; for "
-                                "overhead gating via `bench compare`)")
-    bench_run.add_argument("--only", action="append", metavar="SCENARIO",
-                           help="run only the named scenario (repeatable)")
-    bench_run.set_defaults(func=_cmd_bench)
     bench_obs = bench_sub.add_parser(
         "obs-overhead",
         help="paired obs-off/obs-on suite timing (interleaved in one "
              "process, so the ratio isolates telemetry overhead from host "
-             "drift); writes both reports for `bench compare`")
+             "drift); exit 1 when telemetry slows the suite geomean by more "
+             f"than {OBS_OVERHEAD_BUDGET * 100:.0f}%%")
     bench_obs.add_argument("--quick", action="store_true",
                            help="shrunk traces so the suite finishes in seconds")
     bench_obs.add_argument("--repeat", type=int, default=5,
-                           help="paired rounds per scenario; the overhead "
-                                "gate uses the median per-round ratio, the "
-                                "throughput tables the fastest run on each "
-                                "side (default 5)")
-    bench_obs.add_argument("--label-off", default="obs-off",
-                           help="label for the obs-off report (default "
-                                "'obs-off')")
-    bench_obs.add_argument("--label-on", default="obs-on",
-                           help="label for the obs-on report (default "
-                                "'obs-on')")
-    bench_obs.add_argument("--only", action="append", metavar="SCENARIO",
-                           help="run only the named scenario (repeatable)")
+                           help="paired rounds per scenario; the gate uses "
+                                "the median per-round ratio, the printed "
+                                "times the fastest run on each side "
+                                "(default 5)")
     bench_obs.set_defaults(func=_cmd_bench)
     bench_trace = bench_sub.add_parser(
         "trace", help="time packed trace-store load vs cold generation")
@@ -965,10 +910,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench_trace.set_defaults(func=_cmd_bench)
     bench_profile = bench_sub.add_parser(
         "profile", help="cProfile one pinned scenario and print the hot spots")
-    bench_profile.add_argument("--scenario", default="h264", metavar="NAME",
+    bench_profile.add_argument("--scenario", default="h264",
+                               choices=[scenario.name for scenario in SUITE],
                                help="suite scenario to profile (default "
-                                    "'h264'; see 'repro bench run --only' "
-                                    "for the pinned names)")
+                                    "'h264')")
     bench_profile.add_argument("--quick", action="store_true",
                                help="shrunk trace so the profile finishes "
                                     "in seconds")
@@ -976,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="number of hot-spot rows to report "
                                     "(default 25)")
     bench_profile.add_argument("--sort", default="cumulative",
-                               choices=("cumulative", "tottime"),
+                               choices=PROFILE_SORTS,
                                help="row order: time including callees "
                                     "(cumulative, default) or self time "
                                     "(tottime)")
@@ -984,18 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="also write the full profile report "
                                     "as JSON")
     bench_profile.set_defaults(func=_cmd_bench)
-    bench_compare = bench_sub.add_parser(
-        "compare", help="diff two bench reports with a tolerance")
-    bench_compare.add_argument("old", help="baseline BENCH_*.json")
-    bench_compare.add_argument("new", help="candidate BENCH_*.json")
-    bench_compare.add_argument("--tolerance", type=float, default=0.05,
-                               help="allowed fractional slowdown before a "
-                                    "scenario counts as a regression")
-    bench_compare.add_argument("--geomean", action="store_true",
-                               help="gate on the suite geomean instead of "
-                                    "per-scenario ratios (budget-style "
-                                    "checks, e.g. telemetry overhead)")
-    bench_compare.set_defaults(func=_cmd_bench)
 
     from repro.obs.io import DEFAULT_OBS_ROOT
 

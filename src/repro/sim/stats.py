@@ -4,7 +4,7 @@ Every module registers a :class:`StatsCollector` (usually shared across the
 whole simulation) and records four kinds of data:
 
 * counters (``stats.count("trs.alloc_requests")``),
-* scalar accumulators with mean/min/max (``stats.record("queue.depth", 3)``),
+* scalar accumulators with mean/max (``stats.record("queue.depth", 3)``),
 * integer histograms (``stats.observe("chain.length", 3)``), and
 * time-stamped samples (``stats.sample("window.occupancy", now, value)``)
   used by the window-occupancy analysis.
@@ -53,38 +53,18 @@ class Counter:
 
 @dataclass
 class Accumulator:
-    """Streaming mean/min/max/variance accumulator (Welford's algorithm)."""
+    """Streaming mean and maximum of the observations."""
 
     count: int = 0
     mean: float = 0.0
-    _m2: float = 0.0
-    minimum: float = math.inf
     maximum: float = -math.inf
-    total: float = 0.0
 
     def add(self, value: float) -> None:
         """Add one observation."""
         self.count += 1
-        self.total += value
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.minimum:
-            self.minimum = value
+        self.mean += (value - self.mean) / self.count
         if value > self.maximum:
             self.maximum = value
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the observations (0 for fewer than 2 samples)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation."""
-        return math.sqrt(self.variance)
 
 
 class Histogram:

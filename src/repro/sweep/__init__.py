@@ -11,9 +11,10 @@ cacheable, parallelisable campaigns:
 * :class:`~repro.sweep.runner.SweepRunner` executes the points, in-process
   with ``jobs=1`` or over a crash-tolerant ``multiprocessing`` pool
   otherwise, with bit-identical results,
-* :mod:`repro.sweep.bench` pins a performance-tracking scenario suite on top
-  (``repro bench run|compare``), reporting events/sec per ``BENCH_*.json``
-  so hot-path regressions are caught by comparison with a tolerance,
+* :mod:`repro.sweep.bench` pins a small scenario suite on top for the
+  host-side checks the repository benchmark (``perfbench/``) does not make
+  (``repro bench obs-overhead|trace|profile``): the telemetry-overhead
+  budget, packed trace-load speed and a cProfile drill-down,
 * :mod:`repro.sweep.campaign` composes named specs into scenario campaigns
   (``repro campaign run|report``): a seed-ensemble axis with
   mean/std/min/max/95%-CI aggregation per design point, ablation grids

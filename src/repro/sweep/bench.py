@@ -1,53 +1,51 @@
-"""Performance-tracking bench suite (``repro bench``).
+"""Host-side checks the repository benchmark does not make (``repro bench``).
 
-The paper's headline claim is throughput -- a frontend that decodes a task
-every ~60 ns -- so the reproduction tracks its own throughput too.  This
-module pins a small scenario suite (Table 1 operating points plus synthetic
-stress shapes), times each scenario end-to-end, and reports
+The simulator's throughput -- events and decoded tasks per host second,
+same-host pre/post pairs and the per-layer ledger behind them -- is measured
+by the repository benchmark, ``python3 perfbench/run.py`` (declared in
+``BENCHMARK.json``).  This module keeps the three checks that benchmark does
+not make:
 
-* **wall time** per scenario (best of ``repeat`` runs),
-* **events/sec** -- discrete events executed per second of host time, the
-  simulator's fundamental speed metric, and
-* **decoded tasks/sec** -- how fast the simulated frontend decodes tasks in
-  host time, the number an impatient experimenter actually feels.
-
-``run_suite`` writes a ``BENCH_<label>.json`` report; ``compare_reports``
-diffs two reports with a tolerance so CI (and later PRs) can tell a real
-regression from timer noise.  Every non-timing field of a report is
-deterministic -- two runs of the same suite on the same code differ only
-under the ``timing`` keys -- which is what makes a committed before/after
-pair meaningful: if the ``metrics`` sections match, the workload was
-identical and the timing ratio is a pure hot-path measurement.
+* ``obs-overhead`` -- the telemetry budget.  :func:`run_scenario_pair` times
+  each pinned :data:`SUITE` scenario obs-off and obs-on in strict
+  alternation, and the suite fails when the geomean off/on speed ratio
+  (:func:`overhead_geomean`) falls below ``1 - OBS_OVERHEAD_BUDGET``,
+* ``trace`` -- packed trace-store load against cold generation
+  (:func:`run_trace_bench`), and
+* ``profile`` -- a :mod:`cProfile` drill-down of one pinned scenario
+  (:func:`run_profile`).
 
 Typical use::
 
-    python -m repro bench run --label pre            # before a change
-    ...hack on the hot path...
-    python -m repro bench run --label post           # after
-    python -m repro bench compare BENCH_pre.json BENCH_post.json
+    python -m repro bench obs-overhead --quick --repeat 7
+    python -m repro bench trace --quick --min-speedup 5
+    python -m repro bench profile --scenario h264 --quick --sort tottime
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-import platform
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.backend.system import TaskSuperscalarSystem
 from repro.common.errors import ReproError
-from repro.sweep.runner import build_point_config, workload_params
+from repro.sweep.runner import (build_point_config, generate_trace_for_key,
+                                trace_key_for_params)
 
 SCHEMA = "repro.bench/1"
 
-#: Report keys that legitimately differ between two runs of the same code.
-TIMING_KEYS = ("timing", "host")
+#: Largest fraction by which telemetry may slow the pinned suite: the
+#: obs-overhead gate fails when the geomean off/on speed ratio is below
+#: ``1 - OBS_OVERHEAD_BUDGET``.
+OBS_OVERHEAD_BUDGET = 0.05
 
 
 class BenchError(ReproError):
-    """Raised for malformed bench reports or impossible comparisons."""
+    """Raised for impossible bench arguments (bad repeat, unknown scenario)."""
 
 
 @dataclass(frozen=True)
@@ -88,15 +86,6 @@ SUITE: List[BenchScenario] = [
         quick_overrides={"scale_factor": 0.4, "max_tasks": 300},
     ),
     BenchScenario(
-        name="topology_n1",
-        description="cholesky with explicit trivial topology (router-free "
-                    "N=1 path must match the plain scenario's metrics)",
-        params={"workload": "Cholesky", "num_cores": 128, "scale_factor": 1.0,
-                "max_tasks": 2000, "seed": 0, "topology.num_frontends": 1,
-                "topology.steal_policy": "none"},
-        quick_overrides={"scale_factor": 0.4, "max_tasks": 300},
-    ),
-    BenchScenario(
         name="h264",
         description="Table 1 H264 (deep dependency chains, inout traffic)",
         params={"workload": "H264", "num_cores": 128, "scale_factor": 1.0,
@@ -129,117 +118,53 @@ SUITE: List[BenchScenario] = [
 ]
 
 
-def scenario_names() -> List[str]:
-    """Names of the pinned suite scenarios, in suite order."""
-    return [scenario.name for scenario in SUITE]
-
-
-def _generate_trace(params: Dict[str, object]):
-    from repro.experiments.common import experiment_trace
-
-    max_tasks = params.get("max_tasks")
-    return experiment_trace(
-        str(params["workload"]),
-        scale_factor=float(params.get("scale_factor", 1.0)),
-        seed=int(params.get("seed", 0)),
-        max_tasks=None if max_tasks is None else int(max_tasks),
-        **workload_params(params))
-
-
-def run_scenario(scenario: BenchScenario, quick: bool = False,
-                 repeat: int = 1, obs: bool = False) -> Dict[str, object]:
-    """Time one scenario and return its report entry.
-
-    The trace is generated outside the simulation timing (trace generation is
-    not the hot path under measurement) but timed separately, so reports
-    split the fixed workload-setup cost (``trace_seconds``) from the
-    simulation cost (``simulate_seconds``, aliased as the historical
-    ``wall_seconds``).  Each repeat builds a fresh system so runs are
-    independent, and the fastest wall time is reported (the standard
-    benchmarking defence against host noise).
-
-    With ``obs=True`` every repeat attaches a fresh
-    :class:`repro.obs.Observer`, so the timing measures the instrumented
-    hot path.  The recording itself is discarded -- the point is the
-    overhead, which CI gates by comparing an obs-on report against an
-    obs-off one (observers never change results, so ``metrics`` still
-    match between the two).
-    """
-    if repeat < 1:
-        raise BenchError(f"repeat must be >= 1, got {repeat}")
-    params = scenario.effective_params(quick)
-    config = build_point_config(params)
-    trace_start = time.perf_counter()
-    trace = _generate_trace(params)
-    trace_seconds = time.perf_counter() - trace_start
-    best_wall = None
-    result = None
-    events = 0
-    for _ in range(repeat):
-        observer = None
-        if obs:
-            from repro.obs import ObsConfig, Observer
-
-            observer = Observer(ObsConfig())
-        system = TaskSuperscalarSystem(config, observer=observer)
-        start = time.perf_counter()
-        result = system.run(trace)
-        wall = time.perf_counter() - start
-        events = system.engine.events_processed
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-    return _scenario_entry(scenario, params, trace_seconds, best_wall,
-                           result, events)
-
-
-def _scenario_entry(scenario: BenchScenario, params: Dict[str, object],
-                    trace_seconds: float, best_wall: float, result,
-                    events: int) -> Dict[str, object]:
-    """Assemble one report entry from a scenario's timing and result."""
-    wall = max(best_wall, 1e-9)
+def _metrics(result, events: int) -> Dict[str, int]:
+    """The simulated work of one run (deterministic for a given code)."""
     return {
-        "name": scenario.name,
-        "description": scenario.description,
-        "params": {key: params[key] for key in sorted(params)},
-        "metrics": {
-            "num_tasks": result.num_tasks,
-            "tasks_decoded": result.tasks_decoded,
-            "events": events,
-            "makespan_cycles": result.makespan_cycles,
-        },
-        "timing": {
-            "wall_seconds": wall,
-            "trace_seconds": trace_seconds,
-            "simulate_seconds": wall,
-            "events_per_sec": events / wall,
-            "decoded_tasks_per_sec": result.tasks_decoded / wall,
-        },
+        "num_tasks": result.num_tasks,
+        "tasks_decoded": result.tasks_decoded,
+        "events": events,
+        "makespan_cycles": result.makespan_cycles,
     }
 
 
+# -- Telemetry overhead ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PairedRun:
+    """One scenario timed obs-off and obs-on in strict alternation."""
+
+    name: str
+    #: Simulated work of each side; observers never change it.
+    metrics_off: Dict[str, int]
+    metrics_on: Dict[str, int]
+    #: Fastest wall time of each side, in seconds.
+    off_seconds: float
+    on_seconds: float
+    #: obs-off/obs-on speed: 1 / the median over rounds of the on/off wall
+    #: ratio (below 1 means telemetry slows the run).
+    speed_ratio: float
+
+
 def run_scenario_pair(scenario: BenchScenario, quick: bool = False,
-                      repeat: int = 1) -> Tuple[Dict[str, object],
-                                                Dict[str, object]]:
+                      repeat: int = 1) -> PairedRun:
     """Time one scenario obs-off and obs-on in strict alternation.
 
     Comparing two independently timed suite runs confounds telemetry
     overhead with host drift (frequency scaling and co-tenant load easily
-    move wall time by more than the overhead under test).  This variant
+    move wall time by more than the overhead under test).  This function
     interleaves the two configurations run-by-run inside one process --
     every obs-on run executes adjacent to an obs-off run of the same
     scenario -- so each round yields an on/off wall ratio in which host
     drift cancels.  The **median of those per-round ratios** is the
-    overhead statistic (stored as ``timing.overhead_ratio`` on the obs-on
-    entry, where :func:`compare_reports` picks it up): a ratio of two
-    best-of-N minima is itself an order statistic of the noise floor and
-    flaps around a few-percent threshold, while the median ratio discards
-    outlier rounds entirely.  Each side still reports its best wall time
-    as the throughput number.  Each timed region runs with the cyclic
-    garbage collector paused after a collect (the standard ``timeit``
-    hygiene): whether a collection lands inside a run is allocator
-    scheduling, not the cost under test, and one stray collection
-    otherwise skews a ratio of two ~50ms measurements.
-    Returns the ``(obs_off_entry, obs_on_entry)`` report entries.
+    overhead statistic: a ratio of two best-of-N minima is itself an order
+    statistic of the noise floor and flaps around a few-percent threshold,
+    while the median ratio discards outlier rounds entirely.  Each timed
+    region runs with the cyclic garbage collector paused after a collect
+    (the standard ``timeit`` hygiene): whether a collection lands inside a
+    run is allocator scheduling, not the cost under test, and one stray
+    collection otherwise skews a ratio of two ~50ms measurements.
     """
     if repeat < 1:
         raise BenchError(f"repeat must be >= 1, got {repeat}")
@@ -250,12 +175,9 @@ def run_scenario_pair(scenario: BenchScenario, quick: bool = False,
 
     params = scenario.effective_params(quick)
     config = build_point_config(params)
-    trace_start = time.perf_counter()
-    trace = _generate_trace(params)
-    trace_seconds = time.perf_counter() - trace_start
+    trace = generate_trace_for_key(trace_key_for_params(params)[0])
     walls: Dict[bool, List[float]] = {False: [], True: []}
-    result: Dict[bool, object] = {False: None, True: None}
-    events: Dict[bool, int] = {False: 0, True: 0}
+    metrics: Dict[bool, Dict[str, int]] = {}
     gc_was_enabled = gc.isenabled()
     try:
         for _ in range(repeat):
@@ -265,124 +187,31 @@ def run_scenario_pair(scenario: BenchScenario, quick: bool = False,
                 gc.collect()
                 gc.disable()
                 start = time.perf_counter()
-                result[with_obs] = system.run(trace)
+                result = system.run(trace)
                 wall = time.perf_counter() - start
                 if gc_was_enabled:
                     gc.enable()
-                events[with_obs] = system.engine.events_processed
+                metrics[with_obs] = _metrics(
+                    result, system.engine.events_processed)
                 walls[with_obs].append(wall)
     finally:
         if gc_was_enabled:
             gc.enable()
-    entry_off, entry_on = (
-        _scenario_entry(scenario, params, trace_seconds,
-                        min(walls[with_obs]), result[with_obs],
-                        events[with_obs])
-        for with_obs in (False, True))
-    entry_on["timing"]["overhead_ratio"] = statistics.median(
-        on / max(off, 1e-9)
-        for off, on in zip(walls[False], walls[True]))
-    return entry_off, entry_on
+    overhead = statistics.median(
+        on / max(off, 1e-9) for off, on in zip(walls[False], walls[True]))
+    return PairedRun(name=scenario.name, metrics_off=metrics[False],
+                     metrics_on=metrics[True], off_seconds=min(walls[False]),
+                     on_seconds=min(walls[True]), speed_ratio=1.0 / overhead)
 
 
-def run_suite(quick: bool = False, repeat: int = 1, label: str = "local",
-              only: Optional[Sequence[str]] = None,
-              scenarios: Optional[Sequence[BenchScenario]] = None,
-              progress=None, obs: bool = False) -> Dict[str, object]:
-    """Run the (possibly filtered) suite and return the report document.
+def overhead_geomean(runs: Sequence[PairedRun]) -> float:
+    """The gated statistic: the geomean of the runs' speed ratios.
 
-    ``obs=True`` runs every scenario with a telemetry observer attached
-    (see :func:`run_scenario`); the flag is recorded at the report top
-    level only, never inside per-scenario ``params``/``metrics``, so an
-    obs-on report stays metric-comparable with an obs-off baseline.
+    The budget applies to the suite, not to each scenario: per-scenario
+    ratios carry a few percent of timer noise each, and the geomean
+    averages it down by roughly the square root of the scenario count.
     """
-    pool = _select_scenarios(scenarios, only)
-    entries = []
-    for scenario in pool:
-        entry = run_scenario(scenario, quick=quick, repeat=repeat, obs=obs)
-        entries.append(entry)
-        if progress is not None:
-            progress(entry)
-    return _assemble_report(entries, label=label, quick=quick, repeat=repeat,
-                            obs=obs)
-
-
-def run_suite_pair(quick: bool = False, repeat: int = 1,
-                   label_off: str = "obs-off", label_on: str = "obs-on",
-                   only: Optional[Sequence[str]] = None,
-                   scenarios: Optional[Sequence[BenchScenario]] = None,
-                   progress=None) -> Tuple[Dict[str, object],
-                                           Dict[str, object]]:
-    """Run the suite with paired obs-off/obs-on timing (overhead gating).
-
-    Every scenario goes through :func:`run_scenario_pair`, so the two
-    returned reports come from run-by-run interleaved measurements in one
-    process -- the configuration :mod:`compare_reports` needs to attribute a
-    throughput ratio to telemetry overhead rather than host drift.
-    """
-    pool = _select_scenarios(scenarios, only)
-    off_entries = []
-    on_entries = []
-    for scenario in pool:
-        entry_off, entry_on = run_scenario_pair(scenario, quick=quick,
-                                                repeat=repeat)
-        off_entries.append(entry_off)
-        on_entries.append(entry_on)
-        if progress is not None:
-            progress(entry_off, entry_on)
-    return (_assemble_report(off_entries, label=label_off, quick=quick,
-                             repeat=repeat, obs=False),
-            _assemble_report(on_entries, label=label_on, quick=quick,
-                             repeat=repeat, obs=True))
-
-
-def _select_scenarios(scenarios: Optional[Sequence[BenchScenario]],
-                      only: Optional[Sequence[str]]) -> List[BenchScenario]:
-    """The suite (or ``scenarios``) filtered down to the ``only`` names."""
-    pool = list(scenarios) if scenarios is not None else list(SUITE)
-    if only:
-        wanted = {name.lower() for name in only}
-        known = {scenario.name.lower() for scenario in pool}
-        unknown = sorted(wanted - known)
-        if unknown:
-            raise BenchError(
-                f"unknown scenario(s) {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(known))}")
-        pool = [scenario for scenario in pool if scenario.name.lower() in wanted]
-    return pool
-
-
-def _assemble_report(entries: List[Dict[str, object]], label: str,
-                     quick: bool, repeat: int, obs: bool) -> Dict[str, object]:
-    """Wrap per-scenario entries into a schema-complete report document."""
-    total_wall = sum(entry["timing"]["wall_seconds"] for entry in entries)
-    total_trace = sum(entry["timing"].get("trace_seconds", 0.0)
-                      for entry in entries)
-    total_events = sum(entry["metrics"]["events"] for entry in entries)
-    total_decoded = sum(entry["metrics"]["tasks_decoded"] for entry in entries)
-    return {
-        "schema": SCHEMA,
-        "label": label,
-        "quick": bool(quick),
-        "repeat": int(repeat),
-        "obs": bool(obs),
-        "scenarios": entries,
-        "totals": {
-            "events": total_events,
-            "tasks_decoded": total_decoded,
-        },
-        "timing": {
-            "wall_seconds": total_wall,
-            "trace_seconds": total_trace,
-            "simulate_seconds": total_wall,
-            "events_per_sec": total_events / max(total_wall, 1e-9),
-            "decoded_tasks_per_sec": total_decoded / max(total_wall, 1e-9),
-        },
-        "host": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
-    }
+    return math.prod(run.speed_ratio for run in runs) ** (1.0 / len(runs))
 
 
 # -- Trace-load bench --------------------------------------------------------
@@ -422,7 +251,6 @@ def run_trace_bench(quick: bool = False, repeat: int = 3,
     """
     import tempfile
 
-    from repro.sweep.runner import trace_key_for_params
     from repro.trace.packed import pack_trace
     from repro.trace.store import TraceStore
 
@@ -432,7 +260,7 @@ def run_trace_bench(quick: bool = False, repeat: int = 3,
     key_params, digest = trace_key_for_params(params)
 
     start = time.perf_counter()
-    trace = _generate_trace(params)
+    trace = generate_trace_for_key(key_params)
     cold_seconds = time.perf_counter() - start
 
     temp_dir = None
@@ -530,18 +358,18 @@ def run_profile(scenario_name: str = "h264", quick: bool = False,
 
     The scenario must name a member of the pinned :data:`SUITE` (default
     ``h264``, the suite's deepest dependency chains and therefore the best
-    single proxy for the frontend hot path).  Trace generation happens
-    outside the profiled region -- the profile covers exactly one
-    ``system.run`` call, the region the bench suite times.  The report
-    carries the same deterministic ``metrics`` block as a bench entry (so a
-    profile can be sanity-checked against ``BENCH_*.json``), a ``timing``
-    block, and the ``top`` hottest rows under ``hotspots`` sorted by
-    ``sort`` (``cumulative`` or ``tottime``).
+    single proxy for the frontend hot path); an unknown name raises
+    :class:`BenchError`.  Trace generation happens outside the profiled
+    region -- the profile covers exactly one ``system.run`` call.  The
+    report carries the run's deterministic ``metrics`` block (the simulated
+    work, pinned for the quick suite by ``tests/golden/bench_quick.json``),
+    a ``timing`` block, and the ``top`` hottest rows under ``hotspots``
+    sorted by ``sort`` (``cumulative`` or ``tottime``).
 
     Note the headline caveat: cProfile's per-call hook roughly triples the
     wall time of this event-loop-bound simulator, so ``events_per_sec``
-    here is *not* comparable with bench-suite numbers -- only the relative
-    shape of the table is meaningful.
+    here is *not* comparable with uninstrumented throughput -- only the
+    relative shape of the table is meaningful.
     """
     import cProfile
     import pstats
@@ -551,10 +379,15 @@ def run_profile(scenario_name: str = "h264", quick: bool = False,
     if sort not in PROFILE_SORTS:
         raise BenchError(
             f"sort must be one of {', '.join(PROFILE_SORTS)}, got {sort!r}")
-    scenario = _select_scenarios(None, [scenario_name])[0]
+    scenario = next((scenario for scenario in SUITE
+                     if scenario.name == scenario_name), None)
+    if scenario is None:
+        raise BenchError(
+            f"unknown scenario {scenario_name!r}; known: "
+            f"{', '.join(scenario.name for scenario in SUITE)}")
     params = scenario.effective_params(quick)
     config = build_point_config(params)
-    trace = _generate_trace(params)
+    trace = generate_trace_for_key(trace_key_for_params(params)[0])
     system = TaskSuperscalarSystem(config)
     profiler = cProfile.Profile()
     start = time.perf_counter()
@@ -586,12 +419,7 @@ def run_profile(scenario_name: str = "h264", quick: bool = False,
         "quick": bool(quick),
         "sort": sort,
         "params": {key: params[key] for key in sorted(params)},
-        "metrics": {
-            "num_tasks": result.num_tasks,
-            "tasks_decoded": result.tasks_decoded,
-            "events": events,
-            "makespan_cycles": result.makespan_cycles,
-        },
+        "metrics": _metrics(result, events),
         "timing": {
             "wall_seconds": wall,
             "events_per_sec": events / wall,
@@ -609,7 +437,8 @@ def format_profile(report: Dict[str, object]) -> str:
         f"{' (quick)' if report.get('quick') else ''}: "
         f"{timing['wall_seconds']:.2f}s wall under cProfile, "
         f"{timing['events_per_sec']:.0f} events/s instrumented "
-        f"(not comparable with bench numbers), sorted by {report['sort']}",
+        f"(not comparable with uninstrumented runs), sorted by "
+        f"{report['sort']}",
         f"{'cumtime':>9s} {'tottime':>9s} {'ncalls':>10s}  function",
     ]
     for row in report["hotspots"]:
@@ -618,220 +447,9 @@ def format_profile(report: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-# -- Report I/O --------------------------------------------------------------
-
-
-def report_path(label: str, root: str = ".") -> str:
-    """The conventional report location: ``BENCH_<label>.json`` at ``root``."""
-    return os.path.join(root, f"BENCH_{label}.json")
-
-
 def write_report(report: Dict[str, object], path: str) -> str:
     """Atomically write ``report`` to ``path`` (tmp + rename) and return it."""
     from repro.common.fileio import atomic_write_text
 
     atomic_write_text(path, json.dumps(report, indent=1, sort_keys=True) + "\n")
     return path
-
-
-def load_report(path: str) -> Dict[str, object]:
-    """Load and schema-check a bench report."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, ValueError) as error:
-        raise BenchError(f"cannot read bench report {path}: {error}")
-    if not isinstance(report, dict) or report.get("schema") != SCHEMA:
-        raise BenchError(
-            f"{path} is not a {SCHEMA} report "
-            f"(schema={report.get('schema')!r})" if isinstance(report, dict)
-            else f"{path} is not a bench report")
-    return report
-
-
-def non_timing_view(report: Dict[str, object]) -> Dict[str, object]:
-    """The report with every host/timing field removed.
-
-    Two runs of the same suite on the same code must agree on this view
-    bit-for-bit; the determinism test in ``tests/test_bench.py`` pins that.
-    """
-    def strip(node):
-        if isinstance(node, dict):
-            return {key: strip(value) for key, value in node.items()
-                    if key not in TIMING_KEYS}
-        if isinstance(node, list):
-            return [strip(item) for item in node]
-        return node
-
-    return strip(report)
-
-
-# -- Comparison --------------------------------------------------------------
-
-
-@dataclass
-class ScenarioDelta:
-    """Speed ratio of one scenario between two reports."""
-
-    name: str
-    old_events_per_sec: float
-    new_events_per_sec: float
-    metrics_match: bool
-    #: Paired on/off wall ratio when the new report came from an interleaved
-    #: run (``bench obs-overhead``); None for independently timed reports.
-    paired_overhead: Optional[float] = None
-
-    @property
-    def ratio(self) -> float:
-        """new/old speed ratio (>1 means the new run is faster).
-
-        Independently timed reports compare events-per-second.  When the
-        new entry carries a paired ``timing.overhead_ratio`` (see
-        :func:`run_scenario_pair`), its inverse is used instead: the
-        paired median cancels host drift between the two reports, which
-        the throughput quotient cannot.
-        """
-        if self.paired_overhead is not None and self.paired_overhead > 0:
-            return 1.0 / self.paired_overhead
-        if self.old_events_per_sec <= 0:
-            return 0.0
-        return self.new_events_per_sec / self.old_events_per_sec
-
-
-@dataclass
-class Comparison:
-    """Outcome of diffing two bench reports."""
-
-    deltas: List[ScenarioDelta]
-    missing: List[str]
-    tolerance: float
-    #: Gate on the suite geomean instead of per-scenario ratios.  The
-    #: per-scenario gate is the right tool for tracking code-version
-    #: regressions (one scenario tanking is the signal); an aggregate
-    #: budget -- e.g. "telemetry costs at most 5% across the suite" -- is a
-    #: suite-level property, and the geomean averages per-scenario timer
-    #: noise down by roughly the square root of the scenario count.
-    aggregate: bool = False
-
-    @property
-    def overall_ratio(self) -> float:
-        """Geometric mean of the per-scenario speed ratios."""
-        ratios = [delta.ratio for delta in self.deltas if delta.ratio > 0]
-        if not ratios:
-            return 0.0
-        product = 1.0
-        for ratio in ratios:
-            product *= ratio
-        return product ** (1.0 / len(ratios))
-
-    @property
-    def regressions(self) -> List[ScenarioDelta]:
-        """Scenarios slower than ``1 - tolerance`` of the old run."""
-        return [delta for delta in self.deltas
-                if delta.ratio < 1.0 - self.tolerance]
-
-    @property
-    def mismatches(self) -> List[str]:
-        """Scenarios whose deterministic metrics differ between reports.
-
-        A mismatch means the two reports simulated different work (different
-        code semantics or different suite pins), so their timing ratio is not
-        a pure performance statement.
-        """
-        return [delta.name for delta in self.deltas if not delta.metrics_match]
-
-    @property
-    def ok(self) -> bool:
-        """True when the gated statistic stays within the tolerance.
-
-        Per-scenario mode requires every scenario to stay within
-        ``1 - tolerance``; aggregate mode applies the same bound to the
-        suite geomean only.
-        """
-        if self.aggregate:
-            return self.overall_ratio >= 1.0 - self.tolerance
-        return not self.regressions
-
-    def format(self) -> str:
-        """Human-readable comparison table."""
-        lines = [f"{'scenario':18s} {'old ev/s':>12s} {'new ev/s':>12s} "
-                 f"{'ratio':>7s}"]
-        for delta in self.deltas:
-            flag = ""
-            if not delta.metrics_match:
-                flag = "  [metrics differ]"
-            elif delta.ratio < 1.0 - self.tolerance:
-                flag = "  [REGRESSION]"
-            lines.append(f"{delta.name:18s} {delta.old_events_per_sec:>12.0f} "
-                         f"{delta.new_events_per_sec:>12.0f} "
-                         f"{delta.ratio:>6.2f}x{flag}")
-        for name in self.missing:
-            lines.append(f"{name:18s} (present in only one report)")
-        gate = "geomean gated" if self.aggregate else "per-scenario gate"
-        lines.append(f"overall: {self.overall_ratio:.2f}x "
-                     f"(geomean, tolerance {self.tolerance:.0%}, {gate})")
-        if any(delta.paired_overhead is not None for delta in self.deltas):
-            lines.append("ratios use paired interleaved timing "
-                         "(median per-round overhead)")
-        return "\n".join(lines)
-
-
-def compare_reports(old: Dict[str, object], new: Dict[str, object],
-                    tolerance: float = 0.05,
-                    aggregate: bool = False) -> Comparison:
-    """Diff two bench reports scenario-by-scenario.
-
-    Args:
-        old: The baseline report (typically the committed ``BENCH_pre``).
-        new: The candidate report.
-        tolerance: Allowed fractional slowdown before a scenario counts as a
-            regression (timer noise on shared CI machines easily reaches a few
-            percent).
-        aggregate: Gate :attr:`Comparison.ok` on the suite geomean instead of
-            requiring every scenario to clear the tolerance (the right mode
-            for budget-style checks such as the telemetry-overhead gate).
-    """
-    if not 0.0 <= tolerance < 1.0:
-        raise BenchError(f"tolerance must be in [0, 1), got {tolerance}")
-    old_entries = {entry["name"]: entry for entry in old.get("scenarios", ())}
-    new_entries = {entry["name"]: entry for entry in new.get("scenarios", ())}
-    shared = [name for name in old_entries if name in new_entries]
-    if not shared:
-        raise BenchError("the two reports share no scenarios")
-    deltas = []
-    for name in shared:
-        old_entry, new_entry = old_entries[name], new_entries[name]
-        overhead = new_entry["timing"].get("overhead_ratio")
-        deltas.append(ScenarioDelta(
-            name=name,
-            old_events_per_sec=float(old_entry["timing"]["events_per_sec"]),
-            new_events_per_sec=float(new_entry["timing"]["events_per_sec"]),
-            metrics_match=(old_entry.get("metrics") == new_entry.get("metrics")
-                           and old_entry.get("params") == new_entry.get("params")),
-            paired_overhead=float(overhead) if overhead else None,
-        ))
-    missing = sorted(set(old_entries) ^ set(new_entries))
-    return Comparison(deltas=deltas, missing=missing, tolerance=tolerance,
-                      aggregate=aggregate)
-
-
-def format_report(report: Dict[str, object]) -> str:
-    """Human-readable per-scenario throughput table for one report."""
-    lines = [f"bench suite '{report['label']}'"
-             f"{' (quick)' if report.get('quick') else ''}:"]
-    lines.append(f"{'scenario':18s} {'tasks':>7s} {'events':>10s} "
-                 f"{'wall':>8s} {'events/s':>11s} {'decoded/s':>10s}")
-    for entry in report["scenarios"]:
-        metrics, timing = entry["metrics"], entry["timing"]
-        lines.append(f"{entry['name']:18s} {metrics['num_tasks']:>7d} "
-                     f"{metrics['events']:>10d} "
-                     f"{timing['wall_seconds']:>7.2f}s "
-                     f"{timing['events_per_sec']:>11.0f} "
-                     f"{timing['decoded_tasks_per_sec']:>10.0f}")
-    timing = report["timing"]
-    lines.append(f"{'total':18s} {report['totals']['tasks_decoded']:>7d} "
-                 f"{report['totals']['events']:>10d} "
-                 f"{timing['wall_seconds']:>7.2f}s "
-                 f"{timing['events_per_sec']:>11.0f} "
-                 f"{timing['decoded_tasks_per_sec']:>10.0f}")
-    return "\n".join(lines)

@@ -1,20 +1,19 @@
-"""Tests for the ``repro bench`` perf-tracking subsystem.
+"""Tests for the ``repro bench`` host-side checks.
 
-Three properties are pinned:
+Three commands are pinned:
 
-* **schema round-trip** -- a report written to ``BENCH_*.json`` reads back
-  identically and rejects non-reports,
-* **comparison semantics** -- the tolerance decides what counts as a
-  regression, metric mismatches are surfaced, and the overall ratio is the
-  geomean of per-scenario ratios,
-* **determinism** -- two runs of the same suite differ only under the
-  ``timing``/``host`` keys (this is what makes a committed before/after pair
-  a pure performance statement).
+* ``obs-overhead`` -- telemetry changes no simulated work, and the suite
+  gate passes exactly while the geomean obs-off/obs-on speed ratio stays at
+  or above ``1 - OBS_OVERHEAD_BUDGET``,
+* ``trace`` -- a packed trace-store load returns the generated trace, and
+* ``profile`` -- the cProfile drill-down reports sorted hot spots.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,68 +21,89 @@ from repro.cli import main as cli_main
 from repro.sweep import bench
 
 #: One cheap pinned scenario so the suite-running tests stay fast.
-TINY_SUITE = [
-    bench.BenchScenario(
-        name="tiny",
-        description="minimal smoke scenario",
-        params={"workload": "MatMul", "num_cores": 16, "scale_factor": 0.3,
-                "max_tasks": 40, "seed": 0, "fast_generator": True},
-        quick_overrides={"max_tasks": 25},
-    ),
-]
-
-
-def tiny_report(label="test", quick=True):
-    return bench.run_suite(quick=quick, label=label, scenarios=TINY_SUITE)
+TINY = bench.BenchScenario(
+    name="tiny",
+    description="minimal smoke scenario",
+    params={"workload": "MatMul", "num_cores": 16, "scale_factor": 0.3,
+            "max_tasks": 40, "seed": 0, "fast_generator": True},
+    quick_overrides={"max_tasks": 25},
+)
 
 
 class TestRunSuite:
-    def test_report_shape(self):
-        report = tiny_report()
-        assert report["schema"] == bench.SCHEMA
-        assert report["label"] == "test"
-        assert report["quick"] is True
-        (entry,) = report["scenarios"]
-        assert entry["name"] == "tiny"
-        assert entry["metrics"]["num_tasks"] == 25  # quick override applied
-        assert entry["metrics"]["tasks_decoded"] == 25
-        assert entry["metrics"]["events"] > 0
-        assert entry["metrics"]["makespan_cycles"] > 0
-        assert entry["timing"]["wall_seconds"] > 0
-        assert entry["timing"]["events_per_sec"] > 0
-        assert report["totals"]["events"] == entry["metrics"]["events"]
-
-    def test_quick_runs_are_deterministic_outside_timing(self):
-        first = bench.non_timing_view(tiny_report())
-        second = bench.non_timing_view(tiny_report())
-        assert first == second
-        assert "timing" not in first
-        assert "host" not in first
-        assert "timing" not in first["scenarios"][0]
-
-    def test_timing_splits_trace_from_simulation(self):
-        report = tiny_report()
-        (entry,) = report["scenarios"]
-        timing = entry["timing"]
-        assert timing["trace_seconds"] >= 0
-        assert timing["simulate_seconds"] == timing["wall_seconds"]
-        assert report["timing"]["trace_seconds"] >= timing["trace_seconds"]
-
-    def test_unknown_scenario_filter_rejected(self):
-        with pytest.raises(bench.BenchError, match="unknown scenario"):
-            bench.run_suite(only=["nope"], scenarios=TINY_SUITE)
-
-    def test_only_filter_is_case_insensitive(self):
-        report = bench.run_suite(quick=True, only=["TINY"], scenarios=TINY_SUITE)
-        assert [e["name"] for e in report["scenarios"]] == ["tiny"]
-
     def test_repeat_must_be_positive(self):
         with pytest.raises(bench.BenchError):
-            bench.run_scenario(TINY_SUITE[0], quick=True, repeat=0)
+            bench.run_scenario_pair(TINY, quick=True, repeat=0)
 
     def test_pinned_suite_names_are_unique(self):
-        names = bench.scenario_names()
+        names = [scenario.name for scenario in bench.SUITE]
         assert len(names) == len(set(names)) >= 5
+
+
+def stub_pair(speed_ratio):
+    """A ``run_scenario_pair`` stand-in reporting a fixed speed ratio."""
+    def run_scenario_pair(scenario, quick=False, repeat=1):
+        metrics = {"num_tasks": 1, "tasks_decoded": 1, "events": 1,
+                   "makespan_cycles": 1}
+        return bench.PairedRun(name=scenario.name, metrics_off=metrics,
+                               metrics_on=dict(metrics), off_seconds=1.0,
+                               on_seconds=1.0, speed_ratio=speed_ratio)
+    return run_scenario_pair
+
+
+class TestObsOverhead:
+    def test_paired_run_simulates_identical_work(self):
+        run = bench.run_scenario_pair(TINY, quick=True, repeat=2)
+        assert run.name == "tiny"
+        assert run.metrics_on == run.metrics_off
+        assert run.metrics_off["num_tasks"] == 25  # quick override applied
+        assert run.metrics_off["events"] > 0
+        assert run.metrics_off["makespan_cycles"] > 0
+        assert 0 < run.off_seconds and 0 < run.on_seconds
+        assert run.speed_ratio > 0
+
+    def test_speed_ratio_is_off_over_on(self, monkeypatch):
+        """Telemetry that makes every run 25% slower reads 0.8x."""
+        clock = [0.0]
+
+        class FakeSystem:
+            def __init__(self, config, observer=None):
+                self.seconds = 1.0 if observer is None else 1.25
+                self.engine = SimpleNamespace(events_processed=7)
+
+            def run(self, trace):
+                clock[0] += self.seconds
+                return SimpleNamespace(num_tasks=1, tasks_decoded=1,
+                                       makespan_cycles=1)
+
+        monkeypatch.setattr(bench, "TaskSuperscalarSystem", FakeSystem)
+        monkeypatch.setattr(bench, "time",
+                            SimpleNamespace(perf_counter=lambda: clock[0]))
+        run = bench.run_scenario_pair(TINY, quick=True, repeat=3)
+        assert (run.off_seconds, run.on_seconds) == (1.0, 1.25)
+        assert run.speed_ratio == pytest.approx(0.8)
+
+    def test_geomean_of_speed_ratios(self):
+        runs = [stub_pair(ratio)(TINY) for ratio in (2.0, 0.5, 1.0)]
+        assert bench.overhead_geomean(runs) == pytest.approx(1.0)
+
+    def test_budget_boundary_is_inclusive(self, monkeypatch, capsys):
+        floor = 1.0 - bench.OBS_OVERHEAD_BUDGET
+        assert floor == 0.95
+        at_floor = [stub_pair(floor)(scenario) for scenario in bench.SUITE]
+        assert bench.overhead_geomean(at_floor) == floor
+        argv = ["bench", "obs-overhead", "--quick", "--repeat", "1"]
+        # Exactly at the floor: not over budget (strict less-than fails).
+        monkeypatch.setattr(bench, "run_scenario_pair", stub_pair(floor))
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert f"over {len(bench.SUITE)} scenarios" in out
+        monkeypatch.setattr(bench, "run_scenario_pair",
+                            stub_pair(math.nextafter(floor, 0.0)))
+        assert cli_main(argv) == 1
+        assert "FAIL: telemetry overhead beyond the 5% budget" in (
+            capsys.readouterr().out)
 
 
 class TestTraceBench:
@@ -129,128 +149,6 @@ class TestTraceBench:
         assert "FAIL" in capsys.readouterr().out
 
 
-class TestReportIO:
-    def test_round_trip(self, tmp_path):
-        report = tiny_report()
-        path = bench.report_path("test", str(tmp_path))
-        assert path.endswith("BENCH_test.json")
-        bench.write_report(report, path)
-        assert bench.load_report(path) == json.loads(json.dumps(report))
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        path = str(tmp_path / "BENCH_bad.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"schema": "something-else"}, handle)
-        with pytest.raises(bench.BenchError, match="schema"):
-            bench.load_report(path)
-
-    def test_load_rejects_missing_and_corrupt_files(self, tmp_path):
-        with pytest.raises(bench.BenchError):
-            bench.load_report(str(tmp_path / "absent.json"))
-        path = str(tmp_path / "BENCH_corrupt.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{not json")
-        with pytest.raises(bench.BenchError):
-            bench.load_report(path)
-
-
-def synthetic_report(events_per_sec, metrics=None):
-    """A minimal in-memory report with one scenario per given throughput."""
-    scenarios = []
-    for name, eps in events_per_sec.items():
-        scenarios.append({
-            "name": name,
-            "params": {"workload": name},
-            "metrics": dict(metrics or {"events": 100}),
-            "timing": {"wall_seconds": 1.0, "events_per_sec": eps,
-                       "decoded_tasks_per_sec": eps / 10.0},
-        })
-    return {"schema": bench.SCHEMA, "label": "synthetic", "quick": False,
-            "repeat": 1, "scenarios": scenarios}
-
-
-class TestCompare:
-    def test_speedup_within_tolerance_is_ok(self):
-        old = synthetic_report({"a": 100.0, "b": 200.0})
-        new = synthetic_report({"a": 150.0, "b": 190.1})  # b: -4.95% < 5%
-        comparison = bench.compare_reports(old, new, tolerance=0.05)
-        assert comparison.ok
-        assert not comparison.regressions
-        ratios = {d.name: d.ratio for d in comparison.deltas}
-        assert ratios["a"] == pytest.approx(1.5)
-        assert ratios["b"] == pytest.approx(0.9505)
-
-    def test_regression_beyond_tolerance_flagged(self):
-        old = synthetic_report({"a": 100.0, "b": 200.0})
-        new = synthetic_report({"a": 100.0, "b": 100.0})
-        comparison = bench.compare_reports(old, new, tolerance=0.05)
-        assert not comparison.ok
-        assert [d.name for d in comparison.regressions] == ["b"]
-        assert "REGRESSION" in comparison.format()
-
-    def test_tolerance_boundary_is_exclusive(self):
-        old = synthetic_report({"a": 100.0})
-        # Exactly at 1 - tolerance: not a regression (strict less-than).
-        new = synthetic_report({"a": 90.0})
-        assert bench.compare_reports(old, new, tolerance=0.10).ok
-        assert not bench.compare_reports(old, new, tolerance=0.09).ok
-
-    def test_overall_ratio_is_geomean(self):
-        old = synthetic_report({"a": 100.0, "b": 100.0})
-        new = synthetic_report({"a": 200.0, "b": 50.0})
-        comparison = bench.compare_reports(old, new, tolerance=0.5)
-        assert comparison.overall_ratio == pytest.approx(1.0)
-
-    def test_metric_mismatch_reported(self):
-        old = synthetic_report({"a": 100.0}, metrics={"events": 100})
-        new = synthetic_report({"a": 120.0}, metrics={"events": 999})
-        comparison = bench.compare_reports(old, new)
-        assert comparison.mismatches == ["a"]
-        assert "metrics differ" in comparison.format()
-
-    def test_missing_scenarios_listed(self):
-        old = synthetic_report({"a": 100.0, "gone": 50.0})
-        new = synthetic_report({"a": 100.0, "added": 70.0})
-        comparison = bench.compare_reports(old, new)
-        assert comparison.missing == ["added", "gone"]
-
-    def test_disjoint_reports_rejected(self):
-        with pytest.raises(bench.BenchError, match="no scenarios"):
-            bench.compare_reports(synthetic_report({"a": 1.0}),
-                                  synthetic_report({"b": 1.0}))
-
-    def test_invalid_tolerance_rejected(self):
-        old = synthetic_report({"a": 1.0})
-        with pytest.raises(bench.BenchError):
-            bench.compare_reports(old, old, tolerance=1.5)
-
-
-class TestCli:
-    def test_bench_run_and_compare_cli(self, tmp_path, capsys):
-        path = str(tmp_path / "BENCH_ci.json")
-        rc = cli_main(["bench", "run", "--quick", "--only", "window_pressure",
-                       "--label", "ci", "--output", path])
-        assert rc == 0
-        report = bench.load_report(path)
-        assert [e["name"] for e in report["scenarios"]] == ["window_pressure"]
-        # Self-comparison is a no-op pass.
-        assert cli_main(["bench", "compare", path, path]) == 0
-        out = capsys.readouterr().out
-        assert "1.00x" in out
-
-    def test_bench_compare_cli_fails_on_regression(self, tmp_path, capsys):
-        fast = synthetic_report({"a": 200.0})
-        slow = synthetic_report({"a": 100.0})
-        fast_path = str(tmp_path / "BENCH_fast.json")
-        slow_path = str(tmp_path / "BENCH_slow.json")
-        bench.write_report(fast, fast_path)
-        bench.write_report(slow, slow_path)
-        assert cli_main(["bench", "compare", fast_path, slow_path]) == 1
-        assert "FAIL" in capsys.readouterr().out
-        # The other direction is a speedup and passes.
-        assert cli_main(["bench", "compare", slow_path, fast_path]) == 0
-
-
 class TestProfile:
     def test_profile_reports_sorted_hotspots(self):
         report = bench.run_profile("matmul_decode", quick=True, top=5)
@@ -290,46 +188,3 @@ class TestProfile:
             report = json.load(handle)
         assert report["kind"] == "profile"
         assert len(report["hotspots"]) == 3
-
-
-class TestCommittedPair:
-    def test_committed_before_after_pair_shows_speedup(self):
-        """The repo-root BENCH pair documents the hot-path overhaul.
-
-        The acceptance bar for the refactor PR was >= 1.5x events/sec on the
-        pinned suite; the committed pair must keep proving it (and must have
-        simulated identical work, or the ratio means nothing).
-        """
-        import os
-
-        root = os.path.join(os.path.dirname(__file__), "..")
-        pre = bench.load_report(os.path.join(root, "BENCH_pre.json"))
-        post = bench.load_report(os.path.join(root, "BENCH_post.json"))
-        comparison = bench.compare_reports(pre, post)
-        assert comparison.overall_ratio >= 1.5
-        assert not comparison.missing
-        assert not comparison.mismatches  # the refactor was bit-identical
-
-    def test_committed_soa_pair_shows_speedup(self):
-        """The BENCH_soa pair documents the packed structure-of-arrays PR.
-
-        Measured geomean was 1.59x events/sec over the pre-SoA code on the
-        pinned suite; the committed pair must keep proving a >= 1.4x gain
-        with bit-identical simulated work, and the quick-mode CI baseline
-        must pin the same metrics the quick suite reproduces today.
-        """
-        import os
-
-        root = os.path.join(os.path.dirname(__file__), "..")
-        pre = bench.load_report(os.path.join(root, "BENCH_soa_pre.json"))
-        post = bench.load_report(os.path.join(root, "BENCH_soa.json"))
-        comparison = bench.compare_reports(pre, post)
-        assert comparison.overall_ratio >= 1.4
-        assert not comparison.missing
-        assert not comparison.mismatches  # the refactor was bit-identical
-        quick = bench.load_report(os.path.join(root, "BENCH_soa_quick.json"))
-        assert quick["quick"] is True
-        fresh = bench.run_suite(quick=True, only=["matmul_decode"])
-        committed_entry = next(entry for entry in quick["scenarios"]
-                               if entry["name"] == "matmul_decode")
-        assert fresh["scenarios"][0]["metrics"] == committed_entry["metrics"]

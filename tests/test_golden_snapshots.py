@@ -2,9 +2,10 @@
 
 The sweep refactor (and any future one) must not silently change the numbers
 behind the paper's figures.  These tests run small but fixed configurations
-of the Figure 12 decode-rate sweep and the Figure 16 speedup sweep, plus one
-two-frontend work-stealing point, and compare every measured value
-bit-for-bit against JSON snapshots checked into ``tests/golden/``.  The simulation is pure integer-cycle Python, so the
+of the Figure 12 decode-rate sweep and the Figure 16 speedup sweep, one
+two-frontend work-stealing point and the quick ``repro bench`` suite, and
+compare every measured value bit-for-bit against JSON snapshots checked into
+``tests/golden/``.  The simulation is pure integer-cycle Python, so the
 numbers are machine-independent; any diff is a real behaviour change.
 
 If a change is *intended* (a model fix that legitimately moves the numbers),
@@ -25,6 +26,9 @@ import pytest
 from repro.backend.system import TaskSuperscalarSystem
 from repro.experiments import decode_rate, scaling
 from repro.experiments.common import experiment_config, experiment_trace
+from repro.sweep import bench
+from repro.sweep.runner import (build_point_config, generate_trace_for_key,
+                                trace_key_for_params)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -65,6 +69,27 @@ def topology_n2_snapshot() -> dict:
             "result": asdict(result)}
 
 
+def bench_quick_snapshot() -> dict:
+    """The simulated work of each quick bench scenario.
+
+    The committed values were measured on the structure-of-arrays frontend
+    (commit d9ae1f4) and every bit-identical change since has kept them.
+    """
+    scenarios = {}
+    for scenario in bench.SUITE:
+        params = scenario.effective_params(quick=True)
+        trace = generate_trace_for_key(trace_key_for_params(params)[0])
+        system = TaskSuperscalarSystem(build_point_config(params))
+        result = system.run(trace)
+        scenarios[scenario.name] = {
+            "params": params,
+            "metrics": {"num_tasks": result.num_tasks,
+                        "tasks_decoded": result.tasks_decoded,
+                        "events": system.engine.events_processed,
+                        "makespan_cycles": result.makespan_cycles}}
+    return {"experiment": "bench_quick", "scenarios": scenarios}
+
+
 def _check_against_golden(name: str, snapshot: dict) -> None:
     path = GOLDEN_DIR / f"{name}.json"
     if REGEN:
@@ -91,3 +116,6 @@ class TestGoldenSnapshots:
 
     def test_topology_n2_matches_golden(self):
         _check_against_golden("topology_n2", topology_n2_snapshot())
+
+    def test_bench_quick_matches_golden(self):
+        _check_against_golden("bench_quick", bench_quick_snapshot())
