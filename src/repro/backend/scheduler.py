@@ -52,8 +52,8 @@ class TaskScheduler(SimModule):
             raise SchedulingError(
                 f"cannot cluster {len(cores)} cores for {len(ready_queues)} "
                 "ready queues")
-        self._steal_policy = topology.steal_policy if topology is not None else "none"
         super().__init__(engine, "scheduler", stats)
+        self._steal_policy = topology.steal_policy if topology is not None else "none"
         self.config = config
         self.cores = cores
         self.ready_queues = ready_queues
@@ -91,9 +91,6 @@ class TaskScheduler(SimModule):
         #: Optional hook returning extra execution cycles for a task on a core
         #: (used by the data-transfer model: operand movement cost).
         self.runtime_extension: Optional[Callable[[TaskRecord, int], int]] = None
-
-    def _bind_stat_handles(self) -> None:
-        super()._bind_stat_handles()
         scope = self.scope
         self._stat_dispatches = scope.counter_handle("dispatches")
         self._stat_completions = scope.counter_handle("completions")

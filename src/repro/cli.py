@@ -588,6 +588,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     if args.action == "record":
         from repro.common.hashing import content_digest
+        from repro.obs import ObsConfig
         from repro.sweep.runner import (ObsSettings, configure_observability,
                                         execute_point)
 
@@ -599,9 +600,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             params["fast_generator"] = True
         # Interactive recordings are for Perfetto inspection, so turn on the
         # per-packet service spans that sweeps leave off for overhead.
-        settings = ObsSettings(root=str(args.dir), capacity=args.capacity,
-                               sample_interval=args.sample_interval,
-                               module_spans=True, keep_recordings=True)
+        settings = ObsSettings(
+            root=str(args.dir), keep_recordings=True,
+            config=ObsConfig(capacity=args.capacity,
+                             sample_interval=args.sample_interval,
+                             module_spans=True))
         previous = configure_observability(settings)
         try:
             result = execute_point(params)

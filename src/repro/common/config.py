@@ -153,7 +153,6 @@ class FrontendConfig:
     max_indirect_blocks: int = 3
 
     #: Gateway incoming-task buffer (Section IV.B.1): 1 KB, ~20 tasks.
-    gateway_buffer_bytes: int = 1 * KB
     gateway_buffer_tasks: int = 20
 
     #: ORT organisation (Section IV.B.3): 16-way sets, never evicts.
@@ -167,10 +166,6 @@ class FrontendConfig:
     #: Interconnect latency charged on every frontend protocol message.
     message_latency_cycles: int = 5
 
-    #: Size of the ready queue between the frontend and the backend scheduler
-    #: (0 means unbounded).
-    ready_queue_capacity: int = 0
-
     def validate(self) -> None:
         for name in ("num_trs", "num_ort", "num_ovt", "total_trs_capacity_bytes",
                      "total_ort_capacity_bytes", "total_ovt_capacity_bytes",
@@ -181,7 +176,7 @@ class FrontendConfig:
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("edram_latency_cycles", "message_latency_cycles",
-                     "max_indirect_blocks", "ready_queue_capacity"):
+                     "max_indirect_blocks"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.num_ovt != self.num_ort:
@@ -261,10 +256,6 @@ class BackendConfig:
 
     #: Cycles to notify the frontend that a task finished.
     completion_latency_cycles: int = 16
-
-    #: Whether idle cores may steal from the ready queue out of order
-    #: (the paper's system "currently does not support task stealing").
-    allow_task_stealing: bool = False
 
     #: When True, the backend charges each task the estimated cost of moving
     #: its operands to the executing core (L1/L2 misses, coherence traffic,

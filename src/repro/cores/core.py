@@ -28,10 +28,7 @@ class WorkerCore(SimModule):
         self._current: Optional[TaskID] = None
         self.busy_cycles = 0
         self.tasks_executed = 0
-
-    def _bind_stat_handles(self) -> None:
-        super()._bind_stat_handles()
-        self._stat_tasks_executed = self._stats.counter_handle("cores.tasks_executed")
+        self._stat_tasks_executed = self.stats.counter_handle("cores.tasks_executed")
 
     @property
     def is_busy(self) -> bool:

@@ -37,12 +37,9 @@ class TaskGeneratingThread(SimModule):
         self._stall_started: Optional[int] = None
         self.stall_cycles = 0
         self.finished_at: Optional[int] = None
-
-    def _bind_stat_handles(self) -> None:
-        super()._bind_stat_handles()
-        self._stat_tasks_submitted = self._stats.counter_handle(
+        self._stat_tasks_submitted = self.stats.counter_handle(
             "generator.tasks_submitted")
-        self._stat_stalls = self._stats.counter_handle("generator.stalls")
+        self._stat_stalls = self.stats.counter_handle("generator.stalls")
 
     def _bind_obs_handles(self) -> None:
         super()._bind_obs_handles()

@@ -82,16 +82,13 @@ class PipelineGateway(PacketProcessor):
         self._tasks_issued = 0
         self._latency = config.message_latency_cycles
         # "arrival" packets are plain ("arrival", slot) tuples, so the tuple
-        # type itself keys their dispatch entry.  AllocReply's service time
-        # scales with the task's operand count and stays in service_time().
+        # type itself keys their dispatch entry.
         self._register_packet(tuple, self._handle_arrival_packet,
                               config.module_processing_cycles)
         self._register_packet(TrsSpaceAvailable, self._handle_space_available,
                               config.module_processing_cycles)
-        self._register_packet(AllocReply, self._handle_alloc_reply)
-
-    def _bind_stat_handles(self) -> None:
-        super()._bind_stat_handles()
+        self._register_packet(AllocReply, self._handle_alloc_reply,
+                              self._alloc_reply_cycles)
         scope = self.scope
         self._stat_submit_rejected = scope.counter_handle("submit_rejected")
         self._stat_tasks_admitted = scope.counter_handle("tasks_admitted")
@@ -178,24 +175,16 @@ class PipelineGateway(PacketProcessor):
         if not self._stall_sources:
             self.unstall()
 
-    # -- PacketProcessor interface --------------------------------------------------
+    # -- Packet service -----------------------------------------------------------
 
-    def service_time(self, packet) -> int:
-        # Constant-time packets are served through the dispatch table set up
-        # in ``__init__``; only AllocReply (operand-count-dependent) and
-        # unknown packets reach this method.
-        if isinstance(packet, AllocReply):
-            if packet.task is None:
-                return self.config.module_processing_cycles
-            pending = self._buffer.get(packet.buffer_slot)
-            operands = pending.record.num_operands if pending else 1
-            # Issuing every operand is charged separately (Section V: the
-            # processing overhead is multiplied by the operand count).
-            return self.config.module_processing_cycles * max(1, operands)
-        raise ProtocolError(f"gateway received unexpected packet {packet!r}")
-
-    def handle(self, packet) -> None:  # pragma: no cover - guarded by service_time
-        raise ProtocolError(f"gateway cannot handle packet {packet!r}")
+    def _alloc_reply_cycles(self, reply: AllocReply) -> int:
+        if reply.task is None:
+            return self.config.module_processing_cycles
+        pending = self._buffer.get(reply.buffer_slot)
+        operands = pending.record.num_operands if pending else 1
+        # Issuing every operand is charged separately (Section V: the
+        # processing overhead is multiplied by the operand count).
+        return self.config.module_processing_cycles * max(1, operands)
 
     def _handle_arrival_packet(self, packet: tuple) -> None:
         if packet[0] != "arrival":

@@ -39,7 +39,45 @@ from repro.sim.stats import StatsCollector
 from repro.trace.records import Direction
 
 
-class ObjectRenamingTable(PacketProcessor):
+class BackPressureTile(PacketProcessor):
+    """A frontend tile whose table back-pressures the gateway (ORT and OVT).
+
+    Subclasses set ``table`` (anything with ``is_pressured()``); the
+    pipeline assembly wires ``gateway``.
+    """
+
+    def __init__(self, engine: Engine, name: str,
+                 stats: Optional[StatsCollector] = None):
+        super().__init__(engine, name, stats)
+        self.gateway = None
+        self._stalling = False
+        self._stat_gateway_stalls = self.scope.counter_handle("gateway_stalls")
+
+    def update_pressure(self) -> None:
+        """Stall or resume the gateway based on table occupancy.
+
+        The hardware stalls the gateway whenever an allocation targets a full
+        set, and resumes once the paired OVT releases an entry.  The model
+        expresses the same behaviour as a level-triggered condition: while the
+        table is pressured (for the ORT, a set at/over its associativity or
+        the table at its nominal capacity; for the OVT, the table full) no
+        new tasks are admitted; operands already inside the pipeline keep
+        decoding so forward progress is always possible (see
+        :class:`repro.frontend.storage.RenamingTable`).
+        """
+        if self.gateway is None:
+            return
+        pressured = self.table.is_pressured()
+        if pressured and not self._stalling:
+            self._stalling = True
+            self._stat_gateway_stalls.value += 1
+            self.gateway.add_stall(self.name)
+        elif not pressured and self._stalling:
+            self._stalling = False
+            self.gateway.remove_stall(self.name)
+
+
+class ObjectRenamingTable(BackPressureTile):
     """Timed model of one ORT tile."""
 
     def __init__(self, engine: Engine, index: int, config: FrontendConfig,
@@ -52,9 +90,7 @@ class ObjectRenamingTable(PacketProcessor):
         #: Wired by the pipeline assembly.
         self.ovt = None
         self.trs_list: List = []
-        self.gateway = None
         self._next_version = 0
-        self._stalling = False
         self._latency = config.message_latency_cycles
         processing = config.module_processing_cycles
         edram = config.edram_latency_cycles
@@ -64,11 +100,7 @@ class ObjectRenamingTable(PacketProcessor):
                               processing + 2 * edram)
         self._register_packet(EntryRelease, self._handle_release_packet,
                               processing + edram)
-
-    def _bind_stat_handles(self) -> None:
-        super()._bind_stat_handles()
         scope = self.scope
-        self._stat_gateway_stalls = scope.counter_handle("gateway_stalls")
         self._stat_reader_hits = scope.counter_handle("reader_hits")
         self._stat_reader_misses = scope.counter_handle("reader_misses")
         self._stat_writer_decodes = scope.counter_handle("writer_decodes")
@@ -89,40 +121,7 @@ class ObjectRenamingTable(PacketProcessor):
         self.trs_list = trs_list
         self.gateway = gateway
 
-    # -- Capacity back-pressure ---------------------------------------------------------
-
-    def update_pressure(self) -> None:
-        """Stall or resume the gateway based on table occupancy.
-
-        The hardware stalls the gateway whenever an allocation targets a full
-        set, and resumes once the paired OVT releases an entry.  The model
-        expresses the same behaviour as a level-triggered condition: while the
-        renaming table is pressured (a set at/over its associativity, or the
-        table at its nominal capacity) no new tasks are admitted; operands
-        already inside the pipeline keep decoding so forward progress is
-        always possible (see :class:`repro.frontend.storage.RenamingTable`).
-        """
-        if self.gateway is None:
-            return
-        pressured = self.table.is_pressured()
-        if pressured and not self._stalling:
-            self._stalling = True
-            self._stat_gateway_stalls.value += 1
-            self.gateway.add_stall(self.name)
-        elif not pressured and self._stalling:
-            self._stalling = False
-            self.gateway.remove_stall(self.name)
-
-    # -- PacketProcessor interface ----------------------------------------------------
-
-    def service_time(self, packet) -> int:
-        # Known packet types are served through the constant-time dispatch
-        # table registered in ``__init__``; reaching this method means the
-        # packet is not part of the ORT protocol.
-        raise ProtocolError(f"{self.name} received unexpected packet {packet!r}")
-
-    def handle(self, packet) -> None:  # pragma: no cover - guarded by service_time
-        raise ProtocolError(f"{self.name} cannot handle {packet!r}")
+    # -- Packet service -----------------------------------------------------------
 
     def _handle_decode_packet(self, request: OperandDecodeRequest) -> None:
         self._decode_operand(request)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.common.config import FrontendConfig
-from repro.common.errors import ProtocolError
 from repro.frontend.messages import (
     DataReady,
     EntryRelease,
@@ -33,14 +32,21 @@ from repro.frontend.messages import (
     VersionRequest,
     VersionUse,
 )
+from repro.frontend.ort import BackPressureTile
 from repro.frontend.storage import VersionTable
 from repro.sim.engine import Engine
-from repro.sim.module import PacketProcessor
 from repro.sim.stats import StatsCollector
 
 
-class ObjectVersioningTable(PacketProcessor):
-    """Timed model of one OVT tile."""
+class ObjectVersioningTable(BackPressureTile):
+    """Timed model of one OVT tile.
+
+    A full OVT back-pressures the gateway exactly like a pressured ORT (the
+    paper's OVT design-space exploration trades capacity against the
+    achievable window the same way), while versions required for the
+    correctness of operands already in the pipeline are still created and
+    accounted as overflow.
+    """
 
     def __init__(self, engine: Engine, index: int, config: FrontendConfig,
                  stats: Optional[StatsCollector] = None):
@@ -51,18 +57,12 @@ class ObjectVersioningTable(PacketProcessor):
         #: Wired by the pipeline assembly.
         self.ort = None
         self.trs_list: List = []
-        self.gateway = None
-        self._stalling = False
         self._latency = config.message_latency_cycles
         service = config.module_processing_cycles + config.edram_latency_cycles
         self._register_packet(VersionRequest, self._handle_create_packet, service)
         self._register_packet(VersionUse, self._handle_use_packet, service)
         self._register_packet(VersionRelease, self._handle_release_packet, service)
-
-    def _bind_stat_handles(self) -> None:
-        super()._bind_stat_handles()
         scope = self.scope
-        self._stat_gateway_stalls = scope.counter_handle("gateway_stalls")
         self._stat_reader_miss_versions = scope.counter_handle(
             "reader_miss_versions")
         self._stat_renames = scope.counter_handle("renames")
@@ -86,36 +86,7 @@ class ObjectVersioningTable(PacketProcessor):
         self.trs_list = trs_list
         self.gateway = gateway
 
-    def update_pressure(self) -> None:
-        """Back-pressure the gateway while the version table is full.
-
-        Mirrors the ORT's capacity policy: a full OVT stops the admission of
-        new tasks (the paper's OVT design-space exploration trades capacity
-        against the achievable window exactly like the ORT's), while versions
-        required for the correctness of operands already in the pipeline are
-        still created and accounted as overflow.
-        """
-        if self.gateway is None:
-            return
-        pressured = self.table.is_pressured()
-        if pressured and not self._stalling:
-            self._stalling = True
-            self._stat_gateway_stalls.value += 1
-            self.gateway.add_stall(self.name)
-        elif not pressured and self._stalling:
-            self._stalling = False
-            self.gateway.remove_stall(self.name)
-
-    # -- PacketProcessor interface ---------------------------------------------------
-
-    def service_time(self, packet) -> int:
-        # Known packet types are served through the constant-time dispatch
-        # table registered in ``__init__``; reaching this method means the
-        # packet is not part of the OVT protocol.
-        raise ProtocolError(f"{self.name} received unexpected packet {packet!r}")
-
-    def handle(self, packet) -> None:  # pragma: no cover - guarded by service_time
-        raise ProtocolError(f"{self.name} cannot handle {packet!r}")
+    # -- Packet service -----------------------------------------------------------
 
     def _handle_create_packet(self, request: VersionRequest) -> None:
         self._create_version(request)

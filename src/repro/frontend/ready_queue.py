@@ -12,7 +12,6 @@ from collections import deque
 from typing import Callable, Deque, Optional
 
 from repro.common.config import FrontendConfig
-from repro.common.errors import ProtocolError
 from repro.frontend.messages import TaskReady
 from repro.sim.engine import Engine
 from repro.sim.module import PacketProcessor
@@ -33,21 +32,8 @@ class ReadyQueue(PacketProcessor):
         self._peak_depth = 0
         # Hardware task queues enqueue in a handful of cycles.
         self._register_packet(TaskReady, self._handle_task_ready, 1)
-
-    def _bind_stat_handles(self) -> None:
-        super()._bind_stat_handles()
         self._stat_enqueued = self.scope.counter_handle("enqueued")
         self._stat_dequeued = self.scope.counter_handle("dequeued")
-
-    # -- PacketProcessor interface ----------------------------------------------------
-
-    def service_time(self, packet) -> int:
-        # TaskReady is served through the constant-time dispatch table
-        # registered in ``__init__``; anything else is a protocol error.
-        raise ProtocolError(f"ready queue received unexpected packet {packet!r}")
-
-    def handle(self, packet) -> None:  # pragma: no cover - guarded by service_time
-        raise ProtocolError(f"ready queue cannot handle {packet!r}")
 
     def _handle_task_ready(self, packet: TaskReady) -> None:
         self._ready_tasks.append(packet)

@@ -151,12 +151,8 @@ class TaskReservationStation(PacketProcessor):
         self._register_packet(DataReady, self._handle_data_ready, service)
         self._register_packet(RegisterConsumer, self._handle_register_consumer,
                               service)
-        # TaskFinished's service time scales with the operand count; it keeps
-        # going through service_time().
-        self._register_packet(TaskFinished, self._handle_task_finished)
-
-    def _bind_stat_handles(self) -> None:
-        super()._bind_stat_handles()
+        self._register_packet(TaskFinished, self._handle_task_finished,
+                              self._task_finished_cycles)
         scope = self.scope
         self._stat_alloc_rejected = scope.counter_handle("alloc_rejected")
         self._stat_tasks_allocated = scope.counter_handle("tasks_allocated")
@@ -171,7 +167,7 @@ class TaskReservationStation(PacketProcessor):
         self._stat_tasks_finished = scope.counter_handle("tasks_finished")
         # Machine-wide histogram, deliberately unscoped: chain lengths are a
         # property of the dependence structure, not of any one TRS tile.
-        self._stat_chain_forwards = self._stats.histogram_handle(
+        self._stat_chain_forwards = self.stats.histogram_handle(
             "chain.forwards_per_task")
 
     def _bind_obs_handles(self) -> None:
@@ -208,21 +204,14 @@ class TaskReservationStation(PacketProcessor):
         """Return the entry for ``task`` if it is still in flight."""
         return self._tasks.get(task.slot)
 
-    # -- PacketProcessor interface -----------------------------------------------------
+    # -- Packet service --------------------------------------------------------------
 
-    def service_time(self, packet) -> int:
-        # Constant-time packets are served through the dispatch table set up
-        # in ``__init__``; only TaskFinished (operand-count-dependent) and
-        # unknown packets reach this method.
-        if isinstance(packet, TaskFinished):
-            entry = self._tasks.get(packet.task.slot)
-            operands = entry.record.num_operands if entry is not None else 1
-            return (self.config.module_processing_cycles * max(1, operands)
-                    + self.config.edram_latency_cycles)
-        raise ProtocolError(f"{self.name} received unexpected packet {packet!r}")
-
-    def handle(self, packet) -> None:  # pragma: no cover - guarded by service_time
-        raise ProtocolError(f"{self.name} cannot handle {packet!r}")
+    def _task_finished_cycles(self, packet: TaskFinished) -> int:
+        # The completion path walks every operand of the task.
+        entry = self._tasks.get(packet.task.slot)
+        operands = entry.record.num_operands if entry is not None else 1
+        return (self.config.module_processing_cycles * max(1, operands)
+                + self.config.edram_latency_cycles)
 
     # -- Allocation (Figure 6) ---------------------------------------------------------
 

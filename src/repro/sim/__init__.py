@@ -7,10 +7,12 @@ baseline are all built on the same small discrete-event core:
 * :class:`repro.sim.module.SimModule` -- a named component with convenience
   scheduling helpers.
 * :class:`repro.sim.module.PacketProcessor` -- a module that serialises the
-  processing of incoming packets (one at a time, each charged a processing
-  time), which is how the paper's pipeline modules behave.
-* :class:`repro.sim.stats.StatsCollector` -- counters, accumulators and
-  histograms shared by all components.
+  processing of incoming packets (one at a time, each charged the service
+  time registered for its packet type), which is how the paper's pipeline
+  modules behave.
+* :class:`repro.sim.stats.StatsCollector` -- counters, accumulators,
+  histograms and sample series shared by all components, written through
+  pre-bound handles.
 """
 
 from repro.sim.engine import Engine, Event

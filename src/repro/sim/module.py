@@ -10,23 +10,22 @@ Two abstractions cover everything the reproduction needs:
   controller that processes one protocol packet at a time, charging 16 cycles
   of processing per packet (multiplied by the number of operands involved) on
   top of eDRAM access latency.  ``PacketProcessor`` models exactly that: a
-  FIFO input queue, a busy/idle state and a per-packet service time supplied
-  by the subclass.
+  FIFO input queue, a busy/idle state and, for every packet type a subclass
+  registers, a service time and a handler.
 
 Both classes sit on the simulation's hot path, so their statistics are
-recorded through pre-bound :mod:`repro.sim.stats` handles resolved once in
-:meth:`SimModule._bind_stat_handles` -- never by building an
-``f"{self.name}..."`` key per packet.  Subclasses that keep their own
-handles extend ``_bind_stat_handles`` (it is re-invoked if ``stats`` is
-reassigned, so late collector injection keeps working).
+recorded through pre-bound :mod:`repro.sim.stats` handles that each module
+resolves once in its constructor, through :attr:`SimModule.scope` -- never by
+building an ``f"{self.name}..."`` key per packet.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Optional, Union
 
+from repro.common.errors import ProtocolError
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsCollector
 
@@ -51,20 +50,14 @@ class SimModule:
         #: packet service path run once per event, so the bound-method
         #: creation is paid here instead of per call.
         self._schedule_unref = engine.schedule_unref
-        self._stats = stats if stats is not None else StatsCollector()
+        #: The statistics collector (usually shared by the whole simulation).
+        self.stats = stats if stats is not None else StatsCollector()
+        #: Name-scoped stats view: ``self.scope.counter_handle("x")`` is the
+        #: shared cell for ``f"{self.name}.x"``.  Subclasses bind their
+        #: handles through it in their constructors.
+        self.scope = self.stats.scoped(name + ".")
         self._observer = None
-        self._bind_stat_handles()
         self._bind_obs_handles()
-
-    @property
-    def stats(self) -> StatsCollector:
-        """The module's statistics collector."""
-        return self._stats
-
-    @stats.setter
-    def stats(self, collector: StatsCollector) -> None:
-        self._stats = collector
-        self._bind_stat_handles()
 
     @property
     def observer(self):
@@ -76,23 +69,8 @@ class SimModule:
         self._observer = observer
         self._bind_obs_handles()
 
-    def _bind_stat_handles(self) -> None:
-        """Resolve this module's per-packet metric handles.
-
-        Called at construction and again whenever :attr:`stats` is
-        reassigned.  Subclasses recording per-packet statistics override this
-        (calling ``super()._bind_stat_handles()``) and bind their handles
-        here -- through :attr:`scope`, the module's name-prefixed stats view
-        -- instead of formatting stat keys in the hot path.
-        """
-        #: Name-scoped stats view: ``self.scope.counter_handle("x")`` is the
-        #: shared cell for ``f"{self.name}.x"``.  Rebuilt with the handles so
-        #: late collector injection keeps it pointing at the right registry.
-        self.scope = self._stats.scoped(self.name + ".")
-
     def _bind_obs_handles(self) -> None:
-        """Resolve this module's observability handles (same pattern as
-        :meth:`_bind_stat_handles`).
+        """Resolve this module's observability handles.
 
         Called at construction (observer is None: every handle must resolve
         to :func:`obs_noop`) and again from :meth:`bind_observer`.
@@ -142,12 +120,10 @@ class SimModule:
 class PacketProcessor(SimModule):
     """A module that processes incoming packets serially.
 
-    Subclasses implement two methods:
-
-    * :meth:`service_time` -- cycles needed to process a given packet
-      (e.g. ``processing_cycles * num_operands + edram_latency``);
-    * :meth:`handle` -- the packet's effect, invoked once the service time has
-      elapsed.
+    Subclasses register every packet type they accept with
+    :meth:`_register_packet`: its service time and the handler that applies
+    the packet's effect once that time has elapsed.  A packet of any other
+    type raises :class:`ProtocolError` when it reaches service.
 
     The processor also supports *stalling*: while stalled, packets accumulate
     in the input queue but are not serviced.  The ORT uses this to model the
@@ -161,37 +137,31 @@ class PacketProcessor(SimModule):
         self._input_queue: Deque[Any] = deque()
         self._busy = False
         self._stalled = False
-        self._busy_since: int = 0
         self._busy_cycles: int = 0
-        #: Packet-type dispatch table (see :meth:`_register_packet`):
-        #: ``{type: (constant service time or None, handler)}``.  One dict
-        #: probe resolves both halves of a packet's processing; a type absent
-        #: from the table falls back to the :meth:`service_time` /
-        #: :meth:`handle` methods.
+        #: ``{packet type: (cycles or None, cost or None, handler)}`` (see
+        #: :meth:`_register_packet`): one dict probe resolves a packet's
+        #: service.
         self._dispatch: dict = {}
-        #: True while :meth:`can_start` is not overridden, letting
-        #: :meth:`receive` skip the admission hook entirely.
-        self._can_start_default = type(self).can_start is PacketProcessor.can_start
-
-    def _register_packet(self, packet_type: type,
-                         handler: Callable[[Any], None],
-                         service: Optional[int] = None) -> None:
-        """Register the dispatch entry for one packet type.
-
-        ``service`` is the packet type's constant service time in cycles;
-        pass None for types whose service time depends on the packet (they
-        keep going through :meth:`service_time`).
-        """
-        if service is not None and service < 0:
-            raise ValueError(f"{self.name}: negative service time {service}")
-        self._dispatch[packet_type] = (service, handler)
-
-    def _bind_stat_handles(self) -> None:
-        super()._bind_stat_handles()
         scope = self.scope
         self._stat_packets_received = scope.counter_handle("packets_received")
         self._stat_packets_processed = scope.counter_handle("packets_processed")
         self._stat_stalls = scope.counter_handle("stalls")
+
+    def _register_packet(self, packet_type: type,
+                         handler: Callable[[Any], None],
+                         service: Union[int, Callable[[Any], int]]) -> None:
+        """Register how this module serves packets of ``packet_type``.
+
+        ``service`` is the service time in cycles or, for a cost that
+        depends on the packet (a per-operand charge), a callable returning
+        it; ``handler`` applies the packet's effect once that time elapses.
+        """
+        if callable(service):
+            self._dispatch[packet_type] = (None, service, handler)
+            return
+        if service < 0:
+            raise ValueError(f"{self.name}: negative service time {service}")
+        self._dispatch[packet_type] = (service, None, handler)
 
     def _bind_obs_handles(self) -> None:
         super()._bind_obs_handles()
@@ -208,50 +178,17 @@ class PacketProcessor(SimModule):
     # -- Public interface ---------------------------------------------------
 
     def receive(self, packet: Any) -> None:
-        """Enqueue a packet for processing.
-
-        The common case -- the module is idle, unstalled and its queue is
-        empty -- goes straight into service without touching the queue:
-        service-time lookup, busy bookkeeping and the completion event are
-        issued inline (identical timing and ordering to the queued path).
-        """
+        """Serve ``packet`` now if the module is idle, else queue it (FIFO)."""
         self._stat_packets_received.value += 1
-        if self._busy or self._stalled or self._input_queue:
-            self._input_queue.append(packet)
-            if not (self._busy or self._stalled):
-                self._try_start()
-            return
-        if not (self._can_start_default or self.can_start(packet)):
-            self._input_queue.append(packet)
-            return
-        self._busy = True
-        now = self.engine.now
-        self._busy_since = now
-        entry = self._dispatch.get(type(packet))
-        if entry is None:
-            duration = self.service_time(packet)
-            if duration < 0:
-                raise ValueError(f"{self.name}: negative service time {duration}")
-            handler = None
+        queue = self._input_queue
+        if self._busy or self._stalled:
+            queue.append(packet)
+        elif queue:
+            # A handler re-entering its own idle module: older packets first.
+            queue.append(packet)
+            self._start(queue.popleft())
         else:
-            duration, handler = entry
-            if duration is None:
-                duration = self.service_time(packet)
-                if duration < 0:
-                    raise ValueError(f"{self.name}: negative service time {duration}")
-        obs = self._obs_service
-        if obs is not None:
-            obs(now, packet, duration)
-        # Engine.schedule_unref inlined (one completion event per packet).
-        engine = self.engine
-        seq = engine._seq
-        engine._seq = seq + 1
-        if duration:
-            heappush(engine._heap, (now + duration, seq, None,
-                                    self._finish, (packet, duration, handler)))
-        else:
-            engine._ready.append((now, seq, None,
-                                  self._finish, (packet, duration, handler)))
+            self._start(packet)
 
     @property
     def queue_length(self) -> int:
@@ -291,7 +228,8 @@ class PacketProcessor(SimModule):
         if self._stalled:
             self._stalled = False
             self._obs_stall(self.engine.now, 0)
-            self._try_start()
+            if self._input_queue and not self._busy:
+                self._start(self._input_queue.popleft())
 
     def utilization(self, elapsed_cycles: int) -> float:
         """Fraction of ``elapsed_cycles`` this module spent servicing packets."""
@@ -307,67 +245,43 @@ class PacketProcessor(SimModule):
         .record_module_utilization`), so decode-rate experiments can report
         which pipeline module saturates first.
         """
-        self.scope.record("utilization", self.utilization(elapsed_cycles))
-
-    # -- Subclass interface -----------------------------------------------------
-
-    def service_time(self, packet: Any) -> int:
-        """Cycles required to process ``packet``.  Subclasses override."""
-        raise NotImplementedError
-
-    def handle(self, packet: Any) -> None:
-        """Apply the packet's effect.  Subclasses override."""
-        raise NotImplementedError
-
-    def can_start(self, packet: Any) -> bool:
-        """Hook allowing subclasses to refuse the head-of-queue packet.
-
-        Returning ``False`` leaves the packet at the head of the queue and the
-        module idle; the subclass must call :meth:`kick` once the blocking
-        condition clears.
-        """
-        return True
-
-    def kick(self) -> None:
-        """Re-attempt to start servicing (after a blocking condition clears)."""
-        self._try_start()
+        self.scope.accumulator_handle("utilization").add(
+            self.utilization(elapsed_cycles))
 
     # -- Internal ------------------------------------------------------------------
 
-    def _try_start(self) -> None:
-        if self._busy or self._stalled or not self._input_queue:
-            return
-        packet = self._input_queue[0]
-        if not self.can_start(packet):
-            return
-        self._input_queue.popleft()
-        self._busy = True
-        self._busy_since = self.engine.now
+    def _start(self, packet: Any) -> None:
+        """Put ``packet`` into service; the module is idle and unstalled."""
         entry = self._dispatch.get(type(packet))
         if entry is None:
-            duration = self.service_time(packet)
+            raise ProtocolError(f"{self.name} received unexpected packet {packet!r}")
+        duration, cost, handler = entry
+        if duration is None:
+            duration = cost(packet)
             if duration < 0:
                 raise ValueError(f"{self.name}: negative service time {duration}")
-            handler = None
-        else:
-            duration, handler = entry
-            if duration is None:
-                duration = self.service_time(packet)
-                if duration < 0:
-                    raise ValueError(f"{self.name}: negative service time {duration}")
+        self._busy = True
+        engine = self.engine
+        now = engine.now
         obs = self._obs_service
         if obs is not None:
-            obs(self._busy_since, packet, duration)
-        self._schedule_unref(duration, self._finish, packet, duration, handler)
+            obs(now, packet, duration)
+        # Engine.schedule_unref inlined (one completion event per packet).
+        seq = engine._seq
+        engine._seq = seq + 1
+        if duration:
+            heappush(engine._heap, (now + duration, seq, None,
+                                    self._finish, (packet, duration, handler)))
+        else:
+            engine._ready.append((now, seq, None,
+                                  self._finish, (packet, duration, handler)))
 
     def _finish(self, packet: Any, duration: int,
-                handler: Optional[Callable[[Any], None]] = None) -> None:
+                handler: Callable[[Any], None]) -> None:
         self._busy = False
         self._busy_cycles += duration
         self._stat_packets_processed.value += 1
-        if handler is None:
-            self.handle(packet)
-        else:
-            handler(packet)
-        if self._input_queue and not self._stalled:
-            self._try_start()
+        handler(packet)
+        queue = self._input_queue
+        if queue and not (self._busy or self._stalled):
+            self._start(queue.popleft())

@@ -1,22 +1,21 @@
 """Statistics collection for simulator components.
 
 Every module registers a :class:`StatsCollector` (usually shared across the
-whole simulation) and records four kinds of data:
+whole simulation) and records four kinds of data through pre-bound handles:
 
-* counters (``stats.count("trs.alloc_requests")``),
-* scalar accumulators with mean/max (``stats.record("queue.depth", 3)``),
-* integer histograms (``stats.observe("chain.length", 3)``), and
-* time-stamped samples (``stats.sample("window.occupancy", now, value)``)
-  used by the window-occupancy analysis.
+* counters (:meth:`StatsCollector.counter_handle`),
+* scalar accumulators with mean/max
+  (:meth:`~StatsCollector.accumulator_handle`),
+* integer histograms (:meth:`~StatsCollector.histogram_handle`), and
+* time-stamped samples (:meth:`~StatsCollector.sampler_handle`) used by the
+  window-occupancy analysis.
 
-The string-keyed methods are convenient but pay a key hash (and, at the call
-site, usually an f-string build) per observation -- too slow for the packet
-hot path.  Modules that record per-packet therefore resolve their metric
-names **once** at construction through :meth:`StatsCollector.counter_handle`
-/ :meth:`accumulator_handle` / :meth:`histogram_handle` /
-:meth:`sampler_handle` and call the returned handle's ``add`` in the hot
-path; a handle is a direct reference to the metric's mutable cell, so the
-per-event cost is one attribute mutation.
+A module resolves each metric name **once**, at construction, and calls the
+returned handle's ``add`` in the hot path; a handle is a direct reference to
+the metric's mutable cell, so the per-event cost is one attribute mutation
+and no key is hashed or formatted per observation.  Reads go through
+:meth:`StatsCollector.counter`, :meth:`~StatsCollector.mean` and
+:meth:`~StatsCollector.summary`.
 
 Everything is plain Python; the experiment layer converts to whatever
 presentation it needs.
@@ -31,11 +30,10 @@ from typing import Dict, List, Tuple
 
 
 class Counter:
-    """A single named counter: the pre-bound fast path for ``count()``.
+    """A single named counter.
 
     Handles are shared: every ``counter_handle(name)`` call for the same name
-    returns the same cell, so a handle-updating module and a string-keyed
-    ``count()`` caller see one value.
+    returns the same cell, so every call site updates one value.
     """
 
     __slots__ = ("value",)
@@ -179,17 +177,16 @@ class Sampler:
 class ScopedStats:
     """A prefix-applying view of a :class:`StatsCollector`.
 
-    Returned by :meth:`StatsCollector.scoped`; every handle request and
-    string-keyed call prepends ``prefix`` to the metric name before
-    delegating, so a module can bind its stats once per instance
-    (``stats.scoped(f"{self.name}.")``) instead of hand-building
-    ``f"{self.name}.xxx"`` keys at every site.  With N module instances the
-    prefix is what keeps their metrics distinct -- duplicate hand-built names
-    would silently merge counters.
+    Returned by :meth:`StatsCollector.scoped`; every handle request prepends
+    ``prefix`` to the metric name before delegating, so a module can bind its
+    stats once per instance (``stats.scoped(f"{self.name}.")``) instead of
+    hand-building ``f"{self.name}.xxx"`` keys at every site.  With N module
+    instances the prefix is what keeps their metrics distinct -- duplicate
+    hand-built names would silently merge counters.
 
-    The view is resolution-only: handles returned through a scope are the
-    same shared cells the underlying collector would return for the full
-    name, so scoped and unscoped call sites interoperate.
+    Handles returned through a scope are the same shared cells the
+    underlying collector would return for the full name, so scoped and
+    unscoped call sites interoperate.
     """
 
     __slots__ = ("_stats", "prefix")
@@ -197,8 +194,6 @@ class ScopedStats:
     def __init__(self, stats: "StatsCollector", prefix: str) -> None:
         self._stats = stats
         self.prefix = prefix
-
-    # -- Pre-bound handles ---------------------------------------------------
 
     def counter_handle(self, name: str) -> Counter:
         """The shared :class:`Counter` cell for ``prefix + name``."""
@@ -216,36 +211,6 @@ class ScopedStats:
         """The shared :class:`Sampler` for ``prefix + name``."""
         return self._stats.sampler_handle(self.prefix + name)
 
-    # -- String-keyed interface ----------------------------------------------
-
-    def count(self, name: str, amount: int = 1) -> None:
-        """Increment counter ``prefix + name`` by ``amount``."""
-        self._stats.count(self.prefix + name, amount)
-
-    def record(self, name: str, value: float) -> None:
-        """Add ``value`` to accumulator ``prefix + name``."""
-        self._stats.record(self.prefix + name, value)
-
-    def observe(self, name: str, value: int, weight: int = 1) -> None:
-        """Add an observation to histogram ``prefix + name``."""
-        self._stats.observe(self.prefix + name, value, weight)
-
-    def sample(self, name: str, time: int, value: float) -> None:
-        """Record a time-stamped sample under ``prefix + name``."""
-        self._stats.sample(self.prefix + name, time, value)
-
-    def counter(self, name: str) -> int:
-        """Value of counter ``prefix + name`` (0 if never incremented)."""
-        return self._stats.counter(self.prefix + name)
-
-    def mean(self, name: str) -> float:
-        """Mean of accumulator ``prefix + name`` (0.0 if empty)."""
-        return self._stats.mean(self.prefix + name)
-
-    def scoped(self, prefix: str) -> "ScopedStats":
-        """A nested scope: prefixes compose left to right."""
-        return ScopedStats(self._stats, self.prefix + prefix)
-
 
 class StatsCollector:
     """Shared statistics registry for a simulation run."""
@@ -259,7 +224,7 @@ class StatsCollector:
         self.sample_cap = sample_cap
         self._samplers: Dict[str, Sampler] = {}
 
-    # -- Pre-bound handles (hot-path interface) -----------------------------
+    # -- Pre-bound handles (the only writers) --------------------------------
 
     def counter_handle(self, name: str) -> Counter:
         """The mutable :class:`Counter` cell for ``name`` (created if new)."""
@@ -293,36 +258,16 @@ class StatsCollector:
         """
         return ScopedStats(self, prefix)
 
-    # -- String-keyed interface ---------------------------------------------
+    # -- Reads ---------------------------------------------------------------
 
     @property
     def counters(self) -> Dict[str, int]:
         """Snapshot of every counter's current value (name -> int).
 
-        A fresh dict built per access: mutate counters through
-        :meth:`count` or a :meth:`counter_handle`, never through this view.
+        A fresh dict built per access: mutate counters through a
+        :meth:`counter_handle`, never through this view.
         """
         return {name: cell.value for name, cell in self._counters.items()}
-
-    def count(self, name: str, amount: int = 1) -> None:
-        """Increment counter ``name`` by ``amount``."""
-        self._counters[name].value += amount
-
-    def record(self, name: str, value: float) -> None:
-        """Add ``value`` to the accumulator ``name``."""
-        self.accumulators[name].add(value)
-
-    def observe(self, name: str, value: int, weight: int = 1) -> None:
-        """Add an observation to histogram ``name``."""
-        self.histograms[name].add(value, weight)
-
-    def sample(self, name: str, time: int, value: float) -> None:
-        """Record a time-stamped sample for time-series analysis.
-
-        Routed through the series' shared :class:`Sampler`, so the memory
-        cap applies to string-keyed recording too.
-        """
-        self.sampler_handle(name).add(time, value)
 
     def counter(self, name: str) -> int:
         """Return the value of counter ``name`` (0 if never incremented)."""

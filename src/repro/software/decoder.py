@@ -57,12 +57,9 @@ class SoftwareDecoder(SimModule):
         self.decode_times: List[int] = []
         self.tasks_decoded = 0
         self._space_listeners: List[Callable[[], None]] = []
-
-    def _bind_stat_handles(self) -> None:
-        super()._bind_stat_handles()
-        self._stat_tasks_submitted = self._stats.counter_handle(
+        self._stat_tasks_submitted = self.stats.counter_handle(
             "software.tasks_submitted")
-        self._stat_tasks_decoded = self._stats.counter_handle(
+        self._stat_tasks_decoded = self.stats.counter_handle(
             "software.tasks_decoded")
 
     # -- Gateway-compatible interface ----------------------------------------------

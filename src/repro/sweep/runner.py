@@ -54,6 +54,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 from repro.backend.system import SimulationResult, TaskSuperscalarSystem
 from repro.common.errors import ConfigurationError, SweepExecutionError
 from repro.common.hashing import content_digest
+from repro.obs.observer import ObsConfig
 from repro.sweep.cache import ResultCache, result_from_dict, result_to_dict
 from repro.sweep.faults import (CRASH_EXIT_CODE, active_fault_plan,
                                 configure_faults)
@@ -95,16 +96,12 @@ class ObsSettings:
     """
 
     root: str
-    capacity: int = 1 << 20
-    #: Mirrors :data:`repro.obs.observer.DEFAULT_SAMPLE_INTERVAL` (kept as a
-    #: literal so this dataclass stays import-light for pool workers).
-    sample_interval: int = 1024
-    #: Per-packet service spans are the densest event class; sweeps leave
-    #: them off (lifecycle/stall/occupancy cover the reports) so fleet-wide
-    #: telemetry stays within the bench overhead budget.
-    module_spans: bool = False
+    #: Configuration of the observer attached to each point.  Its defaults
+    #: leave per-packet service spans off: they are the densest event class,
+    #: and lifecycle, stall and occupancy events cover the reports, so
+    #: fleet-wide telemetry stays within the bench overhead budget.
+    config: ObsConfig = field(default_factory=ObsConfig)
     keep_recordings: bool = False
-    heartbeat_seconds: float = 5.0
 
 
 def build_point_config(params: Dict[str, ParamValue]):
@@ -378,14 +375,11 @@ def execute_point(point_params: Dict[str, ParamValue]) -> Dict:
     if obs is not None and system_kind == "hardware":
         # Telemetry is hardware-frontend instrumentation; software-runtime
         # points run unobserved (their results are unaffected either way).
-        from repro.obs import ObsConfig, Observer
+        from repro.obs import Observer
         from repro.obs.report import HeartbeatWriter
 
         digest = content_digest(params)
-        observer = Observer(ObsConfig(capacity=obs.capacity,
-                                      sample_interval=obs.sample_interval,
-                                      module_spans=obs.module_spans,
-                                      heartbeat_seconds=obs.heartbeat_seconds))
+        observer = Observer(obs.config)
         heartbeats = HeartbeatWriter(obs.root)
         observer.heartbeat = heartbeats.progress_hook(digest)
         heartbeats.emit("point_start", point=digest,

@@ -58,9 +58,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
+from repro.common.config import SimulationConfig
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import canonical_json, content_digest, fingerprint64
 
@@ -85,6 +86,13 @@ DEFAULT_PARAMS: Dict[str, ParamValue] = {
 #: Config sections that accept dotted overrides.
 OVERRIDE_SECTIONS = ("frontend", "backend", "generator", "software", "topology")
 
+#: The fields each override section accepts: those of its config dataclass.
+_SECTION_FIELDS = {
+    section: frozenset(
+        f.name for f in fields(getattr(SimulationConfig(), section)))
+    for section in OVERRIDE_SECTIONS
+}
+
 #: Dotted section whose entries are forwarded to the workload generator
 #: constructor rather than the simulation config.
 WORKLOAD_SECTION = "workload"
@@ -96,9 +104,15 @@ def _check_param_name(name: str) -> None:
     if name in DEFAULT_PARAMS or name == "workload":
         return
     if "." in name:
-        section = name.split(".", 1)[0]
-        if section in OVERRIDE_SECTIONS or section == WORKLOAD_SECTION:
+        section, fieldname = name.split(".", 1)
+        if section == WORKLOAD_SECTION:
             return
+        if section in OVERRIDE_SECTIONS:
+            if fieldname in _SECTION_FIELDS[section]:
+                return
+            raise ConfigurationError(
+                f"unknown sweep parameter {name!r}: the {section} config has "
+                f"no field {fieldname!r}")
     raise ConfigurationError(
         f"unknown sweep parameter {name!r} (expected one of "
         f"{sorted(DEFAULT_PARAMS)} + 'workload' or a dotted "

@@ -210,12 +210,25 @@ class TestTRS:
         with pytest.raises(ProtocolError):
             engine.run()
 
-    def test_unexpected_packet_rejected(self):
+
+class TestProtocolErrors:
+    @pytest.mark.parametrize("module", ["gateway", "trs", "ort", "ovt",
+                                        "ready_queue"])
+    def test_unexpected_packet_rejected(self, module):
         engine, frontend = small_frontend(num_trs=1)
-        with pytest.raises(ProtocolError):
-            frontend.trs_list[0].receive(OperandDecodeRequest(
-                operand=OperandID(0, 0, 0), direction=Direction.INPUT,
-                address=0x1000, size=64))
+        target = {"gateway": frontend.gateway, "trs": frontend.trs_list[0],
+                  "ort": frontend.orts[0], "ovt": frontend.ovts[0],
+                  "ready_queue": frontend.ready_queue}[module]
+        # A decode request is an ORT packet; every other module rejects it.
+        packet = OperandDecodeRequest(operand=OperandID(0, 0, 0),
+                                      direction=Direction.INPUT,
+                                      address=0x1000, size=64)
+        if module == "ort":
+            packet = DataReady(operand=OperandID(0, 0, 0),
+                               kind=ReadyKind.INPUT_DATA)
+        with pytest.raises(ProtocolError,
+                           match=f"^{target.name} received unexpected packet"):
+            target.receive(packet)
 
 
 class TestDecodeMeasurement:

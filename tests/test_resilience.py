@@ -201,7 +201,7 @@ class TestWorkerCrashRecovery:
         chained to the original error -- retrying a deterministic error
         would just fail max_retries more times."""
         spec = SweepSpec(name="boom", workloads=("Cholesky",),
-                         axes={"frontend.no_such_field": (1,)},
+                         axes={"frontend.num_trs": (0,)},
                          base={"num_cores": 8, "scale_factor": 0.2,
                                "max_tasks": 25})
         trace_cache_clear()
@@ -211,8 +211,8 @@ class TestWorkerCrashRecovery:
             runner.run(spec)
         assert "raised" in str(info.value)
         assert spec.points()[0].label() in str(info.value)
-        assert isinstance(info.value.__cause__, TypeError)
-        assert "no_such_field" in str(info.value.__cause__)
+        assert isinstance(info.value.__cause__, ConfigurationError)
+        assert "num_trs must be positive" in str(info.value.__cause__)
         state = replay(RunJournal.for_root(tmp_path, spec.spec_id).read())
         assert state["points"] == {spec.points()[0].point_id: "failed"}
         assert state["retries"] == 0 and not state["completed"]

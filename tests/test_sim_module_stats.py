@@ -2,23 +2,26 @@
 
 import pytest
 
+from repro.common.errors import ProtocolError
 from repro.sim.engine import Engine
 from repro.sim.module import PacketProcessor, SimModule
 from repro.sim.stats import Accumulator, Histogram, Sampler, StatsCollector
 
 
 class RecordingProcessor(PacketProcessor):
-    """A processor that records (packet, completion time) pairs."""
+    """A processor that records (packet, completion time) pairs.
 
-    def __init__(self, engine, name="proc", per_packet=10):
-        super().__init__(engine, name)
-        self.per_packet = per_packet
+    It serves ``int`` and ``str`` packets, each for ``per_packet`` cycles (a
+    cycle count or a callable of the packet).
+    """
+
+    def __init__(self, engine, name="proc", per_packet=10, stats=None):
+        super().__init__(engine, name, stats)
         self.handled = []
+        for packet_type in (int, str):
+            self._register_packet(packet_type, self._record, per_packet)
 
-    def service_time(self, packet):
-        return self.per_packet
-
-    def handle(self, packet):
+    def _record(self, packet):
         self.handled.append((packet, self.now))
 
 
@@ -56,17 +59,56 @@ class TestPacketProcessor:
 
     def test_negative_service_time_rejected(self):
         engine = Engine()
-        proc = RecordingProcessor(engine, per_packet=-1)
-        # Service starts synchronously when the processor is idle, so the
+        # A constant service time is checked when its type is registered.
+        with pytest.raises(ValueError):
+            RecordingProcessor(engine, per_packet=-1)
+        # A packet-dependent one is checked when the packet starts service,
+        # which happens synchronously when the processor is idle, so the
         # error surfaces on the receive call itself.
+        proc = RecordingProcessor(engine, per_packet=lambda packet: -1)
         with pytest.raises(ValueError):
             proc.receive("bad")
+
+    def test_service_time_may_depend_on_the_packet(self):
+        engine = Engine()
+        proc = RecordingProcessor(engine, per_packet=len)
+        proc.receive("abc")
+        proc.receive("abcdefg")
+        engine.run()
+        assert proc.handled == [("abc", 3), ("abcdefg", 10)]
+        assert proc.busy_cycles == 10
+
+    def test_queued_unregistered_packet_fails_when_it_reaches_service(self):
+        # (An idle module rejects it on receive: see test_frontend_modules.)
+        engine = Engine()
+        proc = RecordingProcessor(engine)
+        proc.receive(1)
+        proc.receive(2.5)
+        assert proc.queue_length == 1
+        with pytest.raises(ProtocolError, match="proc received unexpected"):
+            engine.run()
+        assert proc.handled == [(1, 10)]
+
+    def test_handler_reentering_its_idle_module_keeps_fifo_order(self):
+        # A handler runs after its module goes idle, so it may deliver a
+        # packet to that module while older packets still wait.
+        engine = Engine()
+        proc = RecordingProcessor(engine, per_packet=10)
+
+        def record_and_echo(packet):
+            proc.handled.append((packet, engine.now))
+            if packet == 0:
+                proc.receive("echo")
+        proc._register_packet(int, record_and_echo, 10)
+        proc.receive(0)
+        proc.receive(1)
+        engine.run()
+        assert proc.handled == [(0, 10), (1, 20), ("echo", 30)]
 
     def test_stats_counters_track_packets(self):
         engine = Engine()
         stats = StatsCollector()
-        proc = RecordingProcessor(engine, per_packet=1)
-        proc.stats = stats
+        proc = RecordingProcessor(engine, per_packet=1, stats=stats)
         for i in range(4):
             proc.receive(i)
         engine.run()
@@ -102,8 +144,9 @@ class TestStatsCollector:
     def test_counters_default_to_zero(self):
         stats = StatsCollector()
         assert stats.counter("missing") == 0
-        stats.count("hits", 3)
-        stats.count("hits")
+        hits = stats.counter_handle("hits")
+        hits.add(3)
+        hits.add()
         assert stats.counter("hits") == 4
 
     def test_accumulator_statistics(self):
@@ -117,14 +160,15 @@ class TestStatsCollector:
     def test_record_and_mean(self):
         stats = StatsCollector()
         assert stats.mean("empty") == 0.0
-        stats.record("x", 10)
-        stats.record("x", 20)
+        x = stats.accumulator_handle("x")
+        x.add(10)
+        x.add(20)
         assert stats.mean("x") == pytest.approx(15.0)
 
     def test_summary_includes_counters_and_means(self):
         stats = StatsCollector()
-        stats.count("a", 2)
-        stats.record("b", 3.0)
+        stats.counter_handle("a").add(2)
+        stats.accumulator_handle("b").add(3.0)
         summary = stats.summary()
         assert summary["a"] == 2.0
         assert summary["b.mean"] == pytest.approx(3.0)
@@ -132,10 +176,12 @@ class TestStatsCollector:
     def test_summary_includes_histograms_and_sample_counts(self):
         # Histograms and time series used to be silently dropped.
         stats = StatsCollector()
-        stats.observe("chain.length", 1, weight=95)
-        stats.observe("chain.length", 7, weight=5)
-        stats.sample("window", 10, 3.0)
-        stats.sample("window", 20, 5.0)
+        chain = stats.histogram_handle("chain.length")
+        chain.add(1, weight=95)
+        chain.add(7, weight=5)
+        window = stats.sampler_handle("window")
+        window.add(10, 3.0)
+        window.add(20, 5.0)
         summary = stats.summary()
         assert summary["chain.length.count"] == 100.0
         assert summary["chain.length.mean"] == pytest.approx(1.3)
@@ -147,8 +193,9 @@ class TestStatsCollector:
         # Regression: accumulators reported <name>.max but histograms never
         # did, so reports could not quote a histogram's largest observation.
         stats = StatsCollector()
-        stats.observe("depth", 2)
-        stats.observe("depth", 9)
+        depth = stats.histogram_handle("depth")
+        depth.add(2)
+        depth.add(9)
         summary = stats.summary()
         assert summary["depth.max"] == 9.0
         empty = StatsCollector()
@@ -162,10 +209,12 @@ class TestStatsCollector:
         # overwrite them), while <name>.count and <name>.p95 always report
         # the histogram.
         stats = StatsCollector()
-        stats.record("shared", 100.0)
-        stats.record("shared", 200.0)
-        stats.observe("shared", 1, weight=3)
-        stats.observe("shared", 5)
+        accumulator = stats.accumulator_handle("shared")
+        accumulator.add(100.0)
+        accumulator.add(200.0)
+        histogram = stats.histogram_handle("shared")
+        histogram.add(1, weight=3)
+        histogram.add(5)
         summary = stats.summary()
         assert summary["shared.mean"] == pytest.approx(150.0)  # accumulator
         assert summary["shared.max"] == 200.0                  # accumulator
@@ -177,7 +226,7 @@ class TestStatsCollector:
         handle = stats.counter_handle("hits")
         handle.add()
         handle.add(2)
-        stats.count("hits", 4)
+        stats.counter_handle("hits").add(4)
         assert stats.counter("hits") == 7
         assert stats.counter_handle("hits") is handle
         assert stats.counters["hits"] == 7
@@ -186,30 +235,19 @@ class TestStatsCollector:
         stats = StatsCollector()
         acc = stats.accumulator_handle("x")
         acc.add(10.0)
-        stats.record("x", 20.0)
+        stats.accumulator_handle("x").add(20.0)
         assert stats.mean("x") == pytest.approx(15.0)
         hist = stats.histogram_handle("h")
         hist.add(3)
-        stats.observe("h", 5)
+        stats.histogram_handle("h").add(5)
         assert stats.histograms["h"].count == 2
 
     def test_sampler_handle_appends_to_the_series(self):
         stats = StatsCollector()
         sampler = stats.sampler_handle("occupancy")
         sampler.add(5, 1.0)
-        stats.sample("occupancy", 9, 2.0)
+        stats.sampler_handle("occupancy").add(9, 2.0)
         assert stats.samples["occupancy"] == [(5, 1.0), (9, 2.0)]
-
-    def test_reassigning_module_stats_rebinds_handles(self):
-        # PacketProcessor binds its counter handles at construction; swapping
-        # the collector afterwards must re-point them at the new one.
-        engine = Engine()
-        proc = RecordingProcessor(engine)
-        replacement = StatsCollector()
-        proc.stats = replacement
-        proc.stall()
-        assert replacement.counter("proc.stalls") == 1
-        assert proc.stats is replacement
 
 
 class TestSamplerMemoryCap:
@@ -290,8 +328,9 @@ class TestHistogram:
 
     def test_summary_emits_p50_and_p99_alongside_p95(self):
         stats = StatsCollector()
+        latency = stats.histogram_handle("latency")
         for value in range(1, 101):
-            stats.observe("latency", value)
+            latency.add(value)
         summary = stats.summary()
         assert summary["latency.p50"] == 50.0
         assert summary["latency.p95"] == 95.0

@@ -93,11 +93,18 @@ class TestSweepSpec:
         assert ids_a == ids_b
 
     def test_unknown_parameter_rejected(self):
-        spec = SweepSpec(name="bad", workloads=("Cholesky",),
-                         axes={"frontend.no_such_field": (1,)})
-        spec.validate()  # the name parses as a frontend override...
-        with pytest.raises(TypeError):
-            build_point_config(spec.points()[0].as_dict())  # ...but fails to apply
+        # A dotted override must name a field of its config section; a typo
+        # fails at validation, naming the parameter, not later point by point.
+        with pytest.raises(ConfigurationError, match="frontend.no_such_field"):
+            SweepSpec(name="bad", workloads=("Cholesky",),
+                      axes={"frontend.no_such_field": (1,)}).validate()
+        with pytest.raises(ConfigurationError, match="frontend.num_tr'"):
+            SweepSpec(name="bad", workloads=("Cholesky",),
+                      base={"frontend.num_tr": 4}).validate()
+        with pytest.raises(ConfigurationError, match="backend.allow_task_stealing"):
+            SweepSpec(name="bad", workloads=("Cholesky",),
+                      axes={"knobs": [{"backend.allow_task_stealing": True}]},
+                      ).validate()
 
         with pytest.raises(ConfigurationError):
             SweepSpec(name="bad", workloads=("Cholesky",),
