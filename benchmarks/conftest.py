@@ -17,6 +17,9 @@ import os
 
 import pytest
 
+from repro.sweep.campaign import Campaign, MemberReport, run_campaign
+from repro.sweep.spec import SweepSpec
+
 #: Problem-size multiplier for the benchmark sweeps.
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.7"))
 
@@ -24,6 +27,11 @@ BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.7"))
 def run_once(benchmark, function, *args, **kwargs):
     """Run ``function`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def run_member(spec: SweepSpec) -> MemberReport:
+    """Run one figure grid as a one-member, seed-0 campaign."""
+    return run_campaign(Campaign(name=spec.name, members=(spec,))).member(spec.name)
 
 
 @pytest.fixture

@@ -1,21 +1,23 @@
 """Figure 13: average task decode rate vs. #TRS / #ORT over all benchmarks."""
 
-from benchmarks.conftest import BENCH_SCALE, run_once
+from benchmarks.conftest import BENCH_SCALE, run_member, run_once
 from repro.experiments import decode_rate
+from repro.workloads import registry
 
 TRS_COUNTS = (1, 2, 4, 8, 16)
 ORT_COUNTS = (1, 2)
 
 
 def _sweep():
-    return decode_rate.figure13(trs_counts=TRS_COUNTS, ort_counts=ORT_COUNTS,
-                                scale_factor=BENCH_SCALE, max_tasks=250)
+    spec = decode_rate.decode_rate_spec("fig13", registry.table1_names(),
+                                        TRS_COUNTS, ORT_COUNTS,
+                                        scale_factor=BENCH_SCALE, max_tasks=250)
+    return decode_rate.decode_rate_series(run_member(spec))["Average"]
 
 
 def test_fig13_average_decode_rate(benchmark):
-    points = run_once(benchmark, _sweep)
-    print("\n" + decode_rate.format_series(points))
-    by_key = {(p.num_trs, p.num_ort): p.decode_rate_cycles for p in points}
+    by_key = run_once(benchmark, _sweep)
+    print("\n" + decode_rate.format_series("Average", by_key))
     # Increasing pipeline parallelism consistently speeds up the average
     # decode rate.
     for ort in ORT_COUNTS:

@@ -1,6 +1,6 @@
 """Figure 14: speedup vs. total ORT capacity (Cholesky, H264)."""
 
-from benchmarks.conftest import BENCH_SCALE, run_once
+from benchmarks.conftest import BENCH_SCALE, run_member, run_once
 from repro.common.units import KB, MB
 from repro.experiments import capacity
 
@@ -9,23 +9,25 @@ CAPACITIES = (16 * KB, 64 * KB, 256 * KB, 1 * MB)
 
 
 def _sweep():
-    return capacity.figure14(workloads=("Cholesky", "H264"), capacities=CAPACITIES,
-                             num_cores=256, scale_factor=BENCH_SCALE)
+    spec = capacity.capacity_spec(("Cholesky", "H264"), "ort", CAPACITIES,
+                                  num_cores=256, scale_factor=BENCH_SCALE)
+    member = run_member(spec)
+    return (capacity.capacity_series(member, CAPACITIES),
+            capacity.capacity_series(member, CAPACITIES, "window_peak_tasks"))
 
 
 def test_fig14_ort_capacity_sweep(benchmark):
-    series = run_once(benchmark, _sweep)
-    print("\n" + capacity.format_series(series, "ORT capacity"))
-    for name, points in series.items():
-        speedups = [p.speedup for p in points]
+    series, peaks = run_once(benchmark, _sweep)
+    print("\n" + capacity.format_series(series, CAPACITIES, "ORT capacity"))
+    for name, speedups in series.items():
         # Larger ORT capacity sustains a larger window and never hurts
         # (within a small noise margin).
         assert speedups[-1] >= speedups[0] * 0.95, name
         assert max(speedups) == max(speedups[-2:]) or speedups[-1] >= 0.9 * max(speedups), name
         # The largest capacity supports a larger peak task window.
-        assert points[-1].window_peak_tasks >= points[0].window_peak_tasks, name
-    cholesky = [p.speedup for p in series["Cholesky"]]
-    h264 = [p.speedup for p in series["H264"]]
+        assert peaks[name][-1] >= peaks[name][0], name
+    cholesky = series["Cholesky"]
+    h264 = series["H264"]
     # Cholesky saturates early (the paper: ~128 KB suffices), so the final
     # capacity step buys it little.
     assert cholesky[-1] <= cholesky[-2] * 1.3

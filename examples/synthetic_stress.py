@@ -9,17 +9,18 @@ shape* directly.  This example:
    (``workload.dep_distance``) crossed with machine width, through the cached
    parallel sweep runner -- re-run the script and every point answers from
    the artifact cache,
-2. runs the two ``synthetic_stress`` campaigns and prints their report:
-   decode rate degrading as per-task operand count approaches the 19-operand
-   TRS layout limit, and task-window occupancy growing with the
+2. runs the ``synthetic-stress`` campaign at seed 0 and prints its stress
+   maps: decode rate degrading as per-task operand count approaches the
+   19-operand TRS layout limit, and task-window occupancy growing with the
    creation-stream distance between dependent tasks.
 
 Run with::
 
     python examples/synthetic_stress.py [--jobs 2] [--artifacts DIR] [--quick]
 
-The same campaigns are available from the CLI as ``python -m repro synth
-stress``, and any synthetic spec works wherever a workload name does, e.g.::
+The same campaign runs from the CLI, with a seed ensemble, as ``python -m
+repro campaign run --campaign synthetic-stress``, and any synthetic spec
+works wherever a workload name does, e.g.::
 
     python -m repro simulate --workload "random_dag:width=16,dep_distance=64"
 """
@@ -28,6 +29,7 @@ import argparse
 
 from repro.experiments import synthetic_stress
 from repro.sweep import ResultCache, SweepSpec, default_runner
+from repro.sweep.campaign import run_campaign
 
 
 def horizon_spec() -> SweepSpec:
@@ -51,7 +53,7 @@ def main() -> None:
     parser.add_argument("--artifacts", default=".repro-artifacts/sweeps",
                         help="cache directory (shared across campaigns)")
     parser.add_argument("--quick", action="store_true",
-                        help="smaller stress campaigns")
+                        help="the campaign's quick grids")
     args = parser.parse_args()
 
     cache = ResultCache(args.artifacts)
@@ -68,8 +70,9 @@ def main() -> None:
     print(run.summary())
 
     print()
-    series = synthetic_stress.run_all(runner, quick=args.quick)
-    print(synthetic_stress.format_report(series))
+    campaign = synthetic_stress.synthetic_stress_campaign(seeds=(0,),
+                                                          quick=args.quick)
+    print(synthetic_stress.format_report(run_campaign(campaign, runner)))
     print(f"\nartifacts under {cache.root} ({len(cache)} cached points); "
           "re-run to see every point answered from the cache")
 

@@ -13,20 +13,20 @@ Python:
   sweeps use to generate each trace once and share it across the whole
   worker fleet (:mod:`repro.trace.store`).
 * ``python -m repro experiment table1|table2|fig1|fig3`` -- regenerate the
-  cheap paper artefacts (the expensive figure sweeps live in ``benchmarks/``
-  and ``repro.experiments.runner``).
+  cheap paper artefacts (the expensive Figures 12-16 are ``repro campaign``
+  campaigns, all run at once by ``repro.experiments.runner``).
 * ``python -m repro sweep --workload Cholesky --axis frontend.num_trs=1,4,16
   --axis num_cores=64,256 --jobs 4`` -- run a declarative parameter sweep
   over a worker pool, caching every simulated point under ``--artifacts`` so
   interrupted sweeps resume without recomputation (see :mod:`repro.sweep`);
   ``topology.*`` axes (e.g. ``--axis topology.num_frontends=1,2,4``) sweep
   multi-frontend machine shapes (:mod:`repro.topology`).
-* ``python -m repro synth list|stress`` -- inspect the synthetic task-graph
-  families and run the design-space stress campaigns
-  (:mod:`repro.experiments.synthetic_stress`).
+* ``python -m repro synth list`` -- inspect the synthetic task-graph
+  families and their knobs (:mod:`repro.workloads.synthetic`).
 * ``python -m repro campaign list|run|report`` -- seed-ensemble scenario
-  campaigns: cross-workload design-space grids with mean/std/95%-CI
-  aggregation and baseline-relative ablation tables, reports under
+  campaigns: the paper's Figures 12-16, the synthetic stress maps,
+  cross-workload design-space grids and ablations, with mean/std/95%-CI
+  aggregation, each campaign's figure tables, and reports under
   ``<artifacts>/campaigns/<campaign_id>/`` (:mod:`repro.sweep.campaign`,
   :mod:`repro.experiments.campaigns`).
 * ``python -m repro bench obs-overhead|trace|profile`` -- the host-side
@@ -294,43 +294,29 @@ def _print_telemetry(root: str, digests=None) -> None:
               f"{summary.get('events', 0):>9} events  {headline}")
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    from repro.experiments import synthetic_stress
+def _cmd_synth(_args: argparse.Namespace) -> int:
     from repro.workloads.synthetic import SYNTHETIC_FAMILIES, SyntheticWorkload
 
-    if args.action == "list":
-        print(f"{'Family':16s} {'Kernel':12s} Description")
-        for cls in SYNTHETIC_FAMILIES:
-            print(f"{cls.spec.name:16s} {cls.kernel_name:12s} {cls.spec.description}")
-        shared = SyntheticWorkload().params()
-        print("\nKnobs (workload.<knob> in sweeps, name:knob=value on --workload):")
-        for knob, value in shared.items():
-            print(f"  {knob} (default {value!r})")
-        overrides = []
-        unset = object()
-        for cls in SYNTHETIC_FAMILIES:
-            # Knobs absent from the shared base (e.g. skewed_lanes' ``skew``)
-            # are family-specific and always worth listing.
-            diffs = {knob: value for knob, value in cls().params().items()
-                     if value != shared.get(knob, unset)}
-            if diffs:
-                rendered = ", ".join(f"{k}={v!r}" for k, v in diffs.items())
-                overrides.append(f"  {cls.spec.name}: {rendered}")
-        if overrides:
-            print("\nPer-family default overrides:")
-            print("\n".join(overrides))
-        return 0
-
-    # action == "stress"
-    runner, cache = _make_runner(args)
-    campaigns = (synthetic_stress.CAMPAIGNS if args.campaign == "all"
-                 else (args.campaign,))
-    series = synthetic_stress.run_all(runner, quick=args.quick,
-                                      campaigns=campaigns)
-    print(synthetic_stress.format_report(series))
-    if cache is not None:
-        print()
-        _print_artifacts(cache)
+    print(f"{'Family':16s} {'Kernel':12s} Description")
+    for cls in SYNTHETIC_FAMILIES:
+        print(f"{cls.spec.name:16s} {cls.kernel_name:12s} {cls.spec.description}")
+    shared = SyntheticWorkload().params()
+    print("\nKnobs (workload.<knob> in sweeps, name:knob=value on --workload):")
+    for knob, value in shared.items():
+        print(f"  {knob} (default {value!r})")
+    overrides = []
+    unset = object()
+    for cls in SYNTHETIC_FAMILIES:
+        # Knobs absent from the shared base (e.g. skewed_lanes' ``skew``)
+        # are family-specific and always worth listing.
+        diffs = {knob: value for knob, value in cls().params().items()
+                 if value != shared.get(knob, unset)}
+        if diffs:
+            rendered = ", ".join(f"{k}={v!r}" for k, v in diffs.items())
+            overrides.append(f"  {cls.spec.name}: {rendered}")
+    if overrides:
+        print("\nPer-family default overrides:")
+        print("\n".join(overrides))
     return 0
 
 
@@ -470,6 +456,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _campaign_from_args(args: argparse.Namespace):
     from repro.experiments import campaigns as drivers
 
+    if args.seeds < 0:
+        raise SystemExit(f"--seeds must be 0 (the campaign's own ensemble) "
+                         f"or positive, got {args.seeds}")
     seeds = range(args.seeds) if args.seeds else None
     try:
         return drivers.get_campaign(args.campaign, seeds=seeds,
@@ -478,13 +467,23 @@ def _campaign_from_args(args: argparse.Namespace):
         raise SystemExit(str(error))
 
 
+def _print_campaign_report(name: str, report) -> None:
+    """The generic per-member report, then the campaign's figure tables."""
+    from repro.experiments.campaigns import TABLES
+    from repro.sweep.campaign import format_report
+
+    print(format_report(report))
+    if name in TABLES:
+        print()
+        print(TABLES[name](report))
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.sweep.campaign import (campaign_dir, format_report,
-                                      load_report, run_campaign, write_report)
+    from repro.experiments import campaigns as drivers
+    from repro.sweep.campaign import (campaign_dir, load_report, run_campaign,
+                                      write_report)
 
     if args.action == "list":
-        from repro.experiments import campaigns as drivers
-
         print(f"{'Campaign':18s} Description")
         for name in sorted(drivers.CAMPAIGNS):
             print(f"{name:18s} {drivers.DESCRIPTIONS.get(name, '')}")
@@ -517,7 +516,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 f"{moved if moved is not None else '<already gone>'}; "
                 f"regenerate with `repro campaign run --campaign "
                 f"{args.campaign}` (cached points make the re-run cheap)")
-        print(format_report(report))
+        _print_campaign_report(args.campaign, report)
         print(f"report: {directory}")
         return 0
 
@@ -537,7 +536,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             obs_restore()
         if faults_restore is not None:
             faults_restore()
-    print(format_report(report))
+    _print_campaign_report(args.campaign, report)
     if obs_root is not None:
         _print_telemetry(obs_root)
     print(f"campaign totals: {report.recomputed_points} points recomputed, "
@@ -1012,21 +1011,10 @@ def build_parser() -> argparse.ArgumentParser:
     faults_check.set_defaults(func=_cmd_faults)
 
     synth = subparsers.add_parser(
-        "synth", help="synthetic task-graph families and stress campaigns")
-    synth.add_argument("action", choices=("list", "stress"),
-                       help="'list' the families and knobs, or run the "
-                            "'stress' design-space campaigns")
-    synth.add_argument("--campaign", choices=("all", "operands", "window"),
-                       default="all",
-                       help="which stress campaign to run (default all)")
-    synth.add_argument("--quick", action="store_true",
-                       help="smaller axes so the campaigns finish in seconds")
-    synth.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (1 = serial)")
-    synth.add_argument("--artifacts", default=None,
-                       help="cache directory (default .repro-artifacts/sweeps)")
-    synth.add_argument("--no-cache", action="store_true",
-                       help="recompute every point; write nothing to disk")
+        "synth", help="synthetic task-graph families (the stress maps are "
+                      "`repro campaign run --campaign synthetic-stress`)")
+    synth.add_argument("action", choices=("list",),
+                       help="'list' the families and knobs")
     synth.set_defaults(func=_cmd_synth)
 
     return parser

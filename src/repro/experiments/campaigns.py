@@ -1,13 +1,23 @@
-"""Campaign drivers: the design-space study and the capacity ablation.
+"""The campaign registry: every family of sweeps the repository runs.
 
-Two ready-made :class:`~repro.sweep.campaign.Campaign` families, exposed on
-the CLI as ``repro campaign run|report|list``:
+Each entry is a ``(seeds, quick)`` factory returning a
+:class:`~repro.sweep.campaign.Campaign`, exposed on the CLI as
+``repro campaign run|report|list``:
 
+* ``decode-rate`` -- Figures 12 and 13 (members ``fig12`` and ``fig13``),
+  built in :mod:`repro.experiments.decode_rate`.
+* ``capacity`` -- Figures 14 and 15 (members ``ort`` and ``trs``), built in
+  :mod:`repro.experiments.capacity`.
+* ``speedup`` -- Figure 16, hardware pipeline vs. software runtime (member
+  ``fig16``), built in :mod:`repro.experiments.scaling`.
+* ``synthetic-stress`` -- decode rate vs. operand count and task window vs.
+  dependency distance on synthetic families (members ``operands`` and
+  ``window``), built in :mod:`repro.experiments.synthetic_stress`.
 * ``design-space`` -- the cross-workload capacity x parallelism x width
-  study the ROADMAP asks for: task-window capacity (``frontend.num_trs``),
-  backend parallelism (``num_cores``) and frontend machine width (linked
-  ORT/OVT lane counts) swept together over Table I benchmarks *and*
-  synthetic families, with a seed ensemble providing variance bars.
+  study: task-window capacity (``frontend.num_trs``), backend parallelism
+  (``num_cores``) and frontend machine width (linked ORT/OVT lane counts)
+  swept together over Table I benchmarks *and* synthetic families, with a
+  seed ensemble providing variance bars.
 * ``window-ablation`` -- a variant grid diffed against the paper's Table II
   operating point: ORT/OVT capacity halved, TRS (task-window) capacity
   halved, and an effectively unbounded window, each reported as
@@ -16,21 +26,24 @@ the CLI as ``repro campaign run|report|list``:
   steal policy) over a regular and a deliberately imbalanced workload; the
   driver lives in :mod:`repro.experiments.topology_scaling`.
 
-Both are incremental: every underlying point is an ordinary sweep point in
-the content-addressed result cache and every trace lives in the packed
-trace store, so re-running a campaign recomputes nothing and widening the
-seed ensemble simulates only the new seeds.
+:data:`TABLES` holds each campaign's figure view, the text tables printed
+after the generic per-member report.  All campaigns are incremental: every
+underlying point is an ordinary sweep point in the content-addressed result
+cache and every trace lives in the packed trace store, so re-running a
+campaign recomputes nothing and widening the seed ensemble simulates only
+the new seeds.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.experiments.topology_scaling import topology_scaling_campaign
-from repro.sweep.campaign import Ablation, Campaign
+from repro.experiments import (capacity, decode_rate, scaling,
+                               synthetic_stress, topology_scaling)
+from repro.sweep.campaign import Ablation, Campaign, CampaignReport
 from repro.sweep.spec import SweepSpec
 
-#: Default ensemble for both drivers (variance bars need >= 3 seeds).
+#: Default ensemble of every campaign (variance bars need >= 3 seeds).
 DEFAULT_SEEDS = (0, 1, 2)
 
 #: 512 MB: far above any trace in the repo, i.e. an unbounded task window.
@@ -105,19 +118,39 @@ def window_ablation_campaign(seeds: Sequence[int] = DEFAULT_SEEDS,
 #: name -> factory(seeds, quick) registry the CLI resolves ``--campaign`` in.
 CampaignFactory = Callable[..., Campaign]
 CAMPAIGNS: Dict[str, CampaignFactory] = {
+    "decode-rate": decode_rate.decode_rate_campaign,
+    "capacity": capacity.capacity_campaign,
+    "speedup": scaling.speedup_campaign,
+    "synthetic-stress": synthetic_stress.synthetic_stress_campaign,
     "design-space": design_space_campaign,
     "window-ablation": window_ablation_campaign,
-    "topology-scaling": topology_scaling_campaign,
+    "topology-scaling": topology_scaling.topology_scaling_campaign,
 }
 
 #: One-line descriptions for ``repro campaign list``.
 DESCRIPTIONS: Dict[str, str] = {
+    "decode-rate": "Figs. 12-13: decode rate vs #TRS x #ORT (Cholesky and "
+                   "H264; all nine Table I benchmarks)",
+    "capacity": "Figs. 14-15: speedup vs total ORT and TRS capacity",
+    "speedup": "Fig. 16: speedup vs cores, hardware pipeline vs software "
+               "runtime",
+    "synthetic-stress": "decode rate vs operand count, task window vs "
+                        "dependency distance (synthetic families)",
     "design-space": "task-window x cores x frontend width over Table I + "
                     "synthetic workloads",
     "window-ablation": "ORT/OVT halved, TRS halved and unbounded window vs "
                        "the Table II baseline",
     "topology-scaling": "speedup vs frontend count x shard policy (with and "
                         "without work stealing)",
+}
+
+#: Figure view of a campaign's report (text tables of group means).
+TABLES: Dict[str, Callable[[CampaignReport], str]] = {
+    "decode-rate": decode_rate.format_report,
+    "capacity": capacity.format_report,
+    "speedup": scaling.format_report,
+    "synthetic-stress": synthetic_stress.format_report,
+    "topology-scaling": topology_scaling.format_speedup_table,
 }
 
 

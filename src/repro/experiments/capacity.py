@@ -7,6 +7,11 @@ over all benchmarks.  Larger capacities sustain a larger task window and
 therefore uncover more parallelism, until either the application's
 parallelism or the task-generating thread saturates.
 
+Both figures are members of the ``capacity`` campaign
+(:func:`capacity_campaign`), named after their axis: ``ort`` and ``trs``.
+:func:`capacity_series` pivots a member's report back onto the nominal
+capacity axis.
+
 The Python traces are smaller than the paper's (thousands rather than tens of
 thousands of tasks), so the capacity axes are scaled down by
 ``CAPACITY_SCALE`` to keep the knee of each curve inside the swept range; the
@@ -17,14 +22,11 @@ reproduction target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.backend.system import SimulationResult
 from repro.common.units import KB, MB
-from repro.sweep.runner import SweepRunner
+from repro.sweep.campaign import Campaign, CampaignReport, MemberReport
 from repro.sweep.spec import SweepSpec
-from repro.workloads import registry
 
 #: Capacity points of Figure 14 (total ORT bytes) and Figure 15 (total TRS bytes).
 ORT_CAPACITY_POINTS = (16 * KB, 32 * KB, 64 * KB, 128 * KB, 256 * KB, 512 * KB, 1 * MB)
@@ -37,152 +39,92 @@ TRS_CAPACITY_POINTS = (128 * KB, 256 * KB, 512 * KB, 1 * MB, 2 * MB, 4 * MB, 6 *
 CAPACITY_SCALE = 8
 
 
-@dataclass
-class CapacityPoint:
-    """Speedup measured at one capacity setting."""
-
-    workload: str
-    capacity_bytes: int
-    speedup: float
-    window_peak_tasks: int
-    decode_rate_cycles: float
-
-
-def _capacity_overrides(ort_bytes: Optional[int],
-                        trs_bytes: Optional[int]) -> Dict[str, int]:
+def _capacity_overrides(axis: str, capacity: int) -> Dict[str, int]:
     """Frontend overrides for one nominal capacity point (scaled down)."""
-    overrides: Dict[str, int] = {}
-    if ort_bytes is not None:
-        scaled = max(4 * KB, ort_bytes // CAPACITY_SCALE)
-        overrides["frontend.total_ort_capacity_bytes"] = scaled
-        overrides["frontend.total_ovt_capacity_bytes"] = scaled
-    if trs_bytes is not None:
-        scaled = max(16 * KB, trs_bytes // CAPACITY_SCALE)
-        overrides["frontend.total_trs_capacity_bytes"] = scaled
-    return overrides
+    if axis == "ort":
+        scaled = max(4 * KB, capacity // CAPACITY_SCALE)
+        return {"frontend.total_ort_capacity_bytes": scaled,
+                "frontend.total_ovt_capacity_bytes": scaled}
+    return {"frontend.total_trs_capacity_bytes":
+            max(16 * KB, capacity // CAPACITY_SCALE)}
 
 
 def capacity_spec(workloads: Sequence[str], axis: str,
                   capacities: Sequence[int], num_cores: int = 256,
-                  scale_factor: float = 1.0, seed: int = 0) -> SweepSpec:
+                  scale_factor: float = 1.0) -> SweepSpec:
     """The Figure 14 (``axis="ort"``) / 15 (``axis="trs"``) grid as a spec.
 
-    Each capacity point is a linked axis value because one nominal capacity
-    sets several (scaled) frontend fields at once.
+    The spec is named after its axis.  Each capacity point is a linked axis
+    value because one nominal capacity sets several (scaled) frontend fields
+    at once.  Nominal capacities that scale to the same configuration
+    (Figure 14's 16 KB and 32 KB both clamp to the 4 KB floor) are listed
+    once, so a campaign never counts one design point twice.
     """
     if axis not in ("ort", "trs"):
         raise ValueError(f"axis must be 'ort' or 'trs', got {axis!r}")
-    values = [_capacity_overrides(ort_bytes=c if axis == "ort" else None,
-                                  trs_bytes=c if axis == "trs" else None)
-              for c in capacities]
+    values: List[Dict[str, int]] = []
+    for capacity in capacities:
+        overrides = _capacity_overrides(axis, capacity)
+        if overrides not in values:
+            values.append(overrides)
     return SweepSpec(
-        name=f"{axis}-capacity",
+        name=axis,
         workloads=tuple(workloads),
         axes={"capacity": values},
-        base={"num_cores": num_cores, "scale_factor": scale_factor, "seed": seed},
+        base={"num_cores": num_cores, "scale_factor": scale_factor},
     )
 
 
-def _capacity_point(workload: str, capacity: int,
-                    result: SimulationResult) -> CapacityPoint:
-    return CapacityPoint(workload=workload, capacity_bytes=capacity,
-                         speedup=result.speedup,
-                         window_peak_tasks=result.window_peak_tasks,
-                         decode_rate_cycles=result.decode_rate_cycles)
+def capacity_campaign(seeds: Sequence[int], quick: bool = False) -> Campaign:
+    """The ``capacity`` campaign: members ``ort`` (Fig. 14), ``trs`` (Fig. 15).
 
-
-def _sweep_capacity(name: str, axis: str, capacities: Sequence[int],
-                    num_cores: int, scale_factor: float, seed: int,
-                    runner) -> List[CapacityPoint]:
-    spec = capacity_spec((name,), axis, capacities, num_cores=num_cores,
-                         scale_factor=scale_factor, seed=seed)
-    runner = runner if runner is not None else SweepRunner()
-    run = runner.run(spec)
-    return [_capacity_point(point.workload, capacity, result)
-            for capacity, (point, result) in zip(capacities, run)]
-
-
-def sweep_ort_capacity(name: str, capacities: Sequence[int] = ORT_CAPACITY_POINTS,
-                       num_cores: int = 256, scale_factor: float = 1.0,
-                       seed: int = 0, runner=None) -> List[CapacityPoint]:
-    """Figure 14 sweep for one workload."""
-    return _sweep_capacity(name, "ort", capacities, num_cores, scale_factor,
-                           seed, runner)
-
-
-def sweep_trs_capacity(name: str, capacities: Sequence[int] = TRS_CAPACITY_POINTS,
-                       num_cores: int = 256, scale_factor: float = 1.0,
-                       seed: int = 0, runner=None) -> List[CapacityPoint]:
-    """Figure 15 sweep for one workload."""
-    return _sweep_capacity(name, "trs", capacities, num_cores, scale_factor,
-                           seed, runner)
-
-
-def _average_series(per_workload: Dict[str, List[CapacityPoint]]) -> List[CapacityPoint]:
-    capacities = [point.capacity_bytes for point in next(iter(per_workload.values()))]
-    averaged = []
-    for index, capacity in enumerate(capacities):
-        speedups = [points[index].speedup for points in per_workload.values()]
-        peaks = [points[index].window_peak_tasks for points in per_workload.values()]
-        averaged.append(CapacityPoint(workload="Average", capacity_bytes=capacity,
-                                      speedup=sum(speedups) / len(speedups),
-                                      window_peak_tasks=int(sum(peaks) / len(peaks)),
-                                      decode_rate_cycles=0.0))
-    return averaged
-
-
-def figure14(workloads: Iterable[str] = ("Cholesky", "H264"),
-             include_average: bool = False,
-             capacities: Sequence[int] = ORT_CAPACITY_POINTS,
-             num_cores: int = 256,
-             scale_factor: float = 1.0,
-             runner=None) -> Dict[str, List[CapacityPoint]]:
-    """Figure 14: speedup vs. total ORT capacity.
-
-    ``include_average`` adds the all-benchmark average series (expensive: it
-    simulates every workload at every capacity point).
+    ``quick`` shrinks the traces; both grids keep every capacity point.
     """
-    names = list(workloads)
-    if include_average:
-        names = registry.table1_names()
-    series = {name: sweep_ort_capacity(name, capacities, num_cores, scale_factor,
-                                       runner=runner)
-              for name in names}
-    result = {name: series[name] for name in workloads if name in series}
-    if include_average:
-        result["Average"] = _average_series(series)
-    return result
+    scale = 0.6 if quick else 1.0
+    workloads = ("Cholesky", "H264")
+    return Campaign(name="capacity", seeds=seeds, members=(
+        capacity_spec(workloads, "ort", ORT_CAPACITY_POINTS, scale_factor=scale),
+        capacity_spec(workloads, "trs", TRS_CAPACITY_POINTS, scale_factor=scale),
+    ))
 
 
-def figure15(workloads: Iterable[str] = ("Cholesky", "H264"),
-             include_average: bool = False,
-             capacities: Sequence[int] = TRS_CAPACITY_POINTS,
-             num_cores: int = 256,
-             scale_factor: float = 1.0,
-             runner=None) -> Dict[str, List[CapacityPoint]]:
-    """Figure 15: speedup vs. total TRS capacity."""
-    names = list(workloads)
-    if include_average:
-        names = registry.table1_names()
-    series = {name: sweep_trs_capacity(name, capacities, num_cores, scale_factor,
-                                       runner=runner)
-              for name in names}
-    result = {name: series[name] for name in workloads if name in series}
-    if include_average:
-        result["Average"] = _average_series(series)
-    return result
+def capacity_series(member: MemberReport, capacities: Sequence[int],
+                    metric: str = "speedup") -> Dict[str, List[float]]:
+    """Pivot a capacity member into ``workload -> [mean per capacity]``.
+
+    The member's name is its axis.  Each nominal capacity reads the design
+    point its scaled overrides select, so capacities that clamp to one
+    configuration repeat its value.
+    """
+    series: Dict[str, List[float]] = {}
+    for capacity in capacities:
+        wanted = _capacity_overrides(member.name, capacity).items()
+        for group in member.groups:
+            if wanted <= group.params.items():
+                series.setdefault(str(group.params["workload"]), []).append(
+                    group.metrics[metric].mean)
+    return series
 
 
-def format_series(series: Dict[str, List[CapacityPoint]], axis_label: str) -> str:
+def format_series(series: Dict[str, List[float]], capacities: Sequence[int],
+                  axis_label: str) -> str:
     """Render capacity sweeps as a text table: rows = capacity, columns = workload."""
     names = list(series)
-    capacities = [point.capacity_bytes for point in series[names[0]]]
-    header = f"{axis_label:>12s}" + "".join(f"{name:>12s}" for name in names)
-    lines = [header]
+    lines = [f"{axis_label:>12s}" + "".join(f"{name:>12s}" for name in names)]
     for index, capacity in enumerate(capacities):
         label = f"{capacity // KB} KB" if capacity < MB else f"{capacity // MB} MB"
-        row = f"{label:>12s}"
-        for name in names:
-            row += f"{series[name][index].speedup:>12.1f}"
-        lines.append(row)
+        lines.append(f"{label:>12s}" + "".join(f"{series[name][index]:>12.1f}"
+                                               for name in names))
     return "\n".join(lines)
+
+
+def format_report(report: CampaignReport) -> str:
+    """Figures 14 and 15 of a ``capacity`` report as text tables."""
+    blocks = []
+    for figure, member, capacities, label in (
+            (14, "ort", ORT_CAPACITY_POINTS, "ORT capacity"),
+            (15, "trs", TRS_CAPACITY_POINTS, "TRS capacity")):
+        series = capacity_series(report.member(member), capacities)
+        blocks.append(f"== Figure {figure}: speedup vs. total {label} ==\n"
+                      + format_series(series, capacities, label))
+    return "\n\n".join(blocks)

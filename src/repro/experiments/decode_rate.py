@@ -7,6 +7,11 @@ H264 (many operands per task); Figure 13 plots the average over all nine
 benchmarks and compares it against the decode-rate limits for 128 and 256
 processors.
 
+Both figures are members of the ``decode-rate`` campaign
+(:func:`decode_rate_campaign`): ``fig12`` sweeps Cholesky and H264, ``fig13``
+the nine Table I benchmarks.  :func:`decode_rate_series` pivots a member's
+report into one table per workload plus the cross-workload average.
+
 To measure what the *pipeline* can sustain, the task-generating thread uses a
 near-zero creation cost (see
 :func:`repro.experiments.common.fast_generator_config`) and the backend has
@@ -15,12 +20,9 @@ enough cores that execution never back-pressures the frontend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.backend.system import SimulationResult
-from repro.common.units import cycles_to_ns
-from repro.sweep.runner import SweepRunner
+from repro.sweep.campaign import Campaign, CampaignReport, MemberReport
 from repro.sweep.spec import SweepSpec
 from repro.workloads import registry
 
@@ -28,38 +30,21 @@ from repro.workloads import registry
 TRS_COUNTS = (1, 2, 4, 8, 16, 32, 64)
 ORT_COUNTS = (1, 2, 4, 8)
 
+#: Reduced axes of the quick grid (1-16 TRSs capture the shape).
+QUICK_TRS_COUNTS = (1, 2, 4, 8, 16)
+QUICK_ORT_COUNTS = (1, 2, 4)
+
 #: Rate limits drawn as horizontal lines in Figure 13 (in cycles at 3.2 GHz,
 #: from the 15 us average shortest task: 58 ns -> ~186 cycles for 256 cores,
 #: 117 ns -> ~373 cycles for 128 cores).
 RATE_LIMIT_256P_CYCLES = 186
 RATE_LIMIT_128P_CYCLES = 373
 
-
-@dataclass
-class DecodeRatePoint:
-    """Decode rate measured for one (workload, #TRS, #ORT) configuration."""
-
-    workload: str
-    num_trs: int
-    num_ort: int
-    decode_rate_cycles: float
-    decode_rate_ns: float
-    tasks_decoded: int
+#: (#TRS, #ORT) -> value: one decode-rate table.
+RateTable = Dict[Tuple[int, int], float]
 
 
-def _decode_point(workload: str, num_trs: int, num_ort: int,
-                  result: SimulationResult) -> DecodeRatePoint:
-    return DecodeRatePoint(
-        workload=workload,
-        num_trs=num_trs,
-        num_ort=num_ort,
-        decode_rate_cycles=result.decode_rate_cycles,
-        decode_rate_ns=result.decode_rate_ns,
-        tasks_decoded=result.tasks_decoded,
-    )
-
-
-def decode_rate_spec(workloads: Sequence[str],
+def decode_rate_spec(name: str, workloads: Sequence[str],
                      trs_counts: Sequence[int] = TRS_COUNTS,
                      ort_counts: Sequence[int] = ORT_COUNTS,
                      scale_factor: float = 1.0, max_tasks: Optional[int] = 600,
@@ -68,10 +53,10 @@ def decode_rate_spec(workloads: Sequence[str],
 
     ORT and OVT counts are linked (each OVT pairs with one ORT, Section IV),
     so they form one axis; the axis order (#ORT outer, #TRS inner) matches
-    the paper's figure layout and the pre-sweep nested loops.
+    the paper's figure layout.
     """
     return SweepSpec(
-        name="decode-rate",
+        name=name,
         workloads=tuple(workloads),
         axes={
             "ort": [{"frontend.num_ort": n, "frontend.num_ovt": n}
@@ -83,89 +68,63 @@ def decode_rate_spec(workloads: Sequence[str],
     )
 
 
-def sweep_workload(name: str, trs_counts: Sequence[int] = TRS_COUNTS,
-                   ort_counts: Sequence[int] = ORT_COUNTS,
-                   scale_factor: float = 1.0, max_tasks: Optional[int] = 600,
-                   num_cores: int = 256, runner=None) -> List[DecodeRatePoint]:
-    """Figure 12 sweep for one workload.
+def decode_rate_campaign(seeds: Sequence[int],
+                         quick: bool = False) -> Campaign:
+    """The ``decode-rate`` campaign: members ``fig12`` and ``fig13``.
 
-    ``runner`` is a :class:`~repro.sweep.runner.SweepRunner`; the default
-    is an uncached in-process one.  Pass one with ``jobs > 1`` (optionally
-    with a :class:`~repro.sweep.cache.ResultCache`) to fan the grid out.
+    ``quick`` shrinks both axes and the measured trace prefixes.
     """
-    spec = decode_rate_spec((name,), trs_counts, ort_counts,
-                            scale_factor=scale_factor, max_tasks=max_tasks,
-                            num_cores=num_cores)
-    runner = runner if runner is not None else SweepRunner()
-    run = runner.run(spec)
-    return [_decode_point(point.workload,
-                          point.as_dict()["frontend.num_trs"],
-                          point.as_dict()["frontend.num_ort"], result)
-            for point, result in run]
+    trs = QUICK_TRS_COUNTS if quick else TRS_COUNTS
+    ort = QUICK_ORT_COUNTS if quick else ORT_COUNTS
+    return Campaign(name="decode-rate", seeds=seeds, members=(
+        decode_rate_spec("fig12", ("Cholesky", "H264"), trs, ort,
+                         max_tasks=300 if quick else 600),
+        decode_rate_spec("fig13", registry.table1_names(), trs, ort,
+                         max_tasks=200 if quick else 400),
+    ))
 
 
-def figure12(workloads: Iterable[str] = ("Cholesky", "H264"),
-             trs_counts: Sequence[int] = TRS_COUNTS,
-             ort_counts: Sequence[int] = ORT_COUNTS,
-             scale_factor: float = 1.0, max_tasks: Optional[int] = 600,
-             runner=None) -> Dict[str, List[DecodeRatePoint]]:
-    """Figure 12: decode-rate sweeps for Cholesky and H264."""
-    return {name: sweep_workload(name, trs_counts, ort_counts,
-                                 scale_factor=scale_factor, max_tasks=max_tasks,
-                                 runner=runner)
-            for name in workloads}
+def decode_rate_series(member: MemberReport,
+                       metric: str = "decode_rate_cycles",
+                       ) -> Dict[str, RateTable]:
+    """Pivot a decode-rate member into ``workload -> {(#TRS, #ORT): mean}``.
 
-
-def figure13(trs_counts: Sequence[int] = TRS_COUNTS,
-             ort_counts: Sequence[int] = ORT_COUNTS,
-             workloads: Optional[Iterable[str]] = None,
-             scale_factor: float = 1.0,
-             max_tasks: Optional[int] = 400,
-             runner=None) -> List[DecodeRatePoint]:
-    """Figure 13: decode rate averaged over the benchmark set.
-
-    Returns one :class:`DecodeRatePoint` per (#TRS, #ORT) pair whose
-    ``decode_rate_cycles`` is the arithmetic mean over the workloads (the
-    workload field is ``"Average"``).
+    The last series, ``"Average"``, is Figure 13's curve: the arithmetic
+    mean of the workloads' means, summed in workload order.
     """
-    if workloads is None:
-        workloads = registry.table1_names()
-    per_workload = {name: sweep_workload(name, trs_counts, ort_counts,
-                                         scale_factor=scale_factor, max_tasks=max_tasks,
-                                         runner=runner)
-                    for name in workloads}
-    averaged: List[DecodeRatePoint] = []
-    for num_ort in ort_counts:
-        for num_trs in trs_counts:
-            rates = []
-            for name, points in per_workload.items():
-                match = next(p for p in points
-                             if p.num_trs == num_trs and p.num_ort == num_ort)
-                rates.append(match.decode_rate_cycles)
-            mean_cycles = sum(rates) / len(rates)
-            averaged.append(DecodeRatePoint(workload="Average", num_trs=num_trs,
-                                            num_ort=num_ort,
-                                            decode_rate_cycles=mean_cycles,
-                                            decode_rate_ns=cycles_to_ns(mean_cycles),
-                                            tasks_decoded=0))
-    return averaged
+    series: Dict[str, RateTable] = {}
+    for group in member.groups:
+        params = group.params
+        key = (int(params["frontend.num_trs"]), int(params["frontend.num_ort"]))
+        series.setdefault(str(params["workload"]), {})[key] = \
+            group.metrics[metric].mean
+    tables = list(series.values())
+    series["Average"] = {key: sum(table[key] for table in tables) / len(tables)
+                         for key in tables[0]}
+    return series
 
 
-def format_series(points: List[DecodeRatePoint]) -> str:
-    """Render a sweep as a text table: rows = #TRS, columns = #ORT."""
-    trs_values = sorted({p.num_trs for p in points})
-    ort_values = sorted({p.num_ort for p in points})
-    title = points[0].workload if points else "decode rate"
-    header = f"{title}: decode rate [cycles/task]"
+def format_series(name: str, rates: RateTable) -> str:
+    """Render one decode-rate table as text: rows = #TRS, columns = #ORT."""
+    trs_values = sorted({trs for trs, _ in rates})
+    ort_values = sorted({ort for _, ort in rates})
     columns = "".join(f"{f'{o} ORT':>12s}" for o in ort_values)
-    lines = [header, f"{'#TRS':>6s}{columns}"]
-    by_key = {(p.num_trs, p.num_ort): p for p in points}
+    lines = [f"{name}: decode rate [cycles/task]", f"{'#TRS':>6s}{columns}"]
     for trs in trs_values:
-        row = f"{trs:>6d}"
-        for ort in ort_values:
-            point = by_key.get((trs, ort))
-            row += f"{point.decode_rate_cycles:>12.0f}" if point else f"{'-':>12s}"
-        lines.append(row)
+        lines.append(f"{trs:>6d}" + "".join(f"{rates[trs, ort]:>12.0f}"
+                                            for ort in ort_values))
     lines.append(f"(rate limits: 128p = {RATE_LIMIT_128P_CYCLES} cycles, "
                  f"256p = {RATE_LIMIT_256P_CYCLES} cycles)")
+    return "\n".join(lines)
+
+
+def format_report(report: CampaignReport) -> str:
+    """Figures 12 and 13 of a ``decode-rate`` report as text tables."""
+    fig12 = report.member("fig12")
+    series = decode_rate_series(fig12)
+    lines = ["== Figure 12: decode rate vs. #TRS / #ORT (Cholesky, H264) =="]
+    lines += [format_series(name, series[name]) for name in fig12.workloads]
+    lines.append("\n== Figure 13: average decode rate vs. #TRS / #ORT ==")
+    lines.append(format_series(
+        "Average", decode_rate_series(report.member("fig13"))["Average"]))
     return "\n".join(lines)

@@ -5,7 +5,8 @@ version + JSON header (name table, drop count, meta, event count) followed
 by the five raw little-endian int64 event columns, loaded back with bulk
 ``array.frombytes``.  Files are written atomically.
 
-An *obs directory* (``--obs-dir`` / ``REPRO_OBS_DIR``) has three children::
+An *obs directory* (``--obs-dir``, or the root passed to
+:func:`repro.sweep.runner.configure_observability`) has three children::
 
     recordings/<digest>.robs    full event recordings (optional, large)
     points/<digest>.json        per-point telemetry summaries

@@ -28,7 +28,9 @@ seed-ensemble axis and an aggregation layer:
 
 The member specs must not declare their own ``seed`` axis or base override:
 the ensemble owns seeding, and a silently shadowed seed is exactly the bug
-class ``repro sweep --seed`` vs. a ``seed`` axis exhibits at the CLI.
+class ``repro sweep --seed`` vs. a ``seed`` axis exhibits at the CLI.  Nor
+may a member list one design point twice (e.g. a linked axis whose values
+apply the same overrides): aggregation would count its seeds twice.
 """
 
 from __future__ import annotations
@@ -196,7 +198,8 @@ class Campaign:
     Attributes:
         name: Campaign name (directory-friendly; used in reports and logs).
         members: The member specs, each with a unique ``name``.  Members must
-            not declare ``seed`` themselves -- the ensemble owns it.
+            not declare ``seed`` themselves -- the ensemble owns it -- nor
+            expand to one design point twice.
         seeds: The ensemble; every member point is simulated once per seed.
         baseline: Optional member name the others are ablation variants of;
             enables :func:`ablation_deltas` on the report.
@@ -241,6 +244,14 @@ class Campaign:
                 raise ConfigurationError(
                     f"member {spec.name!r} sets 'seed' in its base parameters; "
                     "the campaign's seed ensemble owns seeding")
+            seen = set()
+            for point in spec.points():
+                if point.params in seen:
+                    raise ConfigurationError(
+                        f"member {spec.name!r} repeats the design point "
+                        f"{point.label()!r}; its ensemble would be counted "
+                        "twice -- list each configuration once")
+                seen.add(point.params)
 
     def member_specs(self) -> List[SweepSpec]:
         """The specs actually run: each member plus the ensemble axis.

@@ -22,8 +22,14 @@ distinct trace once in the parent before fan-out, and workers (and later
 runs, and other processes sharing the artifacts directory) load the packed
 file by content address instead of regenerating it.  The per-process memo
 that backs :func:`trace_for_params` is keyed by the same canonical digest
-and its size is configurable via ``REPRO_TRACE_CACHE_SIZE``, so
-multi-workload grids no longer thrash it.
+and holds :data:`TRACE_CACHE_SIZE` traces; a memo miss falls back to the
+store, so multi-workload grids never regenerate a trace.
+
+Process settings: :func:`configure_trace_store` and
+:func:`configure_observability` set the trace store and telemetry that
+:func:`execute_point` uses in this process.  Runners install their store
+around in-process runs, the CLI installs ``--obs``/``--obs-dir``, and pool
+workers receive both through their initializer.
 
 Fault tolerance: pool runs use a
 ``concurrent.futures.ProcessPoolExecutor`` and treat a dead worker as a
@@ -67,19 +73,8 @@ from repro.trace.store import TraceStore, canonical_trace_params
 
 _WORKLOAD_PREFIX = WORKLOAD_SECTION + "."
 
-#: Default capacity of the per-process trace memo (override with the
-#: ``REPRO_TRACE_CACHE_SIZE`` environment variable).
-DEFAULT_TRACE_CACHE_SIZE = 32
-
-#: Environment variable naming a trace-store root for worker processes and
-#: standalone :func:`execute_point` callers (runners configure theirs
-#: explicitly; the pool initializer uses this as its hand-off).
-TRACE_STORE_ENV = "REPRO_TRACE_STORE"
-
-#: Environment variable naming an observability directory (the fallback for
-#: standalone :func:`execute_point` callers; the CLI and pool initializer
-#: configure observability explicitly).
-OBS_ENV = "REPRO_OBS_DIR"
+#: Capacity of the per-process trace memo.
+TRACE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -168,28 +163,7 @@ _TRACE_STORE: Optional[TraceStore] = None
 #: time (a store configured after the memo warmed up still gets baked).
 _STORE_SEEN: set = set()
 
-#: True when the store was explicitly disabled (``trace_store=False``); keeps
-#: ``--no-trace-store`` from being silently overridden by the
-#: ``REPRO_TRACE_STORE`` environment variable.
-_TRACE_STORE_DISABLED = False
-
-#: Stores resolved from ``REPRO_TRACE_STORE``, memoized per root so the
-#: hit/miss counters persist across :func:`active_trace_store` calls without
-#: the env fallback mutating the explicitly-configured store.
-_ENV_STORES: Dict[str, TraceStore] = {}
-
 _OBS_SETTINGS: Optional[ObsSettings] = None
-_OBS_DISABLED = False
-
-
-def trace_cache_size() -> int:
-    """Capacity of the per-process trace memo (``REPRO_TRACE_CACHE_SIZE``)."""
-    try:
-        size = int(os.environ.get("REPRO_TRACE_CACHE_SIZE",
-                                  DEFAULT_TRACE_CACHE_SIZE))
-    except ValueError:
-        return DEFAULT_TRACE_CACHE_SIZE
-    return max(1, size)
 
 
 def trace_cache_clear() -> None:
@@ -199,77 +173,44 @@ def trace_cache_clear() -> None:
 
 
 def configure_trace_store(store: Union[TraceStore, str, None, bool],
-                          ) -> Union[TraceStore, None, bool]:
-    """Set this process's trace store.
+                          ) -> Optional[TraceStore]:
+    """Set the trace store :func:`execute_point` uses in this process.
 
-    ``None`` clears it (the ``REPRO_TRACE_STORE`` environment variable may
-    then provide one); ``False`` disables it outright, env var included.
-    Returns the previous setting in the same vocabulary so callers can
-    restore it.
+    A path is shorthand for ``TraceStore(path)``; ``None`` or ``False``
+    means no store.  Returns the previous store so callers can restore it.
     """
-    global _TRACE_STORE, _TRACE_STORE_DISABLED
-    previous = False if _TRACE_STORE_DISABLED else _TRACE_STORE
-    if store is False:
-        _TRACE_STORE, _TRACE_STORE_DISABLED = None, True
-    else:
-        if isinstance(store, (str, os.PathLike)):
-            store = TraceStore(store)
-        _TRACE_STORE, _TRACE_STORE_DISABLED = store, False
+    global _TRACE_STORE
+    previous = _TRACE_STORE
+    if isinstance(store, (str, os.PathLike)):
+        store = TraceStore(store)
+    _TRACE_STORE = None if store is False else store
     return previous
 
 
 def active_trace_store() -> Optional[TraceStore]:
-    """The trace store :func:`execute_point` will consult, if any.
-
-    An explicitly configured store wins; otherwise the ``REPRO_TRACE_STORE``
-    environment variable names one (the fallback for standalone
-    ``execute_point`` callers -- pool workers are configured through their
-    initializer, not the environment).  Explicitly disabled
-    (``configure_trace_store(False)``) means no store, env var included.
-    """
-    if _TRACE_STORE_DISABLED:
-        return None
-    if _TRACE_STORE is not None:
-        return _TRACE_STORE
-    root = os.environ.get(TRACE_STORE_ENV)
-    if not root:
-        return None
-    store = _ENV_STORES.get(root)
-    if store is None:
-        store = _ENV_STORES[root] = TraceStore(root)
-    return store
+    """The trace store :func:`execute_point` will consult, if any."""
+    return _TRACE_STORE
 
 
 def configure_observability(settings: Union[ObsSettings, str, None, bool],
-                            ) -> Union[ObsSettings, None, bool]:
+                            ) -> Optional[ObsSettings]:
     """Set this process's sweep observability (mirrors the trace-store API).
 
-    ``None`` clears it (the ``REPRO_OBS_DIR`` environment variable may then
-    provide one); ``False`` disables it outright, env var included; a string
-    is shorthand for ``ObsSettings(root=...)`` with defaults.  Returns the
-    previous setting in the same vocabulary so callers can restore it.
+    A path is shorthand for ``ObsSettings(root=...)`` with defaults;
+    ``None`` or ``False`` turns telemetry off.  Returns the previous
+    settings so callers can restore them.
     """
-    global _OBS_SETTINGS, _OBS_DISABLED
-    previous = False if _OBS_DISABLED else _OBS_SETTINGS
-    if settings is False:
-        _OBS_SETTINGS, _OBS_DISABLED = None, True
-    else:
-        if isinstance(settings, (str, os.PathLike)):
-            settings = ObsSettings(root=str(settings))
-        _OBS_SETTINGS, _OBS_DISABLED = settings, False
+    global _OBS_SETTINGS
+    previous = _OBS_SETTINGS
+    if isinstance(settings, (str, os.PathLike)):
+        settings = ObsSettings(root=str(settings))
+    _OBS_SETTINGS = None if settings is False else settings
     return previous
 
 
 def active_obs_settings() -> Optional[ObsSettings]:
     """The observability settings :func:`execute_point` will honour, if any."""
-    if _OBS_DISABLED:
-        return None
-    if _OBS_SETTINGS is not None:
-        return _OBS_SETTINGS
-    root = os.environ.get(OBS_ENV)
-    if not root:
-        return None
-    return ObsSettings(root=root)
+    return _OBS_SETTINGS
 
 
 def trace_key_for_params(params: Dict[str, ParamValue],
@@ -337,7 +278,7 @@ def trace_for_params(params: Dict[str, ParamValue]):
         trace = generate_trace_for_key(key_params)
         TRACE_STATS.generated += 1
     _TRACE_MEMO[digest] = trace
-    while len(_TRACE_MEMO) > trace_cache_size():
+    while len(_TRACE_MEMO) > TRACE_CACHE_SIZE:
         _TRACE_MEMO.popitem(last=False)
     return trace
 
@@ -498,15 +439,6 @@ class SweepRun:
     def __iter__(self):
         return iter(zip(self.points, self.results))
 
-    def result_for(self, **param_filter: ParamValue) -> SimulationResult:
-        """The unique result whose point matches every given parameter."""
-        matches = [result for point, result in self
-                   if all(point.as_dict().get(k) == v
-                          for k, v in param_filter.items())]
-        if len(matches) != 1:
-            raise KeyError(f"{len(matches)} points match {param_filter!r}")
-        return matches[0]
-
     def summary(self) -> str:
         """One-line human-readable outcome."""
         return (f"{self.spec.name}: {len(self.points)} points "
@@ -559,11 +491,11 @@ def _use_trace_store(setting: Union[TraceStore, None, bool],
                      ) -> Callable[[], object]:
     """Apply a runner's trace-store setting to this process; return the undo.
 
-    A :class:`TraceStore` is installed and ``False`` disables the store,
-    ``REPRO_TRACE_STORE`` included.  ``None`` -- a store-less runner that was
-    not told to disable one -- leaves the process's configuration alone, so
-    a store set by :func:`configure_trace_store` or the environment stays in
-    effect rather than being silently cleared.
+    A :class:`TraceStore` is installed and ``False`` disables the store.
+    ``None`` -- a store-less runner that was not told to disable one --
+    leaves the process's configuration alone, so a store set by
+    :func:`configure_trace_store` stays in effect rather than being silently
+    cleared.
     """
     if setting is None:
         return lambda: None
@@ -1005,8 +937,8 @@ def _worker_init(store_setting: Union[TraceStore, None, bool],
     """Pool initializer: hand the parent's trace store, obs and faults over.
 
     ``store_setting`` is the runner's :func:`_use_trace_store` setting, so a
-    disabled store (``False``) overrides any ``REPRO_TRACE_STORE`` the
-    worker inherited.  ``fault_args`` is the parent's ``(spec, state_dir)``
+    disabled store (``False``) overrides any store a forked worker inherited
+    from its parent.  ``fault_args`` is the parent's ``(spec, state_dir)``
     fault plan, reconstructed here so spawned workers inject the same faults
     as forked ones (the shared state dir keeps firing once-only across the
     whole fleet and across pool restarts).

@@ -10,6 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import SimulationConfig, default_table2_config
+from repro.sweep.campaign import (DEFAULT_METRICS, Campaign, MemberReport,
+                                  run_campaign)
+from repro.sweep.spec import SweepSpec
 from repro.trace.records import Direction, OperandRecord, TaskRecord, TaskTrace
 from repro.workloads.cholesky import CholeskyWorkload
 
@@ -69,6 +72,12 @@ def fork_join_trace(width: int = 4, runtime: int = 1000) -> TaskTrace:
     reducer_ops.append(make_operand(0x90000, direction=Direction.OUTPUT))
     tasks.append(make_task(1 + width, reducer_ops, runtime=runtime, kernel="reduce"))
     return TaskTrace("fork_join", tasks)
+
+
+def run_member(spec: SweepSpec, metrics=DEFAULT_METRICS) -> MemberReport:
+    """Run one figure grid as a one-member, seed-0 campaign."""
+    campaign = Campaign(name=spec.name, members=(spec,), metrics=metrics)
+    return run_campaign(campaign).member(spec.name)
 
 
 @pytest.fixture

@@ -101,6 +101,18 @@ class TestCampaignValidation:
             Campaign(name="c", members=(tiny_member(),),
                      seeds=(0.5,)).validate()
 
+    def test_repeated_design_point_rejected(self):
+        # Two linked-axis values that apply the same overrides would list
+        # every seed of that design point twice (n=4 from two seeds).
+        spec = SweepSpec(name="clamped", workloads=("Cholesky",),
+                         axes={"capacity": [{"frontend.num_trs": 4},
+                                            {"frontend.num_trs": 4},
+                                            {"frontend.num_trs": 8}]})
+        with pytest.raises(ConfigurationError,
+                           match="member 'clamped' repeats the design point "
+                                 "'Cholesky frontend.num_trs=4'"):
+            Campaign(name="c", members=(spec,), seeds=(0, 1)).validate()
+
     def test_unknown_baseline_rejected(self):
         with pytest.raises(ConfigurationError, match="baseline"):
             Campaign(name="c", members=(tiny_member(),),
@@ -324,9 +336,10 @@ class TestDrivers:
         from repro.experiments.campaigns import CAMPAIGNS, get_campaign
 
         for name in CAMPAIGNS:
-            campaign = get_campaign(name, seeds=range(2), quick=True)
-            campaign.validate()
-            assert campaign.describe()
+            for quick in (True, False):
+                campaign = get_campaign(name, seeds=range(2), quick=quick)
+                campaign.validate()
+                assert campaign.describe()
         with pytest.raises(ValueError, match="unknown campaign"):
             get_campaign("nope")
 

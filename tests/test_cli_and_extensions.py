@@ -106,10 +106,14 @@ class TestCLI:
         assert "2 points" in capsys.readouterr().out
 
     def test_campaign_list(self, capsys):
+        from repro.experiments.campaigns import CAMPAIGNS
+
         assert main(["campaign", "list"]) == 0
         out = capsys.readouterr().out
         assert "design-space" in out
         assert "window-ablation" in out
+        for name in CAMPAIGNS:
+            assert name in out
 
     def test_campaign_run_and_report_roundtrip(self, tmp_path, capsys):
         args = ["campaign", "run", "--campaign", "window-ablation",
@@ -141,6 +145,15 @@ class TestCLI:
             main(["campaign", "run", "--campaign", "nope",
                   "--artifacts", str(tmp_path)])
 
+    def test_campaign_negative_seeds_rejected(self, tmp_path):
+        # range(-2) is empty, which used to fall back to the default ensemble.
+        for action in ("run", "report"):
+            with pytest.raises(SystemExit, match="--seeds"):
+                main(["campaign", action, "--campaign", "window-ablation",
+                      "--quick", "--seeds", "-2",
+                      "--artifacts", str(tmp_path)])
+        assert not any(tmp_path.iterdir()), "a rejected run wrote artifacts"
+
     @pytest.mark.parametrize("artefact", ["table1", "table2", "fig1", "fig3"])
     def test_experiment_artefacts(self, artefact, capsys):
         assert main(["experiment", artefact]) == 0
@@ -170,6 +183,9 @@ class TestCLI:
         for family in registry.synthetic_names():
             assert family in out
         assert "dep_distance" in out
+        # The stress maps are the synthetic-stress campaign now.
+        with pytest.raises(SystemExit):
+            main(["synth", "stress"])
 
     def test_invalid_synthetic_params_rejected(self):
         with pytest.raises(SystemExit):

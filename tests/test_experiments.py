@@ -6,8 +6,11 @@ full-size sweeps live in the benchmark harness.
 
 import pytest
 
+from repro.common.units import KB, MB
 from repro.experiments import capacity, common, decode_rate, figure1, figure3, scaling, table1, table2
+from repro.sweep.campaign import Campaign, run_campaign
 from repro.workloads import registry
+from tests.conftest import run_member
 
 
 class TestCommonHelpers:
@@ -90,68 +93,98 @@ class TestFigure3:
 class TestDecodeRateExperiment:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return decode_rate.sweep_workload("Cholesky", trs_counts=(1, 4), ort_counts=(1, 2),
-                                          scale_factor=0.5, max_tasks=120)
+        spec = decode_rate.decode_rate_spec("fig12", ("Cholesky",),
+                                            trs_counts=(1, 4), ort_counts=(1, 2),
+                                            scale_factor=0.5, max_tasks=120)
+        return decode_rate.decode_rate_series(run_member(spec))["Cholesky"]
 
     def test_sweep_covers_grid(self, sweep):
         assert len(sweep) == 4
-        assert {(p.num_trs, p.num_ort) for p in sweep} == {(1, 1), (4, 1), (1, 2), (4, 2)}
+        assert set(sweep) == {(1, 1), (4, 1), (1, 2), (4, 2)}
 
     def test_more_parallelism_is_not_slower(self, sweep):
-        by_key = {(p.num_trs, p.num_ort): p.decode_rate_cycles for p in sweep}
-        assert by_key[(4, 2)] <= by_key[(1, 1)]
+        assert sweep[(4, 2)] <= sweep[(1, 1)]
 
     def test_format_series(self, sweep):
-        text = decode_rate.format_series(sweep)
+        text = decode_rate.format_series("Cholesky", sweep)
         assert "Cholesky" in text and "1 ORT" in text
 
     def test_figure13_averages(self):
-        points = decode_rate.figure13(trs_counts=(1, 4), ort_counts=(1,),
-                                      workloads=("Cholesky", "MatMul"),
-                                      scale_factor=0.4, max_tasks=80)
-        assert len(points) == 2
-        assert all(p.workload == "Average" for p in points)
-        by_trs = {p.num_trs: p.decode_rate_cycles for p in points}
-        assert by_trs[4] <= by_trs[1]
+        spec = decode_rate.decode_rate_spec("fig13", ("Cholesky", "MatMul"),
+                                            trs_counts=(1, 4), ort_counts=(1,),
+                                            scale_factor=0.4, max_tasks=80)
+        series = decode_rate.decode_rate_series(run_member(spec))
+        assert list(series) == ["Cholesky", "MatMul", "Average"]
+        average = series["Average"]
+        assert len(average) == 2
+        for key, rate in average.items():
+            assert rate == (series["Cholesky"][key] + series["MatMul"][key]) / 2
+        assert average[(4, 1)] <= average[(1, 1)]
 
 
 class TestCapacityExperiment:
     def test_ort_capacity_sweep_shape(self):
-        points = capacity.sweep_ort_capacity("Cholesky", capacities=(16 * 1024, 512 * 1024),
-                                             num_cores=64, scale_factor=0.5)
-        assert len(points) == 2
-        small, large = points
-        assert small.capacity_bytes < large.capacity_bytes
-        assert large.speedup >= small.speedup * 0.9
+        capacities = (16 * KB, 512 * KB)
+        spec = capacity.capacity_spec(("Cholesky",), "ort", capacities,
+                                      num_cores=64, scale_factor=0.5)
+        member = run_member(spec)
+        small, large = (group.params["frontend.total_ort_capacity_bytes"]
+                        for group in member.groups)
+        assert small < large
+        speedups = capacity.capacity_series(member, capacities)["Cholesky"]
+        assert len(speedups) == 2
+        assert speedups[1] >= speedups[0] * 0.9
 
     def test_trs_capacity_sweep_shape(self):
-        points = capacity.sweep_trs_capacity("Cholesky",
-                                             capacities=(128 * 1024, 6 * 1024 * 1024),
-                                             num_cores=64, scale_factor=0.5)
-        assert points[-1].speedup >= points[0].speedup * 0.9
-        assert points[-1].window_peak_tasks >= points[0].window_peak_tasks
+        capacities = (128 * KB, 6 * MB)
+        spec = capacity.capacity_spec(("Cholesky",), "trs", capacities,
+                                      num_cores=64, scale_factor=0.5)
+        member = run_member(spec)
+        speedups = capacity.capacity_series(member, capacities)["Cholesky"]
+        peaks = capacity.capacity_series(member, capacities,
+                                         "window_peak_tasks")["Cholesky"]
+        assert speedups[-1] >= speedups[0] * 0.9
+        assert peaks[-1] >= peaks[0]
 
     def test_format_series(self):
-        series = {"Cholesky": capacity.sweep_ort_capacity(
-            "Cholesky", capacities=(16 * 1024,), num_cores=32, scale_factor=0.4)}
-        text = capacity.format_series(series, "ORT capacity")
+        capacities = (16 * KB,)
+        spec = capacity.capacity_spec(("Cholesky",), "ort", capacities,
+                                      num_cores=32, scale_factor=0.4)
+        series = capacity.capacity_series(run_member(spec), capacities)
+        text = capacity.format_series(series, capacities, "ORT capacity")
         assert "16 KB" in text and "Cholesky" in text
+
+    def test_clamped_capacities_share_one_design_point(self):
+        # Figure 14's 16 KB and 32 KB both clamp to the 4 KB floor.  The spec
+        # lists that configuration once, so a two-seed ensemble counts each
+        # seed once, and the pivot maps both nominal capacities onto it.
+        capacities = (16 * KB, 32 * KB, 64 * KB)
+        spec = capacity.capacity_spec(("Cholesky",), "ort", capacities,
+                                      num_cores=16, scale_factor=0.2)
+        assert spec.cardinality == 2
+        report = run_campaign(Campaign(name="fig14", members=(spec,),
+                                       seeds=(0, 1)))
+        member = report.member("ort")
+        floor = member.groups[0]
+        assert floor.params["frontend.total_ort_capacity_bytes"] == 4 * KB
+        assert floor.seeds == [0, 1]
+        assert floor.metrics["speedup"].n == 2
+        speedups = capacity.capacity_series(member, capacities)["Cholesky"]
+        assert speedups[0] == speedups[1] == floor.metrics["speedup"].mean
 
 
 class TestScalingExperiment:
-    def test_point_reports_both_systems(self):
-        trace = common.experiment_trace("MatMul", scale_factor=0.5)
-        point = scaling.measure_point(trace, num_cores=32)
-        assert point.hardware_speedup > 1.0
-        assert point.software_speedup > 1.0
-
     def test_figure16_small(self):
-        series = scaling.figure16(workloads=("MatMul",), processor_counts=(16, 64),
-                                  scale_factor=0.5, include_average=True)
+        spec = scaling.scaling_spec(("MatMul",), processor_counts=(16, 32, 64),
+                                    scale_factor=0.5)
+        series = scaling.speedup_series(run_member(spec))
         assert set(series) == {"MatMul", "Average"}
         matmul = series["MatMul"]
-        assert matmul[1].hardware_speedup >= matmul[0].hardware_speedup * 0.9
+        assert matmul[64]["hardware"] >= matmul[16]["hardware"] * 0.9
         # The hardware pipeline outpaces the 700 ns software decoder at 64 cores.
-        assert matmul[1].hardware_speedup > matmul[1].software_speedup
+        assert matmul[64]["hardware"] > matmul[64]["software"]
+        # Both systems beat sequential execution at 32 cores.
+        assert matmul[32]["hardware"] > 1.0
+        assert matmul[32]["software"] > 1.0
         text = scaling.format_series(series)
         assert "MatMul" in text and "Average" in text

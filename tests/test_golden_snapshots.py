@@ -29,6 +29,7 @@ from repro.experiments.common import experiment_config, experiment_trace
 from repro.sweep import bench
 from repro.sweep.runner import (build_point_config, generate_trace_for_key,
                                 trace_key_for_params)
+from tests.conftest import run_member
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -44,19 +45,39 @@ TOPOLOGY_N2 = dict(num_frontends=2, shard_policy="hash_by_object",
 
 
 def fig12_snapshot() -> dict:
-    points = decode_rate.sweep_workload("Cholesky", **FIG12_KWARGS)
+    spec = decode_rate.decode_rate_spec("fig12", ("Cholesky",), **FIG12_KWARGS)
+    metrics = ("decode_rate_cycles", "decode_rate_ns", "tasks_decoded")
+    member = run_member(spec, metrics=metrics)
+    cycles, ns, decoded = (decode_rate.decode_rate_series(member, metric)["Cholesky"]
+                           for metric in metrics)
+    points = [{"workload": "Cholesky", "num_trs": trs, "num_ort": ort,
+               "decode_rate_cycles": cycles[trs, ort],
+               "decode_rate_ns": ns[trs, ort],
+               "tasks_decoded": int(decoded[trs, ort])}
+              for ort in FIG12_KWARGS["ort_counts"]
+              for trs in FIG12_KWARGS["trs_counts"]]
     return {"experiment": "fig12", "workload": "Cholesky",
             "config": {k: list(v) if isinstance(v, tuple) else v
                        for k, v in FIG12_KWARGS.items()},
-            "points": [asdict(point) for point in points]}
+            "points": points}
 
 
 def fig16_snapshot() -> dict:
-    points = scaling.sweep_workload("MatMul", **FIG16_KWARGS)
+    spec = scaling.scaling_spec(("MatMul",), **FIG16_KWARGS)
+    member = run_member(spec, metrics=("speedup", "decode_rate_ns"))
+    speedup = scaling.speedup_series(member)["MatMul"]
+    decode_ns = scaling.speedup_series(member, "decode_rate_ns")["MatMul"]
+    points = [{"workload": "MatMul", "num_cores": cores,
+               "hardware_speedup": speedup[cores]["hardware"],
+               "software_speedup": speedup[cores]["software"],
+               "hardware_decode_ns": decode_ns[cores]["hardware"],
+               "software_decode_ns": decode_ns[cores]["software"],
+               "dataflow_limit": None}
+              for cores in FIG16_KWARGS["processor_counts"]]
     return {"experiment": "fig16", "workload": "MatMul",
             "config": {k: list(v) if isinstance(v, tuple) else v
                        for k, v in FIG16_KWARGS.items()},
-            "points": [asdict(point) for point in points]}
+            "points": points}
 
 
 def topology_n2_snapshot() -> dict:

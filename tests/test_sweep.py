@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import canonical_json, content_digest, fingerprint64
+from repro.sweep import runner as runner_module
 from repro.sweep.cache import ResultCache, result_from_dict
 from repro.sweep.runner import (SweepRunner, build_point_config,
-                                default_runner, execute_point,
-                                resolve_trace_store, trace_cache_clear,
-                                trace_cache_size)
+                                configure_trace_store, default_runner,
+                                execute_point, resolve_trace_store,
+                                trace_cache_clear)
 from repro.sweep.runner import trace_key_for_params
 from repro.sweep.spec import (DEFAULT_PARAMS, SweepSpec, canonical_scalar,
                               parse_axis_value)
@@ -396,13 +397,6 @@ class TestRunners:
         data = execute_point(params)
         assert data["tasks_completed"] == data["num_tasks"] > 0
 
-    def test_result_for_filters_uniquely(self):
-        run = SweepRunner().run(tiny_spec())
-        result = run.result_for(**{"frontend.num_trs": 2})
-        assert result.tasks_completed > 0
-        with pytest.raises(KeyError):
-            run.result_for(workload="Cholesky")  # two points match
-
     def test_default_runner_selection(self):
         assert default_runner(1).jobs == 1
         assert default_runner(3).jobs == 3
@@ -487,37 +481,32 @@ class TestTraceStoreIntegration:
         assert len(fresh) == 1, "memoized trace was not baked into the store"
         trace_cache_clear()
 
-    def test_disabled_store_overrides_env_var(self, monkeypatch, tmp_path):
-        """--no-trace-store must win over an exported REPRO_TRACE_STORE."""
-        env_root = tmp_path / "env-store"
-        monkeypatch.setenv("REPRO_TRACE_STORE", str(env_root))
-        trace_cache_clear()
-        run = SweepRunner(cache=ResultCache(tmp_path / "c"),
-                           trace_store=False).run(tiny_spec())
+    def test_disabled_store_overrides_env_var(self, tmp_path):
+        """--no-trace-store must win over the process's configured store."""
+        outer_root = tmp_path / "outer-store"
+        previous = configure_trace_store(str(outer_root))
+        try:
+            trace_cache_clear()
+            run = SweepRunner(cache=ResultCache(tmp_path / "c"),
+                              trace_store=False).run(tiny_spec())
+        finally:
+            configure_trace_store(previous)
         assert run.trace_generated == 1
-        assert not env_root.exists(), "disabled runner wrote to the env store"
+        assert not outer_root.exists(), "disabled runner wrote to the outer store"
 
-    def test_env_var_store_reaches_execute_point(self, monkeypatch, tmp_path):
-        env_root = tmp_path / "env-store"
-        monkeypatch.setenv("REPRO_TRACE_STORE", str(env_root))
-        trace_cache_clear()
-        execute_point({"workload": "Cholesky", "num_cores": 8,
-                       "scale_factor": 0.2, "max_tasks": 10,
-                       "fast_generator": True})
-        assert TraceStore(env_root).entries(), "env store was not baked into"
-        monkeypatch.delenv("REPRO_TRACE_STORE")
-        trace_cache_clear()
-
-    def test_trace_cache_size_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_CACHE_SIZE", raising=False)
-        default = trace_cache_size()
-        assert default >= 8
-        monkeypatch.setenv("REPRO_TRACE_CACHE_SIZE", "3")
-        assert trace_cache_size() == 3
-        monkeypatch.setenv("REPRO_TRACE_CACHE_SIZE", "0")
-        assert trace_cache_size() == 1  # clamped to at least one entry
-        monkeypatch.setenv("REPRO_TRACE_CACHE_SIZE", "junk")
-        assert trace_cache_size() == default
+    def test_env_var_store_reaches_execute_point(self, tmp_path):
+        """A store set with configure_trace_store serves execute_point."""
+        outer_root = tmp_path / "outer-store"
+        previous = configure_trace_store(str(outer_root))
+        try:
+            trace_cache_clear()
+            execute_point({"workload": "Cholesky", "num_cores": 8,
+                           "scale_factor": 0.2, "max_tasks": 10,
+                           "fast_generator": True})
+        finally:
+            configure_trace_store(previous)
+            trace_cache_clear()
+        assert TraceStore(outer_root).entries(), "outer store was not baked into"
 
     def test_memo_survives_multi_workload_grids(self, monkeypatch, tmp_path):
         """A 9-trace grid with a size-4 memo still only generates each once.
@@ -527,7 +516,7 @@ class TestTraceStoreIntegration:
         memo backed by the store answers every repeat visit without
         regeneration even when the memo itself is too small.
         """
-        monkeypatch.setenv("REPRO_TRACE_CACHE_SIZE", "4")
+        monkeypatch.setattr(runner_module, "TRACE_CACHE_SIZE", 4)
         spec = SweepSpec(
             name="many-traces",
             workloads=("Cholesky",),

@@ -28,6 +28,7 @@ from repro.workloads import registry
 from repro.workloads.base import KernelProfile, TraceBuilder, Workload, WorkloadSpec
 from repro.workloads.synthetic import (MAX_TASK_OPERANDS, RUNTIME_DISTRIBUTIONS,
                                        RandomDagWorkload, RuntimeModel)
+from tests.conftest import run_member
 
 FAMILIES = ["fork_join", "layered", "stencil", "reduction_tree",
             "pipeline_chain", "random_dag", "stencil2d", "stencil3d",
@@ -311,19 +312,22 @@ class TestRunnerHardening:
 class TestStressTrends:
     def test_decode_rate_degrades_with_operand_count(self):
         from repro.experiments import synthetic_stress
-        points = synthetic_stress.run_operand_stress(
+        spec = synthetic_stress.operand_stress_spec(
             steps=(0, 8), num_cores=32, width=8, depth=8)
-        rates = {p.value: p.decode_rate_cycles for p in points}
+        rates = synthetic_stress.stress_series(run_member(spec),
+                                               "decode_rate_cycles")
         assert rates[8] > 1.5 * rates[0]
 
     def test_window_occupancy_grows_with_dep_distance(self):
         from repro.experiments import synthetic_stress
-        points = synthetic_stress.run_window_stress(
+        spec = synthetic_stress.window_stress_spec(
             dep_distances=(1, 8, 32), num_cores=16, width=8, depth=48)
-        means = [p.window_mean_tasks for p in points]
-        peaks = [p.window_peak_tasks for p in points]
+        member = run_member(spec)
+        means, peaks, rates = (
+            list(synthetic_stress.stress_series(member, metric).values())
+            for metric in ("window_mean_tasks", "window_peak_tasks",
+                           "decode_rate_cycles"))
         assert means[0] < means[1] < means[2]
         assert peaks[0] < peaks[2]
         # Decode itself is not the variable: rates stay within noise.
-        rates = [p.decode_rate_cycles for p in points]
         assert max(rates) < 1.25 * min(rates)
