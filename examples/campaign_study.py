@@ -39,7 +39,7 @@ def build_ablation(scale_factor: float) -> Ablation:
               "fast_generator": True},
         baseline_overrides={},  # Table II defaults
         variants={
-            "ort-ovt-half": {"frontend.num_ort": 1, "frontend.num_ovt": 1},
+            "ort-ovt-half": {"frontend.num_ort": 1},
             "trs-half": {"frontend.num_trs": 4},
         },
     )

@@ -35,9 +35,8 @@ def build_spec(scale_factor: float) -> SweepSpec:
         name="design-space-tour",
         workloads=("Cholesky", "H264"),
         axes={
-            # Linked axis: each OVT pairs with one ORT (Section IV).
-            "ort": [{"frontend.num_ort": n, "frontend.num_ovt": n}
-                    for n in (1, 2)],
+            # Each OVT pairs with one ORT (Section IV): this sets both counts.
+            "frontend.num_ort": (1, 2),
             "frontend.num_trs": (1, 4, 16),
             "num_cores": (64, 256),
         },

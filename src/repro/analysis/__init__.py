@@ -1,9 +1,8 @@
-"""Analysis utilities: decode-rate law, speedups, window statistics.
+"""Analysis utilities: decode-rate law, speedups, dependence chains.
 
 * :mod:`repro.analysis.metrics` -- the Figure 3 decode-rate law
   (``R = T / P``), speedup/utilisation helpers and aggregate statistics.
-* :mod:`repro.analysis.window` -- task-window occupancy analysis from the
-  time-stamped samples the simulator records.
+* :mod:`repro.analysis.chains` -- consumer-chain length statistics.
 * :func:`repro.runtime.taskgraph.DependencyGraph.critical_path_cycles` (in the
   runtime package) provides the dataflow-limit analysis the speedup numbers
   are bounded by.
@@ -17,7 +16,6 @@ from repro.analysis.metrics import (
     max_processors_for_decode_rate,
     speedup,
 )
-from repro.analysis.window import WindowStats, analyze_window_samples
 
 __all__ = [
     "chain_length_histogram",
@@ -27,6 +25,4 @@ __all__ = [
     "ideal_utilization",
     "max_processors_for_decode_rate",
     "speedup",
-    "WindowStats",
-    "analyze_window_samples",
 ]

@@ -273,7 +273,7 @@ def run_trace(trace: TaskTrace, config: Optional[SimulationConfig] = None,
         validate: Check the schedule against the gold dependency graph.
         observer: Optional :class:`repro.obs.Observer` to attach.
         **frontend_overrides: Field overrides for the frontend configuration
-            (e.g. ``num_trs=4, num_ort=1, num_ovt=1``).
+            (e.g. ``num_trs=4, num_ort=1``).
     """
     config = config if config is not None else default_table2_config()
     if num_cores is not None:

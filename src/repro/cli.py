@@ -192,9 +192,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _make_runner(args: argparse.Namespace):
     """Build the (runner, cache) pair shared by the sweep-backed commands."""
     from repro.sweep import ResultCache, default_runner
-    from repro.sweep.cache import DEFAULT_CACHE_ROOT
 
-    cache = None if args.no_cache else ResultCache(args.artifacts or DEFAULT_CACHE_ROOT)
+    cache = None if args.no_cache else ResultCache(args.artifacts)
     trace_store = getattr(args, "trace_store", None)
     if getattr(args, "no_trace_store", False):
         trace_store = False
@@ -498,10 +497,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
         from repro.common.errors import ArtifactIntegrityError
         from repro.common.fileio import quarantine_file
-        from repro.sweep.cache import DEFAULT_CACHE_ROOT
 
-        artifacts = args.artifacts or DEFAULT_CACHE_ROOT
-        directory = campaign_dir(artifacts, campaign.campaign_id)
+        directory = campaign_dir(args.artifacts, campaign.campaign_id)
         if not (directory / "report.json").exists():
             raise SystemExit(
                 f"no report under {directory}; run `repro campaign run "
@@ -509,12 +506,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         try:
             report = load_report(directory)
         except ArtifactIntegrityError as error:
-            moved = quarantine_file(directory / "report.json",
-                                    Path(artifacts) / "quarantine", str(error))
+            quarantine_file(directory / "report.json",
+                            Path(args.artifacts) / "quarantine", str(error),
+                            "campaign report")
             raise SystemExit(
-                f"{error}\nquarantined to "
-                f"{moved if moved is not None else '<already gone>'}; "
-                f"regenerate with `repro campaign run --campaign "
+                f"{error}\nregenerate it with `repro campaign run --campaign "
                 f"{args.campaign}` (cached points make the re-run cheap)")
         _print_campaign_report(args.campaign, report)
         print(f"report: {directory}")
@@ -710,6 +706,16 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_artifacts_flag(parser: argparse.ArgumentParser) -> None:
+    """``--artifacts``, shared by `repro sweep` and `repro campaign run|report`."""
+    from repro.sweep.cache import DEFAULT_CACHE_ROOT
+
+    parser.add_argument("--artifacts", default=str(DEFAULT_CACHE_ROOT),
+                        metavar="DIR",
+                        help="result cache, trace store, journals and "
+                             "campaign reports (default %(default)s)")
+
+
 def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     """The runner flags `repro sweep` and `repro campaign run` share.
 
@@ -837,8 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None)
     sweep.add_argument("--fast-generator", action="store_true",
                        help="use the near-zero-cost task-generating thread")
-    sweep.add_argument("--artifacts", default=None,
-                       help="cache directory (default .repro-artifacts/sweeps)")
+    _add_artifacts_flag(sweep)
     _add_runner_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -859,10 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--quick", action="store_true",
                          help="shrunk workloads/axes so the campaign "
                               "finishes in seconds")
-        sub.add_argument("--artifacts", default=None,
-                         help="cache directory (default "
-                              ".repro-artifacts/sweeps); the report lands "
-                              "under <artifacts>/campaigns/<id>")
+        _add_artifacts_flag(sub)
 
     campaign_run = campaign_sub.add_parser(
         "run", help="run a campaign (cached + resumable) and write its report")

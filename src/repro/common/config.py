@@ -130,12 +130,12 @@ class FrontendConfig:
     The evaluation's chosen operating point (Section VI) is 8 TRSs and
     2 ORTs/OVTs, with 512 KB total ORT capacity, 512 KB total OVT capacity and
     6 MB of total TRS storage (roughly 7 MB of eDRAM overall, supporting a
-    window of 12,000-50,000 tasks).
+    window of 12,000-50,000 tasks).  Each OVT is associated with exactly one
+    ORT (Section IV), so ``num_ort`` is also the OVT count.
     """
 
     num_trs: int = 8
     num_ort: int = 2
-    num_ovt: int = 2
 
     #: Aggregate storage capacities across all modules of each type.
     total_trs_capacity_bytes: int = 6 * MB
@@ -167,7 +167,7 @@ class FrontendConfig:
     message_latency_cycles: int = 5
 
     def validate(self) -> None:
-        for name in ("num_trs", "num_ort", "num_ovt", "total_trs_capacity_bytes",
+        for name in ("num_trs", "num_ort", "total_trs_capacity_bytes",
                      "total_ort_capacity_bytes", "total_ovt_capacity_bytes",
                      "module_processing_cycles", "trs_block_bytes",
                      "operands_in_main_block", "operands_per_indirect_block",
@@ -179,11 +179,6 @@ class FrontendConfig:
                      "max_indirect_blocks"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.num_ovt != self.num_ort:
-            raise ConfigurationError(
-                "each OVT is associated with exactly one ORT (Section IV), so "
-                f"num_ovt ({self.num_ovt}) must equal num_ort ({self.num_ort})"
-            )
         if self.trs_capacity_per_module_bytes < self.trs_block_bytes:
             raise ConfigurationError(
                 "per-TRS capacity smaller than a single block: "
@@ -230,8 +225,8 @@ class FrontendConfig:
 
     @property
     def ovt_capacity_per_module_bytes(self) -> int:
-        """Storage capacity of one OVT."""
-        return self.total_ovt_capacity_bytes // self.num_ovt
+        """Storage capacity of one OVT (one OVT per ORT)."""
+        return self.total_ovt_capacity_bytes // self.num_ort
 
     @property
     def ovt_entries_per_module(self) -> int:
@@ -414,8 +409,7 @@ class TopologyConfig:
             return frontend
         num_trs = max(1, round(frontend.num_trs * self.capacity_scale))
         num_ort = max(1, round(frontend.num_ort * self.capacity_scale))
-        return replace(frontend, num_trs=num_trs, num_ort=num_ort,
-                       num_ovt=num_ort)
+        return replace(frontend, num_trs=num_trs, num_ort=num_ort)
 
 
 @dataclass
@@ -483,7 +477,7 @@ class SimulationConfig:
                              "connections per segment"),
             "Task pipeline": (f"{fe.edram_latency_cycles} cycles eDRAM latency, "
                               f"{fe.module_processing_cycles} cycles module processing; "
-                              f"{fe.num_trs} TRS / {fe.num_ort} ORT / {fe.num_ovt} OVT"),
+                              f"{fe.num_trs} TRS / {fe.num_ort} ORT / {fe.num_ort} OVT"),
         }
 
 

@@ -52,6 +52,14 @@ class TraceFormatError(ReproError):
     """A trace file or record is malformed."""
 
 
+class StaleFormatError(TraceFormatError):
+    """A well-formed binary artifact of another format version.
+
+    Stale, not damaged: stores treat it as a plain miss and never
+    quarantine it.
+    """
+
+
 class SchedulingError(ReproError):
     """The backend scheduler reached an inconsistent state."""
 

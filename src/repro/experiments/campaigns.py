@@ -73,8 +73,7 @@ def design_space_campaign(seeds: Sequence[int] = DEFAULT_SEEDS,
         axes={
             "frontend.num_trs": window,
             "num_cores": cores,
-            "width": [{"frontend.num_ort": n, "frontend.num_ovt": n}
-                      for n in width],
+            "frontend.num_ort": width,
         },
         base=base,
     )
@@ -99,7 +98,7 @@ def window_ablation(quick: bool = False) -> Ablation:
         # Baseline: the paper's operating point (Table II defaults).
         baseline_overrides={},
         variants={
-            "ort-ovt-half": {"frontend.num_ort": 1, "frontend.num_ovt": 1},
+            "ort-ovt-half": {"frontend.num_ort": 1},
             "trs-half": {"frontend.num_trs": 4},
             "window-unbounded": {
                 "frontend.num_trs": 32,

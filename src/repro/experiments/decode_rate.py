@@ -51,16 +51,15 @@ def decode_rate_spec(name: str, workloads: Sequence[str],
                      num_cores: int = 256) -> SweepSpec:
     """The Figure 12/13 parameter grid as a declarative :class:`SweepSpec`.
 
-    ORT and OVT counts are linked (each OVT pairs with one ORT, Section IV),
-    so they form one axis; the axis order (#ORT outer, #TRS inner) matches
-    the paper's figure layout.
+    Each OVT pairs with one ORT (Section IV), so the #ORT axis sets both
+    counts; the axis order (#ORT outer, #TRS inner) matches the paper's
+    figure layout.
     """
     return SweepSpec(
         name=name,
         workloads=tuple(workloads),
         axes={
-            "ort": [{"frontend.num_ort": n, "frontend.num_ovt": n}
-                    for n in ort_counts],
+            "frontend.num_ort": list(ort_counts),
             "frontend.num_trs": list(trs_counts),
         },
         base={"num_cores": num_cores, "scale_factor": scale_factor,

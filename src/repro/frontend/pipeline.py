@@ -74,7 +74,7 @@ class TaskSuperscalarFrontend:
         ]
         self.ovts: List[ObjectVersioningTable] = [
             ObjectVersioningTable(engine, ort_base + i, config, self.stats)
-            for i in range(config.num_ovt)
+            for i in range(config.num_ort)
         ]
 
         #: Decode timestamps, in simulation cycles, in decode-completion order.
@@ -224,7 +224,7 @@ class TaskSuperscalarFrontend:
     def describe(self) -> str:
         """One-line summary of the frontend configuration."""
         cfg = self.config
-        return (f"{cfg.num_trs} TRS / {cfg.num_ort} ORT / {cfg.num_ovt} OVT, "
+        return (f"{cfg.num_trs} TRS / {cfg.num_ort} ORT / {cfg.num_ort} OVT, "
                 f"TRS {cfg.total_trs_capacity_bytes // 1024} KB, "
                 f"ORT {cfg.total_ort_capacity_bytes // 1024} KB, "
                 f"OVT {cfg.total_ovt_capacity_bytes // 1024} KB")

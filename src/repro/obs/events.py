@@ -22,8 +22,9 @@ flat ``array('q')`` on the hot path by ~3x (appending a tuple stores one
 pointer; extending an int64 array converts five Python ints to C longs per
 event), and the recording overhead is what the bench CI gate bounds.  The
 *serialised* form stays packed columnar: :meth:`EventRing.columns` and the
-``.robs`` writer in :mod:`repro.obs.io` emit five flat int64 columns, the
-same recipe as :mod:`repro.trace.packed`.
+``.robs`` writer in :mod:`repro.obs.io` emit five flat int64 columns, in
+the columnar container :mod:`repro.trace.packed` uses too
+(:class:`repro.common.fileio.ColumnarFormat`).
 
 Task identity: lifecycle events carry the task's trace ``sequence`` (the
 stable cross-module id).  Structural ``TaskID(trs, slot)`` tuples -- which

@@ -1,9 +1,11 @@
 """Binary persistence of recordings (``.robs``) and obs-directory cleanup.
 
-The on-disk format follows :mod:`repro.trace.packed`'s recipe: magic +
-version + JSON header (name table, drop count, meta, event count) followed
-by the five raw little-endian int64 event columns, loaded back with bulk
-``array.frombytes``.  Files are written atomically.
+A recording is the shared columnar container of :mod:`repro.common.fileio`
+(:data:`OBS_FORMAT`: magic ``ROBS``): a JSON header (name table, drop count,
+meta, column directory) followed by the five raw little-endian int64 event
+columns, loaded back with bulk ``array.frombytes``.  Files are written
+atomically; any damage, including a header field of the wrong type, raises
+``TraceFormatError``.
 
 An *obs directory* (``--obs-dir``, or the root passed to
 :func:`repro.sweep.runner.configure_observability`) has three children::
@@ -18,26 +20,29 @@ bytes reclaimed.
 
 from __future__ import annotations
 
-import json
-import sys
 from array import array
 from pathlib import Path
 from typing import List, Tuple, Union
 
 from repro.common.errors import TraceFormatError
-from repro.common.fileio import atomic_write_bytes
+from repro.common.fileio import ColumnarFormat, atomic_write_bytes
 from repro.obs.events import STRIDE
 from repro.obs.observer import Recording
 
 PathLike = Union[str, Path]
 
 #: File magic and version of the recording format; bump the version when the
-#: column layout or header contract changes.
+#: column layout or header contract changes.  2: the header carries the
+#: shared ``[[name, length], ...]`` column directory instead of a name list
+#: plus ``num_events``.
 OBS_MAGIC = b"ROBS"
-OBS_FORMAT_VERSION = 1
+OBS_FORMAT_VERSION = 2
 
-#: Column order in the file body.
-_COLUMN_NAMES = ("time", "kind", "module", "task", "value")
+#: The ``.robs`` container: one column per event field, in event order.
+OBS_FORMAT = ColumnarFormat(
+    what="obs recording", magic=OBS_MAGIC, version=OBS_FORMAT_VERSION,
+    columns=("time", "kind", "module", "task", "value"),
+    fields={"names": list, "dropped": int, "meta": dict})
 
 #: Obs-directory children, in gc order.
 OBS_SUBDIRS = ("recordings", "points", "heartbeats")
@@ -53,69 +58,22 @@ def recording_to_bytes(recording: Recording) -> bytes:
     for event in recording.events:
         for column, item in zip(columns, event):
             column.append(item)
-    header = {
-        "names": recording.names,
-        "dropped": recording.dropped,
-        "meta": recording.meta,
-        "num_events": len(recording.events),
-        "columns": list(_COLUMN_NAMES),
-    }
-    header_bytes = json.dumps(header, sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
-    parts = [OBS_MAGIC,
-             OBS_FORMAT_VERSION.to_bytes(4, "little"),
-             len(header_bytes).to_bytes(8, "little"),
-             header_bytes]
-    for column in columns:
-        if sys.byteorder != "little":  # pragma: no cover - big-endian host
-            column = array("q", column)
-            column.byteswap()
-        parts.append(column.tobytes())
-    return b"".join(parts)
+    header = {"names": recording.names, "dropped": recording.dropped,
+              "meta": recording.meta}
+    return OBS_FORMAT.encode(header, columns)
+
+
+def _recording(header: dict, columns: dict) -> Recording:
+    if len({len(column) for column in columns.values()}) > 1:
+        raise TraceFormatError("obs recording: event columns differ in length")
+    return Recording(names=header["names"],
+                     events=list(zip(*columns.values())),
+                     dropped=header["dropped"], meta=header["meta"])
 
 
 def recording_from_bytes(raw: bytes) -> Recording:
     """Parse :func:`recording_to_bytes` output (raises ``TraceFormatError``)."""
-    if len(raw) < 16 or raw[:4] != OBS_MAGIC:
-        raise TraceFormatError("not an obs recording (bad magic)")
-    version = int.from_bytes(raw[4:8], "little")
-    if version != OBS_FORMAT_VERSION:
-        raise TraceFormatError(
-            f"obs recording version {version} is not the supported "
-            f"version {OBS_FORMAT_VERSION}")
-    header_len = int.from_bytes(raw[8:16], "little")
-    body = 16 + header_len
-    if body > len(raw):
-        raise TraceFormatError("obs recording: truncated header")
-    try:
-        header = json.loads(raw[16:body].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TraceFormatError("obs recording: malformed header JSON") from exc
-    if (not isinstance(header, dict)
-            or header.get("columns") != list(_COLUMN_NAMES)):
-        raise TraceFormatError("obs recording: malformed column directory")
-    num_events = int(header.get("num_events", -1))
-    itemsize = array("q").itemsize
-    expected = body + num_events * itemsize * STRIDE
-    if num_events < 0 or expected != len(raw):
-        raise TraceFormatError(
-            f"obs recording: file is {len(raw)} bytes but the header "
-            f"promises {expected}")
-    columns: List[array] = []
-    offset = body
-    for _ in range(STRIDE):
-        nbytes = num_events * itemsize
-        column = array("q")
-        column.frombytes(raw[offset:offset + nbytes])
-        if sys.byteorder != "little":  # pragma: no cover - big-endian host
-            column.byteswap()
-        columns.append(column)
-        offset += nbytes
-    events = list(zip(*columns)) if num_events else []
-    return Recording(names=list(header.get("names", [])),
-                     events=events,
-                     dropped=int(header.get("dropped", 0)),
-                     meta=dict(header.get("meta", {})))
+    return _recording(*OBS_FORMAT.decode(raw))
 
 
 def save_recording(recording: Recording, path: PathLike) -> Path:
@@ -125,15 +83,7 @@ def save_recording(recording: Recording, path: PathLike) -> Path:
 
 def load_recording(path: PathLike) -> Recording:
     """Load a ``.robs`` file written by :func:`save_recording`."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise TraceFormatError(f"cannot read obs recording {path}: {exc}") from exc
-    try:
-        return recording_from_bytes(raw)
-    except TraceFormatError as exc:
-        raise TraceFormatError(f"{path}: {exc}") from exc
+    return _recording(*OBS_FORMAT.read(path))
 
 
 def gc_obs_dir(root: PathLike,

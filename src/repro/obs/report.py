@@ -10,9 +10,12 @@ Two kinds of artifact live here:
   ``repro obs report`` CLI prints.
 
 * **Heartbeats** -- :class:`HeartbeatWriter` appends JSONL progress events
-  (worker start/progress/done) to ``<obs-dir>/heartbeats/<host>-<pid>.jsonl``.
-  Writes are line-buffered appends of wall-clock-stamped records; they never
-  touch simulator state, so heartbeat emission cannot perturb results.
+  (worker start/progress/done) to ``<obs-dir>/heartbeats/<host>-<pid>.jsonl``
+  through the JSONL log codec the run journal uses
+  (:func:`repro.common.fileio.append_jsonl_line`, read back with
+  :func:`~repro.common.fileio.read_jsonl`).  Records are wall-clock-stamped
+  and never touch simulator state, so heartbeat emission cannot perturb
+  results.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import time as _walltime
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.common.fileio import atomic_write_text
+from repro.common.errors import ArtifactIntegrityError
+from repro.common.fileio import (append_jsonl_line, atomic_write_text,
+                                 read_json, read_jsonl)
 from repro.obs.observer import Recording
 from repro.obs.timeline import (
     STALL_CATEGORIES,
@@ -37,6 +42,14 @@ PathLike = Union[str, Path]
 
 #: Schema tag of a point summary document.
 POINT_SCHEMA = "repro.obs.point/1"
+
+#: Field types a point summary must have to be read back (what
+#: :func:`format_report` and the CLI index into).
+_SUMMARY_FIELDS = {"schema": str, "tasks": int, "events": int,
+                   "stalls": dict, "critical_path": list, "modules": dict}
+
+#: Field types every heartbeat record must have to be read back.
+_HEARTBEAT_FIELDS = {"time": (int, float), "event": str, "pid": int}
 
 
 def point_summary(recording: Recording,
@@ -109,17 +122,18 @@ def write_point_summary(root: PathLike, digest: str,
 
 
 def load_point_summaries(root: PathLike) -> Dict[str, Dict[str, object]]:
-    """Load every point summary under ``<root>/points`` (digest -> summary)."""
-    directory = Path(root) / "points"
+    """Load every point summary under ``<root>/points`` (digest -> summary).
+
+    Damaged summaries (see :func:`repro.common.fileio.read_json`) and those
+    of another schema are skipped.
+    """
     summaries: Dict[str, Dict[str, object]] = {}
-    if not directory.is_dir():
-        return summaries
-    for path in sorted(directory.glob("*.json")):
+    for path in sorted((Path(root) / "points").glob("*.json")):
         try:
-            document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            document = read_json(path, _SUMMARY_FIELDS)
+        except (OSError, ArtifactIntegrityError):
             continue
-        if isinstance(document, dict) and document.get("schema") == POINT_SCHEMA:
+        if document["schema"] == POINT_SCHEMA:
             summaries[path.stem] = document
     return summaries
 
@@ -144,9 +158,7 @@ class HeartbeatWriter:
         record = {"time": _walltime.time(), "event": event, "pid": self.pid}
         record.update(fields)
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            append_jsonl_line(self.path, record)
         except OSError:
             pass
 
@@ -180,25 +192,10 @@ class HeartbeatWriter:
 
 
 def read_heartbeats(root: PathLike) -> List[Dict[str, object]]:
-    """Read every heartbeat record under ``<root>/heartbeats``, time-sorted."""
-    directory = Path(root) / "heartbeats"
-    records: List[Dict[str, object]] = []
-    if not directory.is_dir():
-        return records
-    for path in sorted(directory.glob("*.jsonl")):
-        try:
-            text = path.read_text()
-        except OSError:
-            continue
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-    records.sort(key=lambda record: record.get("time", 0))
+    """Read every intact heartbeat record under ``<root>/heartbeats``,
+    time-sorted (torn or damaged lines are skipped, as in the run journal)."""
+    records = [record
+               for path in sorted((Path(root) / "heartbeats").glob("*.jsonl"))
+               for record in read_jsonl(path, _HEARTBEAT_FIELDS)]
+    records.sort(key=lambda record: record["time"])
     return records

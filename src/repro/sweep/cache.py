@@ -12,33 +12,35 @@ the point's canonical parameter JSON -- so the cache key depends only on
 Interrupted sweeps therefore resume for free: every point that finished
 before the interruption is found by its content address and skipped.
 
-Entries are written atomically (temp file + ``os.replace``) so concurrent
-workers, or a sweep killed mid-write, can never leave a truncated JSON file
-behind.  Each entry records the full parameter dict alongside the result,
-which makes the artifact directory self-describing.
+Entries are verified-JSON documents (:func:`repro.common.fileio
+.write_verified_json`): written atomically (temp file + ``os.replace``) so
+concurrent workers, or a sweep killed mid-write, can never leave a truncated
+file behind, and carrying a ``digest`` over the whole entry, verified on
+read.  Each entry records the full parameter dict alongside the result,
+which makes the artifact directory self-describing.  Manifests are plain
+JSON, read with :func:`repro.common.fileio.read_json`.
 
-Integrity: every entry carries a content digest of its result payload,
-verified on read.  A corrupt, truncated, schema-mismatched or
-digest-mismatched entry is never served *and never silently dropped*: it is
-counted (``cache.corrupt``), moved to ``<root>/quarantine/`` for post-mortem
-(with a reason sidecar) and reported via
+Integrity: a corrupt entry -- undecodable bytes, invalid or truncated JSON, a
+digest mismatch, a field of the wrong type -- is never served *and never
+silently dropped*: it is counted (``cache.corrupt``) and handed to
+:func:`repro.common.fileio.quarantine_file`, which moves it to
+``<root>/quarantine/`` with a reason sidecar and reports it via
 :class:`~repro.common.errors.ArtifactIntegrityWarning`; the caller sees a
-miss and transparently recomputes.  Stale-but-wellformed schema versions are
-the one exception -- they are ordinary misses, not damage.
+miss and transparently recomputes.  An entry of another schema version is
+the one exception -- an ordinary miss, not damage.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.backend.system import SimulationResult
-from repro.common.errors import ArtifactIntegrityWarning
-from repro.common.fileio import atomic_write_text, quarantine_file
-from repro.common.hashing import content_digest
+from repro.common.errors import ArtifactIntegrityError
+from repro.common.fileio import (atomic_write_text, quarantine_file, read_json,
+                                 read_verified_json, write_verified_json)
 from repro.sweep.spec import SweepPoint
 
 #: Bump when the entry layout changes; mismatched entries are treated as
@@ -52,7 +54,9 @@ from repro.sweep.spec import SweepPoint
 #: 5: results carry topology metrics (``num_frontends``, per-frontend decode
 #: rates, steal counts, fabric forwards), so schema-4 entries would serve
 #: results without the topology contract.
-SCHEMA_VERSION = 5
+#: 6: entries are the shared verified-JSON document, whose ``digest`` covers
+#: the whole entry rather than only the result.
+SCHEMA_VERSION = 6
 
 #: Default artifacts directory (relative to the working directory).
 DEFAULT_CACHE_ROOT = Path(".repro-artifacts") / "sweeps"
@@ -95,103 +99,65 @@ class ResultCache:
     # -- Entries -----------------------------------------------------------
 
     @staticmethod
-    def _verify(entry: object) -> Union[SimulationResult, None, str]:
-        """Validate one loaded entry.
-
-        Returns the result on success, ``None`` for a well-formed entry of a
-        *different* schema version (an ordinary miss -- old artifacts are not
-        damage), or a reason string describing the corruption.
-        """
-        if not isinstance(entry, dict):
-            return "entry is not a JSON object"
-        schema = entry.get("schema")
-        if schema != SCHEMA_VERSION:
-            if isinstance(schema, int) and isinstance(entry.get("result"), dict):
-                return None
-            return f"unrecognized schema marker {schema!r}"
-        result_data = entry.get("result")
-        if not isinstance(result_data, dict):
-            return "result payload is not a JSON object"
-        digest = entry.get("digest")
-        if digest != content_digest(result_data):
-            return "result payload does not match its recorded digest"
+    def _load(path: Path) -> Tuple[Optional[SimulationResult], Optional[str]]:
+        """Read one entry: ``(result, None)`` on a hit, ``(None, None)`` on a
+        plain miss (absent, or another schema version -- old artifacts are
+        not damage), ``(None, reason)`` when the entry is corrupt."""
         try:
-            return result_from_dict(result_data)
+            entry = read_verified_json(path, SCHEMA_VERSION, {"result": dict})
+        except FileNotFoundError:
+            return None, None
+        except ArtifactIntegrityError as exc:
+            return None, str(exc)
+        if entry["schema"] != SCHEMA_VERSION:
+            return None, None
+        try:
+            return result_from_dict(entry["result"]), None
         except TypeError as exc:
-            return f"result payload does not rebuild a SimulationResult ({exc})"
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Count, move and warn about one corrupt entry."""
-        self.corrupt += 1
-        moved = quarantine_file(path, self.quarantine_dir(), reason)
-        if moved is not None:
-            self.quarantined.append(moved)
-        warnings.warn(
-            f"corrupt result-cache entry {path.name} ({reason}); "
-            f"quarantined to {moved if moved is not None else '<already gone>'}"
-            " and the point will be recomputed",
-            ArtifactIntegrityWarning, stacklevel=3)
+            return None, ("result payload does not rebuild a SimulationResult "
+                          f"({exc})")
 
     def get(self, point: SweepPoint) -> Optional[SimulationResult]:
         """Return the cached result for ``point``, or ``None`` on a miss.
 
-        Corrupt entries (truncated JSON, digest mismatch, mangled payload)
-        are quarantined and reported, then treated as misses so the caller
-        recomputes; see the module docstring.
+        Corrupt entries are quarantined and reported, then treated as misses
+        so the caller recomputes; see the module docstring.
         """
         path = self._object_path(point.point_id)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except FileNotFoundError:
+        result, damage = self._load(path)
+        if damage is not None:
+            self.corrupt += 1
+            moved = quarantine_file(path, self.quarantine_dir(), damage,
+                                    "result-cache entry",
+                                    "the point will be recomputed")
+            if moved is not None:
+                self.quarantined.append(moved)
+        if result is None:
             self.misses += 1
             return None
-        except json.JSONDecodeError as exc:
-            self._quarantine(path, f"invalid JSON ({exc})")
-            self.misses += 1
-            return None
-        verdict = self._verify(entry)
-        if isinstance(verdict, SimulationResult):
-            self.hits += 1
-            return verdict
-        if isinstance(verdict, str):
-            self._quarantine(path, verdict)
-        self.misses += 1
-        return None
+        self.hits += 1
+        return result
 
     def put(self, point: SweepPoint, result: SimulationResult) -> Path:
         """Persist ``result`` for ``point`` atomically; returns the path."""
-        path = self._object_path(point.point_id)
-        result_data = result_to_dict(result)
-        entry = {
+        path = write_verified_json(self._object_path(point.point_id), {
             "schema": SCHEMA_VERSION,
             "point_id": point.point_id,
             "params": point.as_dict(),
-            "digest": content_digest(result_data),
-            "result": result_data,
-        }
+            "result": result_to_dict(result),
+        })
         from repro.sweep.faults import fire as fire_fault
-        fault = fire_fault("torn_cache", point=point.index)
-        if fault is not None:
-            # Injected torn write: a truncated, non-atomic entry, exactly
+        if fire_fault("torn_cache", point=point.index) is not None:
+            # Injected torn write: keep the first half of the entry, exactly
             # what a kill -9 mid-write on a non-atomic writer would leave.
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = json.dumps(entry, sort_keys=True, indent=1)
-            path.write_text(payload[:max(8, len(payload) // 2)])
-            return path
-        self._atomic_write(path, entry)
+            payload = path.read_bytes()
+            path.write_bytes(payload[:max(8, len(payload) // 2)])
         return path
 
     def contains(self, point: SweepPoint) -> bool:
         """True if ``point`` has a valid cache entry (does not count stats,
         does not quarantine -- a read-only probe)."""
-        path = self._object_path(point.point_id)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return False
-        return isinstance(self._verify(entry), SimulationResult)
+        return self._load(self._object_path(point.point_id))[0] is not None
 
     def __len__(self) -> int:
         objects = self.root / "objects"
@@ -212,19 +178,13 @@ class ResultCache:
             "num_points": len(points),
             "point_ids": [point.point_id for point in points],
         }
-        self._atomic_write(path, manifest)
+        atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=1))
         return path
 
     def read_manifest(self, spec_id: str) -> Optional[Dict]:
-        """Load a sweep manifest, or ``None`` if the sweep never completed."""
+        """Load a sweep manifest, or ``None`` if the sweep never completed
+        (or its manifest is damaged)."""
         try:
-            with open(self._manifest_path(spec_id), "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
+            return read_json(self._manifest_path(spec_id))
+        except (FileNotFoundError, ArtifactIntegrityError):
             return None
-
-    # -- Internals ---------------------------------------------------------
-
-    @staticmethod
-    def _atomic_write(path: Path, data: Dict) -> None:
-        atomic_write_text(path, json.dumps(data, sort_keys=True, indent=1))

@@ -37,15 +37,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
-from repro.common.errors import ArtifactIntegrityError, ConfigurationError
-from repro.common.fileio import atomic_write_text
+from repro.common.errors import ConfigurationError
+from repro.common.fileio import (atomic_write_text, read_verified_json,
+                                 write_verified_json)
 from repro.common.hashing import content_digest
 from repro.sweep.cache import ResultCache
 from repro.sweep.runner import SweepRun, SweepRunner
@@ -671,13 +671,7 @@ def write_report(report: CampaignReport,
     trace store, which the report's accounting shows were not touched.
     """
     directory = campaign_dir(artifacts, report.campaign_id)
-    payload = report.to_dict()
-    # Self-verifying document: the digest covers everything else in the
-    # payload, so load_report can tell truncation/bit rot from a report that
-    # was simply written by different code.
-    payload["digest"] = content_digest(payload)
-    atomic_write_text(directory / "report.json",
-                      json.dumps(payload, sort_keys=True, indent=1))
+    write_verified_json(directory / "report.json", report.to_dict())
     atomic_write_text(directory / "summary.csv", _summary_csv(report))
     if report.baseline is not None:
         atomic_write_text(directory / "ablation.csv", _ablation_csv(report))
@@ -687,34 +681,20 @@ def write_report(report: CampaignReport,
 def load_report(path: Union[str, Path]) -> CampaignReport:
     """Load a report from its directory or ``report.json`` path.
 
-    Raises :class:`ArtifactIntegrityError` when the document is damaged
-    (unparseable JSON, missing or mismatched content digest) -- a campaign
-    report cannot be transparently recomputed here, so the caller must
-    quarantine it and re-run the campaign (the ``repro campaign`` CLI does
-    exactly that).  A report written by a different schema version raises
-    :class:`ConfigurationError` instead: stale, not damaged.
+    The report is a verified-JSON document
+    (:func:`repro.common.fileio.read_verified_json`).  Raises
+    :class:`~repro.common.errors.ArtifactIntegrityError` when it is damaged
+    (undecodable bytes, invalid JSON, a mistyped ``schema``, a missing or
+    mismatched content digest) -- a campaign report cannot be transparently
+    recomputed here, so the caller must quarantine it and re-run the
+    campaign (the ``repro campaign`` CLI does exactly that).  A report
+    written by a different schema version raises :class:`ConfigurationError`
+    instead: stale, not damaged.
     """
     path = Path(path)
     if path.is_dir():
         path = path / "report.json"
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ArtifactIntegrityError(
-            f"campaign report {path} is not valid JSON ({exc}); the file is "
-            "truncated or corrupt") from exc
-    if not isinstance(data, dict):
-        raise ArtifactIntegrityError(
-            f"campaign report {path} is not a JSON object")
-    if data.get("schema") == REPORT_SCHEMA:
-        stored = data.pop("digest", None)
-        if stored != content_digest(data):
-            raise ArtifactIntegrityError(
-                f"campaign report {path} failed its content-digest check "
-                "(truncated, bit-flipped, or hand-edited); re-run the "
-                "campaign to regenerate it")
-    return CampaignReport.from_dict(data)
+    return CampaignReport.from_dict(read_verified_json(path, REPORT_SCHEMA))
 
 
 # -- Presentation ------------------------------------------------------------

@@ -21,17 +21,21 @@ safe to construct in workers and cheap enough to leave on by default.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 import time
 import warnings
 
-from repro.common.fileio import append_jsonl_line
+from repro.common.fileio import append_jsonl_line, read_jsonl
 
 #: Journal schema version (bumped when event vocabulary/fields change shape).
 JOURNAL_SCHEMA = 1
+
+#: Field types every journal record must have; records that lack them are
+#: damage, skipped by :meth:`RunJournal.read`.
+_RECORD_FIELDS = {"event": str, "ts": (int, float),
+                  "point_id": (str, type(None))}
 
 
 @dataclass(frozen=True)
@@ -111,27 +115,15 @@ class RunJournal:
                           RuntimeWarning, stacklevel=2)
 
     def read(self) -> List[Dict[str, Any]]:
-        """All parseable records, in order (partial trailing lines skipped).
+        """All intact records, in order (:func:`repro.common.fileio.read_jsonl`).
 
-        A torn final line -- the one write a crash can interrupt -- is
-        ignored rather than fatal, because the journal's job is precisely
-        to survive crashes.
+        A torn final line -- the one write a crash can interrupt -- or a
+        damaged one is skipped rather than fatal, because the journal's job
+        is precisely to survive crashes.
         """
-        if self.path is None or not self.path.exists():
+        if self.path is None:
             return []
-        records: List[Dict[str, Any]] = []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(record, dict):
-                    records.append(record)
-        return records
+        return read_jsonl(self.path, _RECORD_FIELDS)
 
 
 def replay(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:

@@ -36,15 +36,16 @@ Parameter namespace
 ======================  =====================================================
 
 Axes whose values are dicts apply several parameters at once (a *linked*
-axis), e.g. sweeping ORT and OVT counts together::
+axis), e.g. sweeping ORT and OVT capacity together::
 
     SweepSpec(
-        name="fig12-cholesky",
+        name="ort-study",
         workloads=("Cholesky",),
         axes={
-            "ort": [{"frontend.num_ort": n, "frontend.num_ovt": n}
-                    for n in (1, 2, 4, 8)],
-            "frontend.num_trs": (1, 2, 4, 8, 16, 32, 64),
+            "frontend.num_ort": (1, 2, 4, 8),
+            "capacity": [{"frontend.total_ort_capacity_bytes": kb * 1024,
+                          "frontend.total_ovt_capacity_bytes": kb * 1024}
+                         for kb in (64, 256, 512)],
         },
         base={"fast_generator": True, "max_tasks": 600},
     )
@@ -63,7 +64,7 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.common.config import SimulationConfig
 from repro.common.errors import ConfigurationError
-from repro.common.hashing import canonical_json, content_digest, fingerprint64
+from repro.common.hashing import canonical_json, content_digest
 
 #: Scalar parameter types a sweep point may carry.
 ParamValue = Union[str, int, float, bool, None]
@@ -198,11 +199,6 @@ class SweepPoint:
         entries.
         """
         return content_digest(self.as_dict())
-
-    @property
-    def fingerprint(self) -> int:
-        """64-bit fingerprint of the parameters (cheap equality check)."""
-        return fingerprint64(self.as_dict())
 
     def label(self) -> str:
         """Compact human-readable rendering of the non-default parameters."""

@@ -261,12 +261,6 @@ def build_frontends(engine: Engine, frontend_config: FrontendConfig,
     if num == 1:
         return [TaskSuperscalarFrontend(engine, per_fe, stats)], None
 
-    if per_fe.num_ovt != per_fe.num_ort:
-        # Global ORT index g must find its paired OVT at position g of the
-        # concatenated OVT view, which requires equal per-pipeline counts.
-        raise ValueError(
-            "multi-frontend topologies require num_ovt == num_ort "
-            f"(got {per_fe.num_ovt} != {per_fe.num_ort})")
     fabric = InterFrontendFabric(engine, topology, stats)
     frontends = [
         TaskSuperscalarFrontend(

@@ -23,31 +23,32 @@ materialised lazily (once, then cached on the view) when a pipeline module
 first touches them.  Replaying a packed trace is bit-identical to replaying
 the ``TaskTrace`` it was packed from.
 
-The on-disk format (:func:`write_packed` / :func:`read_packed`) is a small
-versioned binary file: a JSON header (name, metadata, string tables, column
-directory) followed by the raw little-endian column bytes, loaded with bulk
-``array.frombytes`` instead of per-line JSON parsing.  That bulk load is what
-makes the cross-process trace store (:mod:`repro.trace.store`) fast enough to
-hand one baked trace to a whole sweep fleet.
+The on-disk format (:func:`write_packed` / :func:`read_packed`) is the
+shared columnar container of :mod:`repro.common.fileio` (:data:`PACKED_FORMAT`:
+magic ``RPTT``, version 1): a JSON header (name, metadata, string tables,
+column directory) followed by the raw little-endian column bytes, loaded with
+bulk ``array.frombytes`` instead of per-line JSON parsing.  That bulk load is
+what makes the cross-process trace store (:mod:`repro.trace.store`) fast
+enough to hand one baked trace to a whole sweep fleet.  A header field of the
+wrong type, like any other damage, raises ``TraceFormatError``; a file of
+another version raises its subclass ``StaleFormatError``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 from array import array
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.common.errors import TraceFormatError
-from repro.common.fileio import atomic_write_bytes
+from repro.common.fileio import ColumnarFormat, atomic_write_bytes
 from repro.common.units import cycles_to_us
 from repro.trace.records import Direction, OperandRecord, TaskRecord, TaskTrace
 
 PathLike = Union[str, Path]
 
-#: Bump when the column layout or header contract changes; readers treat a
-#: mismatched version as unreadable (the trace store regenerates on miss).
+#: Bump when the column layout or header contract changes; readers raise
+#: ``StaleFormatError`` for a mismatched version (the trace store re-bakes).
 PACKED_FORMAT_VERSION = 1
 
 #: File magic of the binary format.
@@ -63,10 +64,25 @@ _DIRECTIONS: Tuple[Direction, ...] = (Direction.INPUT, Direction.OUTPUT,
 _DIRECTION_CODE: Dict[Direction, int] = {d: i for i, d in enumerate(_DIRECTIONS)}
 _SCALAR_BIT = 1 << 2
 
-#: Column directory of the binary format, in file order.
-_COLUMNS = ("runtime_cycles", "creation_cycles", "kernel_ids",
-            "operand_offsets", "op_addresses", "op_sizes", "op_flags",
-            "op_name_ids")
+#: Binary column name -> PackedTaskTrace attribute, in file order.
+_COLUMN_ATTRS = {
+    "runtime_cycles": "runtime_column",
+    "creation_cycles": "creation_column",
+    "kernel_ids": "kernel_ids",
+    "operand_offsets": "operand_offsets",
+    "op_addresses": "op_addresses",
+    "op_sizes": "op_sizes",
+    "op_flags": "op_flags",
+    "op_name_ids": "op_name_ids",
+}
+
+#: The ``.rpt`` container (:class:`repro.common.fileio.ColumnarFormat`).
+PACKED_FORMAT = ColumnarFormat(
+    what="packed trace", magic=PACKED_MAGIC, version=PACKED_FORMAT_VERSION,
+    columns=tuple(_COLUMN_ATTRS),
+    fields={"name": str, "metadata": dict, "kernels": list,
+            "operand_names": list, "num_tasks": int, "num_operands": int,
+            "annotations": (dict, type(None))})
 
 
 class _Interner:
@@ -327,7 +343,6 @@ class PackedTaskTrace:
                 (the trace store records the generating parameters there); it
                 does not affect the trace content.
         """
-        columns = {name: getattr(self, _COLUMN_ATTRS[name]) for name in _COLUMNS}
         header = {
             "name": self.name,
             "metadata": self.metadata,
@@ -335,103 +350,25 @@ class PackedTaskTrace:
             "operand_names": self.operand_names,
             "num_tasks": len(self),
             "num_operands": self.num_operand_entries,
-            "columns": [[name, len(columns[name])] for name in _COLUMNS],
         }
         if annotations:
             header["annotations"] = annotations
-        header_bytes = json.dumps(header, sort_keys=True,
-                                  separators=(",", ":")).encode("utf-8")
-        parts = [PACKED_MAGIC,
-                 PACKED_FORMAT_VERSION.to_bytes(4, "little"),
-                 len(header_bytes).to_bytes(8, "little"),
-                 header_bytes]
-        for name in _COLUMNS:
-            column = columns[name]
-            if sys.byteorder != "little":  # pragma: no cover - big-endian host
-                column = array("q", column)
-                column.byteswap()
-            parts.append(column.tobytes())
-        return b"".join(parts)
+        return PACKED_FORMAT.encode(
+            header, [getattr(self, attr) for attr in _COLUMN_ATTRS.values()])
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PackedTaskTrace":
         """Parse :meth:`to_bytes` output (raises ``TraceFormatError``)."""
-        header, columns = _parse_packed(raw)
-        return cls(name=header["name"], metadata=header.get("metadata", {}),
-                   kernels=list(header.get("kernels", [])),
-                   operand_names=list(header.get("operand_names", [])),
-                   runtime_column=columns["runtime_cycles"],
-                   creation_column=columns["creation_cycles"],
-                   kernel_ids=columns["kernel_ids"],
-                   operand_offsets=columns["operand_offsets"],
-                   op_addresses=columns["op_addresses"],
-                   op_sizes=columns["op_sizes"],
-                   op_flags=columns["op_flags"],
-                   op_name_ids=columns["op_name_ids"])
+        return cls._from_container(*PACKED_FORMAT.decode(raw))
 
-
-#: Binary column name -> PackedTaskTrace attribute.
-_COLUMN_ATTRS = {
-    "runtime_cycles": "runtime_column",
-    "creation_cycles": "creation_column",
-    "kernel_ids": "kernel_ids",
-    "operand_offsets": "operand_offsets",
-    "op_addresses": "op_addresses",
-    "op_sizes": "op_sizes",
-    "op_flags": "op_flags",
-    "op_name_ids": "op_name_ids",
-}
-
-
-def _parse_header(raw: bytes, context: str) -> Tuple[Dict, int]:
-    """Parse magic + version + JSON header; returns (header, body offset)."""
-    if len(raw) < 16 or raw[:4] != PACKED_MAGIC:
-        raise TraceFormatError(f"{context}: not a packed trace (bad magic)")
-    version = int.from_bytes(raw[4:8], "little")
-    if version != PACKED_FORMAT_VERSION:
-        raise TraceFormatError(
-            f"{context}: packed format version {version} is not the supported "
-            f"version {PACKED_FORMAT_VERSION}")
-    header_len = int.from_bytes(raw[8:16], "little")
-    body = 16 + header_len
-    if body > len(raw):
-        raise TraceFormatError(f"{context}: truncated header")
-    try:
-        header = json.loads(raw[16:body].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TraceFormatError(f"{context}: malformed header JSON") from exc
-    if not isinstance(header, dict) or "name" not in header:
-        raise TraceFormatError(f"{context}: header is missing the trace name")
-    return header, body
-
-
-def _parse_packed(raw: bytes) -> Tuple[Dict, Dict[str, array]]:
-    header, offset = _parse_header(raw, "packed trace")
-    try:
-        directory = [(str(name), int(length))
-                     for name, length in header["columns"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError("packed trace: malformed column directory") from exc
-    if [name for name, _ in directory] != list(_COLUMNS):
-        raise TraceFormatError(
-            f"packed trace: unexpected column set {[n for n, _ in directory]!r}")
-    itemsize = array("q").itemsize
-    columns: Dict[str, array] = {}
-    for name, length in directory:
-        nbytes = length * itemsize
-        chunk = raw[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise TraceFormatError(f"packed trace: column {name!r} is truncated")
-        column = array("q")
-        column.frombytes(chunk)
-        if sys.byteorder != "little":  # pragma: no cover - big-endian host
-            column.byteswap()
-        columns[name] = column
-        offset += nbytes
-    if offset != len(raw):
-        raise TraceFormatError(
-            f"packed trace: {len(raw) - offset} trailing bytes after columns")
-    return header, columns
+    @classmethod
+    def _from_container(cls, header: Dict,
+                        columns: Dict[str, array]) -> "PackedTaskTrace":
+        return cls(name=header["name"], metadata=header["metadata"],
+                   kernels=header["kernels"],
+                   operand_names=header["operand_names"],
+                   **{attr: columns[name]
+                      for name, attr in _COLUMN_ATTRS.items()})
 
 
 def pack_trace(trace: TaskTrace) -> PackedTaskTrace:
@@ -449,50 +386,21 @@ def write_packed(packed: Union[PackedTaskTrace, TaskTrace], path: PathLike,
 
 def read_packed(path: PathLike) -> PackedTaskTrace:
     """Load a packed trace file written by :func:`write_packed`."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise TraceFormatError(f"cannot read packed trace {path}: {exc}") from exc
-    try:
-        return PackedTaskTrace.from_bytes(raw)
-    except TraceFormatError as exc:
-        raise TraceFormatError(f"{path}: {exc}") from exc
+    return PackedTaskTrace._from_container(*PACKED_FORMAT.read(path))
 
 
 def read_packed_header(path: PathLike) -> Dict[str, object]:
     """Read only the JSON header of a packed trace file (cheap inspection).
 
-    Also checks that the file size matches the header's column directory, so
-    a valid header stapled to truncated column bytes (bitrot, a partial copy
-    of the artifacts dir) is reported unreadable here -- the store's
-    ``contains``/``entries``/``gc`` all build on this, keeping their answers
-    consistent with what :func:`read_packed` would actually accept.
+    The file size must match the header's column directory, so the store's
+    ``contains``/``entries``/``gc`` answer exactly as :func:`read_packed`
+    would (see :meth:`~repro.common.fileio.ColumnarFormat.read_header`).
     """
-    import os
-
-    path = Path(path)
-    with path.open("rb") as handle:
-        prefix = handle.read(16)
-        if len(prefix) < 16 or prefix[:4] != PACKED_MAGIC:
-            raise TraceFormatError(f"{path}: not a packed trace (bad magic)")
-        header_len = int.from_bytes(prefix[8:16], "little")
-        header, body = _parse_header(prefix + handle.read(header_len), str(path))
-        try:
-            column_items = sum(int(length) for _, length in header["columns"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(
-                f"{path}: malformed column directory") from exc
-        expected = body + column_items * array("q").itemsize
-        actual = os.fstat(handle.fileno()).st_size
-        if actual != expected:
-            raise TraceFormatError(
-                f"{path}: file is {actual} bytes but the header promises "
-                f"{expected} (truncated or corrupt columns)")
-    return header
+    return PACKED_FORMAT.read_header(path)
 
 
 __all__ = [
+    "PACKED_FORMAT",
     "PACKED_FORMAT_VERSION",
     "PACKED_MAGIC",
     "PackedTaskTrace",

@@ -27,30 +27,30 @@ stale files read as misses, which makes the store safe for concurrent
 writers: two processes baking the same trace race benignly to an identical
 file.
 
-Integrity: a corrupt entry (bad magic, truncated columns, trailing bytes) is
-never a *silent* miss -- it is counted (``store.corrupt``), moved to
-``<root>/quarantine/`` with a reason sidecar, and reported via
-:class:`~repro.common.errors.ArtifactIntegrityWarning`; the caller re-bakes
-exactly as for a plain miss.  A readable entry of an older
-:data:`PACKED_FORMAT_VERSION` is a plain miss (stale, not damaged) and is
-left in place for :meth:`TraceStore.gc`.
+Integrity: a corrupt entry (bad magic, an undecodable or mistyped header,
+truncated columns, trailing bytes) is never a *silent* miss -- it is counted
+(``store.corrupt``) and handed to :func:`repro.common.fileio.quarantine_file`,
+which moves it to ``<root>/quarantine/`` with a reason sidecar and reports
+it via :class:`~repro.common.errors.ArtifactIntegrityWarning`; the caller
+re-bakes exactly as for a plain miss.  An entry of another
+:data:`PACKED_FORMAT_VERSION` (``StaleFormatError``) is a plain miss (stale,
+not damaged) and is left in place for :meth:`TraceStore.gc`.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.common.errors import ArtifactIntegrityWarning, TraceFormatError
+from repro.common.errors import StaleFormatError, TraceFormatError
 from repro.common.fileio import quarantine_file
 from repro.common.hashing import content_digest
-from repro.trace.packed import (PACKED_FORMAT_VERSION, PACKED_MAGIC,
-                                PackedTaskTrace, pack_trace, read_packed,
-                                read_packed_header, write_packed)
+from repro.trace.packed import (PACKED_FORMAT_VERSION, PackedTaskTrace,
+                                pack_trace, read_packed, read_packed_header,
+                                write_packed)
 from repro.trace.records import TaskTrace
 
 #: Bump when the key derivation changes (forces a clean re-bake).
@@ -154,34 +154,15 @@ class TraceStore:
 
     # -- Entries -----------------------------------------------------------
 
-    def _stale_version(self, path: Path) -> bool:
-        """True when ``path`` is a well-formed trace of a *different* format
-        version -- stale, not damaged, so it must not be quarantined."""
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read(8)
-        except OSError:
-            return False
-        return (len(raw) == 8 and raw[:4] == PACKED_MAGIC
-                and int.from_bytes(raw[4:8], "little") != PACKED_FORMAT_VERSION)
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Count, move and warn about one corrupt entry."""
+    def _read_failed(self, path: Path, error: TraceFormatError) -> None:
+        """Quarantine a failed read unless the entry is absent or stale."""
+        if isinstance(error, StaleFormatError) or not path.exists():
+            return
         self.corrupt += 1
-        moved = quarantine_file(path, self.quarantine_dir(), reason)
+        moved = quarantine_file(path, self.quarantine_dir(), str(error),
+                                "packed trace", "the trace will be re-baked")
         if moved is not None:
             self.quarantined.append(moved)
-        warnings.warn(
-            f"corrupt packed trace {path.name} ({reason}); quarantined to "
-            f"{moved if moved is not None else '<already gone>'} and the "
-            "trace will be re-baked",
-            ArtifactIntegrityWarning, stacklevel=3)
-
-    def _classify_failure(self, path: Path, error: TraceFormatError) -> None:
-        """Quarantine a failed read unless it was absence or staleness."""
-        if not path.exists() or self._stale_version(path):
-            return
-        self._quarantine(path, str(error))
 
     def get(self, digest: str) -> Optional[PackedTaskTrace]:
         """Load the packed trace for ``digest``, or ``None`` on a miss.
@@ -194,7 +175,7 @@ class TraceStore:
         try:
             packed = read_packed(path)
         except TraceFormatError as exc:
-            self._classify_failure(path, exc)
+            self._read_failed(path, exc)
             self.misses += 1
             return None
         self.hits += 1
@@ -227,7 +208,7 @@ class TraceStore:
         try:
             read_packed_header(path)
         except TraceFormatError as exc:
-            self._classify_failure(path, exc)
+            self._read_failed(path, exc)
             return False
         except OSError:
             return False
@@ -254,22 +235,11 @@ class TraceStore:
 
     def __len__(self) -> int:
         """Number of *readable* entries (matches get/contains/entries)."""
-        if not self.root.is_dir():
-            return 0
-        count = 0
-        for path in self.root.glob(f"*/*{ENTRY_SUFFIX}"):
-            try:
-                read_packed_header(path)
-            except (TraceFormatError, OSError):
-                continue
-            count += 1
-        return count
+        return len(self.entries())
 
     def entries(self) -> List[StoreEntry]:
         """Readable entries in deterministic (digest) order, for ``ls``."""
         found: List[StoreEntry] = []
-        if not self.root.is_dir():
-            return found
         for path in sorted(self.root.glob(f"*/*{ENTRY_SUFFIX}")):
             try:
                 header = read_packed_header(path)
@@ -280,9 +250,9 @@ class TraceStore:
                 digest=path.stem,
                 path=path,
                 size_bytes=path.stat().st_size,
-                name=str(header.get("name", "")),
-                num_tasks=int(header.get("num_tasks", 0)),
-                num_operands=int(header.get("num_operands", 0)),
+                name=header["name"],
+                num_tasks=header["num_tasks"],
+                num_operands=header["num_operands"],
                 params=annotations.get("trace_params") or {},
             ))
         return found

@@ -1,4 +1,4 @@
-"""Tests for the analysis helpers (decode-rate law, window statistics)."""
+"""Tests for the analysis helpers (decode-rate law, aggregates)."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.analysis.metrics import (
     max_processors_for_decode_rate,
     speedup,
 )
-from repro.analysis.window import analyze_window_samples
 from repro.common.errors import WorkloadError
 
 
@@ -65,28 +64,3 @@ class TestAggregates:
     def test_arithmetic_mean(self):
         assert arithmetic_mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
         assert arithmetic_mean([]) == 0.0
-
-
-class TestWindowAnalysis:
-    def test_empty_samples(self):
-        stats = analyze_window_samples([])
-        assert stats.peak == 0 and stats.mean == 0.0 and stats.samples == 0
-
-    def test_basic_statistics(self):
-        samples = [(0, 10), (10, 30), (30, 20)]
-        stats = analyze_window_samples(samples)
-        assert stats.peak == 30
-        assert stats.mean == pytest.approx(20.0)
-        # Time weighting: 10 held for 10 cycles, 30 held for 20 cycles.
-        assert stats.time_weighted_mean == pytest.approx((10 * 10 + 30 * 20) / 30)
-        assert stats.samples == 3
-
-    def test_single_sample_uses_plain_mean(self):
-        stats = analyze_window_samples([(5, 7)])
-        assert stats.peak == 7
-        assert stats.time_weighted_mean == pytest.approx(7.0)
-
-    def test_unsorted_samples_are_sorted(self):
-        stats = analyze_window_samples([(30, 20), (0, 10), (10, 30)])
-        assert stats.peak == 30
-        assert stats.time_weighted_mean == pytest.approx((10 * 10 + 30 * 20) / 30)

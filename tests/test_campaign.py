@@ -232,7 +232,7 @@ class TestAblation:
             base={"scale_factor": 0.2, "max_tasks": 25,
                   "fast_generator": True},
             variants={
-                "ort-half": {"frontend.num_ort": 1, "frontend.num_ovt": 1},
+                "ort-half": {"frontend.num_ort": 1},
                 "trs-double": {"frontend.num_trs": 16},
             })
 

@@ -90,7 +90,6 @@ class TestFrontendConfig:
         fe = FrontendConfig()
         assert fe.num_trs == 8
         assert fe.num_ort == 2
-        assert fe.num_ovt == 2
         assert fe.total_trs_capacity_bytes == 6 * MB
         assert fe.total_ort_capacity_bytes == 512 * KB
         # Section IV: ~7 MB of eDRAM overall.
@@ -108,8 +107,12 @@ class TestFrontendConfig:
         assert fe.ort_sets_per_module == fe.ort_entries_per_module // 16
 
     def test_ovt_must_match_ort_count(self):
-        with pytest.raises(ConfigurationError):
-            FrontendConfig(num_ort=2, num_ovt=4).validate()
+        # Each OVT pairs with one ORT (Section IV): num_ort is the OVT count,
+        # and there is no separate knob that could disagree with it.
+        fe = FrontendConfig(num_ort=4)
+        assert fe.ovt_capacity_per_module_bytes == fe.total_ovt_capacity_bytes // 4
+        with pytest.raises(TypeError):
+            FrontendConfig(num_ort=2, num_ovt=4)
 
     def test_tiny_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -147,7 +150,7 @@ class TestSimulationConfig:
         assert base.cmp.num_cores == 256
 
     def test_with_frontend_overrides(self):
-        cfg = default_table2_config().with_frontend(num_trs=4, num_ort=1, num_ovt=1)
+        cfg = default_table2_config().with_frontend(num_trs=4, num_ort=1)
         assert cfg.frontend.num_trs == 4
         assert cfg.frontend.num_ort == 1
 

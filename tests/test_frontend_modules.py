@@ -29,7 +29,7 @@ from repro.trace.records import Direction, OperandRecord, TaskRecord
 def small_frontend(num_trs=2, num_ort=1, **overrides):
     """An assembled frontend on a fresh engine, with tiny-but-valid storage."""
     engine = Engine()
-    settings = dict(num_trs=num_trs, num_ort=num_ort, num_ovt=num_ort,
+    settings = dict(num_trs=num_trs, num_ort=num_ort,
                     total_trs_capacity_bytes=64 * 1024,
                     total_ort_capacity_bytes=32 * 1024,
                     total_ovt_capacity_bytes=32 * 1024)

@@ -221,7 +221,7 @@ class TestBackPressure:
 
     def test_single_trs_single_ort_configuration(self, cholesky5):
         result = run_trace(cholesky5, num_cores=4, validate=True,
-                           num_trs=1, num_ort=1, num_ovt=1)
+                           num_trs=1, num_ort=1)
         assert result.tasks_completed == 35
 
 
@@ -233,8 +233,7 @@ class TestDecodeRateScaling:
         from repro.common.config import TaskGeneratorConfig
 
         config = default_table2_config(64).with_frontend(num_trs=num_trs,
-                                                         num_ort=num_ort,
-                                                         num_ovt=num_ort)
+                                                         num_ort=num_ort)
         config.generator = TaskGeneratorConfig(cycles_per_task=8, cycles_per_operand=2)
         return TaskSuperscalarSystem(config).run(trace).decode_rate_cycles
 

@@ -41,8 +41,7 @@ def acceptance_spec() -> SweepSpec:
         name="acceptance",
         workloads=("Cholesky", "MatMul"),
         axes={
-            "ort": [{"frontend.num_ort": n, "frontend.num_ovt": n}
-                    for n in (1, 2)],
+            "frontend.num_ort": (1, 2),
             "frontend.num_trs": (1, 4),
         },
         base={"num_cores": 16, "scale_factor": 0.3, "max_tasks": 50,
@@ -73,9 +72,12 @@ class TestSweepSpec:
         assert observed == expected
 
     def test_linked_axis_applies_all_fields(self):
-        point = acceptance_spec().points()[0]
-        params = point.as_dict()
-        assert params["frontend.num_ort"] == params["frontend.num_ovt"] == 1
+        spec = SweepSpec(name="linked", workloads=("Cholesky",), axes={
+            "capacity": [{"frontend.total_ort_capacity_bytes": 64 * 1024,
+                          "frontend.total_ovt_capacity_bytes": 64 * 1024}]})
+        params = spec.points()[0].as_dict()
+        assert params["frontend.total_ort_capacity_bytes"] == \
+            params["frontend.total_ovt_capacity_bytes"] == 64 * 1024
 
     def test_point_ids_are_distinct_and_stable(self):
         first = acceptance_spec().points()
@@ -122,7 +124,7 @@ class TestSweepSpec:
     def test_build_point_config_applies_overrides(self):
         params = {"workload": "Cholesky", "num_cores": 32,
                   "frontend.num_trs": 4, "frontend.num_ort": 1,
-                  "frontend.num_ovt": 1, "backend.dispatch_latency_cycles": 8,
+                  "backend.dispatch_latency_cycles": 8,
                   "generator.cycles_per_task": 99}
         config = build_point_config(params)
         assert config.cmp.num_cores == 32
@@ -256,7 +258,6 @@ class TestSweepSpecProperties:
         first = spec.points()
         second = spec.points()
         assert [p.point_id for p in first] == [p.point_id for p in second]
-        assert [p.fingerprint for p in first] == [p.fingerprint for p in second]
         # The content digest is exactly the digest of the canonical params.
         for point in first:
             assert point.point_id == content_digest(point.as_dict())
