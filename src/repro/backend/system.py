@@ -133,9 +133,9 @@ class TaskSuperscalarSystem:
     def _on_task_complete(self, task, record) -> None:
         total = 0
         for fe in self.frontends:
-            fe.sample_occupancy()
-            total += fe.window_occupancy()
-        self._window_peak = max(self._window_peak, total)
+            total += fe.sample_occupancy()
+        if total > self._window_peak:
+            self._window_peak = total
 
     # -- Aggregated measurements --------------------------------------------------------
 

@@ -17,8 +17,10 @@ has exactly one encoding, implemented here once:
 * **Verified-JSON document** (:func:`write_verified_json` /
   :func:`read_verified_json`; result-cache entries and campaign reports) --
   an object with an integer ``schema`` and a ``digest`` over everything
-  except itself, checked only when ``schema`` is current.  Its plain reader
-  :func:`read_json` also serves point summaries and sweep manifests.
+  except itself, checked only when ``schema`` is current.  Plain JSON
+  (:func:`write_json` / :func:`read_json`) serves point summaries and sweep
+  manifests.  Every JSON artifact is written in one compact encoding,
+  sorted keys and no whitespace.
 * **JSONL log** (:func:`append_jsonl_line` / :func:`read_jsonl`; the run
   journal and worker heartbeats) -- one JSON object per line, appended with
   one ``O_APPEND`` write; the reader skips torn or undecodable lines.
@@ -51,7 +53,7 @@ from typing import (Dict, List, Mapping, Optional, Sequence, Tuple, Type,
 from repro.common.errors import (ArtifactIntegrityError,
                                  ArtifactIntegrityWarning, StaleFormatError,
                                  TraceFormatError)
-from repro.common.hashing import content_digest
+from repro.common.hashing import canonical_json, content_digest
 
 PathLike = Union[str, Path]
 
@@ -256,14 +258,24 @@ def read_json(path: PathLike, fields: Optional[FieldTypes] = None) -> Dict:
     return _checked(document, fields, ArtifactIntegrityError, str(path))
 
 
+def write_json(path: PathLike, document: Dict) -> Path:
+    """Atomically write ``document`` as compact, sorted-key JSON."""
+    return atomic_write_text(path, json.dumps(document, sort_keys=True,
+                                              separators=(",", ":")))
+
+
 def write_verified_json(path: PathLike, document: Dict) -> Path:
     """Atomically write ``document`` plus a ``digest`` over all of it.
 
     ``document`` must carry an integer ``schema``; see
-    :func:`read_verified_json`.
+    :func:`read_verified_json`.  It is encoded once, canonically
+    (:func:`~repro.common.hashing.canonical_json`): the digest is the sha256
+    of those bytes, and the file is the same bytes with ``digest`` appended
+    as the last member.
     """
-    payload = dict(document, digest=content_digest(document))
-    return atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1))
+    text = canonical_json(document)
+    return atomic_write_text(
+        path, f'{text[:-1]},"digest":"{content_digest(text)}"}}')
 
 
 def read_verified_json(path: PathLike, schema: int,

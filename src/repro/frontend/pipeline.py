@@ -79,6 +79,9 @@ class TaskSuperscalarFrontend:
 
         #: Decode timestamps, in simulation cycles, in decode-completion order.
         self.decode_times: List[int] = []
+        #: Each TRS's task table (stable for the TRS's lifetime): the window
+        #: occupancy is the sum of their lengths, sampled on every retire.
+        self._trs_tables = [trs._tasks for trs in self.trs_list]
 
         # Pre-bound metric handles for the per-task measurement paths.
         self._stat_tasks_decoded = self.stats.counter_handle(
@@ -175,17 +178,19 @@ class TaskSuperscalarFrontend:
 
     def window_occupancy(self) -> int:
         """Number of tasks currently held across all TRSs."""
-        return sum(trs.inflight_tasks for trs in self.trs_list)
+        return sum(map(len, self._trs_tables))
 
     def trs_blocks_in_use(self) -> int:
         """Total TRS blocks currently allocated across all TRSs."""
         return sum(trs.storage.used_blocks for trs in self.trs_list)
 
-    def sample_occupancy(self) -> None:
-        """Record a window-occupancy sample into the statistics collector."""
-        occupancy = self.window_occupancy()
+    def sample_occupancy(self) -> int:
+        """Record a window-occupancy sample into the statistics collector
+        and return it."""
+        occupancy = sum(map(len, self._trs_tables))
         self._stat_window_samples.add(self.engine.now, occupancy)
         self._stat_window_occupancy.add(occupancy)
+        return occupancy
 
     def modules(self) -> List:
         """Every packet-processing module of the frontend, gateway first."""
@@ -198,13 +203,9 @@ class TaskSuperscalarFrontend:
         for module in self.modules():
             module.bind_observer(observer)
         if observer is not None:
-            # Prebind each TRS's (stable) task table: the probe is sampled
-            # every advance interval, and summing mapped lens is several
-            # times cheaper than the window_occupancy property chain.
-            tables = [trs._tasks for trs in self.trs_list]
             prefix = self.prefix
             observer.add_probe(prefix + "frontend.window_tasks",
-                               lambda _tables=tables: sum(map(len, _tables)))
+                               self.window_occupancy)
             observer.add_probe(prefix + "gateway.buffer",
                                lambda: self.gateway.buffer_occupancy)
             observer.add_probe(prefix + "ready_queue.depth",

@@ -21,9 +21,9 @@ in place and counted in :attr:`EventRing.dropped`.  Tuple-per-event beats a
 flat ``array('q')`` on the hot path by ~3x (appending a tuple stores one
 pointer; extending an int64 array converts five Python ints to C longs per
 event), and the recording overhead is what the bench CI gate bounds.  The
-*serialised* form stays packed columnar: :meth:`EventRing.columns` and the
-``.robs`` writer in :mod:`repro.obs.io` emit five flat int64 columns, in
-the columnar container :mod:`repro.trace.packed` uses too
+*serialised* form stays packed columnar: the ``.robs`` writer in
+:mod:`repro.obs.io` emits five flat int64 columns, in the columnar
+container :mod:`repro.trace.packed` uses too
 (:class:`repro.common.fileio.ColumnarFormat`).
 
 Task identity: lifecycle events carry the task's trace ``sequence`` (the
@@ -35,7 +35,6 @@ sequence-to-encoded-id binding so consumers can translate.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterator, List, Tuple
 
 # -- Event kinds -------------------------------------------------------------
@@ -156,11 +155,3 @@ class EventRing:
         count = len(buf)
         for offset in range(count):
             yield buf[(start + offset) % count]
-
-    def columns(self) -> List[array]:
-        """The retained events as five chronological ``array('q')`` columns."""
-        cols = [array("q") for _ in range(STRIDE)]
-        for event in self.events():
-            for column, item in zip(cols, event):
-                column.append(item)
-        return cols

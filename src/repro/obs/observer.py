@@ -246,15 +246,17 @@ class Observer:
         ring = self.ring
         probes = tuple(self._probes.values())
 
-        def on_advance(now: int, _buf=ring._buf, _append=ring._buf.append,
-                       _limit=ring.capacity, _wrap=ring.append,
+        def on_advance(now: int, _buf=ring._buf, _extend=ring._buf.extend,
+                       _room=ring.capacity - len(probes), _wrap=ring.append,
                        _probes=probes, _interval=interval) -> int:
-            # Probes return ints by contract (see add_probe); the fast path
-            # is one bounds check and one append per probe.
-            for pid, fn in _probes:
-                if len(_buf) < _limit:
-                    _append((now, EV_OCCUPANCY, pid, -1, fn()))
-                else:
+            # Probes return ints by contract (see add_probe).  The fast path
+            # is one bounds check per sample, for the whole round; a round
+            # that would reach the capacity takes the ring's own append.
+            if len(_buf) <= _room:
+                _extend([(now, EV_OCCUPANCY, pid, -1, fn())
+                         for pid, fn in _probes])
+            else:
+                for pid, fn in _probes:
                     _wrap(now, EV_OCCUPANCY, pid, -1, fn())
             return now + _interval
 

@@ -20,7 +20,6 @@ Two kinds of artifact live here:
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time as _walltime
@@ -28,8 +27,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.common.errors import ArtifactIntegrityError
-from repro.common.fileio import (append_jsonl_line, atomic_write_text,
-                                 read_json, read_jsonl)
+from repro.common.fileio import (append_jsonl_line, read_json, read_jsonl,
+                                 write_json)
 from repro.obs.observer import Recording
 from repro.obs.timeline import (
     STALL_CATEGORIES,
@@ -116,9 +115,7 @@ def format_report(summary: Dict[str, object]) -> str:
 def write_point_summary(root: PathLike, digest: str,
                         summary: Dict[str, object]) -> Path:
     """Write ``<root>/points/<digest>.json`` atomically."""
-    path = Path(root) / "points" / f"{digest}.json"
-    atomic_write_text(path, json.dumps(summary, sort_keys=True, indent=2))
-    return path
+    return write_json(Path(root) / "points" / f"{digest}.json", summary)
 
 
 def load_point_summaries(root: PathLike) -> Dict[str, Dict[str, object]]:

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs.events import (
     EV_DEP_FORWARD,
     EV_MODULE_SERVICE,
-    EV_MODULE_STALL,
     EV_OCCUPANCY,
     EV_STALL_SOURCE,
     EV_TASK_ADMITTED,
@@ -53,7 +52,7 @@ STALL_CATEGORIES = ("window_full", "renaming_full", "decode",
                     "operand_unready", "no_free_core", "execute")
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskSpans:
     """Lifecycle stamps of one task (cycle of each stage; -1 = not seen)."""
 
@@ -88,12 +87,8 @@ class Timeline:
     #: Half-open ``[start, end)`` intervals during which the gateway was
     #: stalled by at least one ORT/OVT source, merged across sources.
     renaming_stalls: List[Tuple[int, int]]
-    #: Per-module stall intervals (module name -> merged intervals).
-    module_stalls: Dict[str, List[Tuple[int, int]]]
     #: Per-module service totals: name -> (service count, busy cycles).
     module_service: Dict[str, Tuple[int, int]]
-    #: Occupancy series: probe name -> [(cycle, value), ...].
-    occupancy: Dict[str, List[Tuple[int, int]]]
     #: Largest cycle stamp observed.
     end_time: int
     #: Events lost to ring wrap-around (stamps may be missing if > 0).
@@ -101,50 +96,51 @@ class Timeline:
 
 
 def build_timeline(recording: Recording) -> Timeline:
-    """Reconstruct per-task lifecycles and module activity from a recording."""
+    """Reconstruct per-task lifecycles and module activity from a recording.
+
+    Occupancy samples -- most of a sweep point's events -- and module stall
+    levels only move :attr:`Timeline.end_time`: no analysis here reads
+    them (the Perfetto export draws them from the recording itself).
+    """
     names = recording.names
     tasks: Dict[int, TaskSpans] = {}
     tid_to_seq: Dict[int, int] = {}
     pending_deps: List[Tuple[int, int, int]] = []  # (consumer_tid, producer_tid, time)
-    open_stalls: Dict[str, int] = {}
-    module_stalls: Dict[str, List[Tuple[int, int]]] = {}
     active_sources: Dict[int, int] = {}  # source name id -> assert cycle
     renaming_open: Optional[int] = None
     renaming_stalls: List[Tuple[int, int]] = []
     service: Dict[str, List[int]] = {}
-    occupancy: Dict[str, List[Tuple[int, int]]] = {}
     end_time = 0
-
-    def spans(seq: int) -> TaskSpans:
-        entry = tasks.get(seq)
-        if entry is None:
-            entry = tasks[seq] = TaskSpans(seq=seq)
-        return entry
 
     for time, kind, module, task, value in recording.events:
         if time > end_time:
             end_time = time
-        if kind == EV_TASK_CREATED:
-            spans(task).created = time
-        elif kind == EV_TASK_ADMITTED:
-            spans(task).admitted = time
-        elif kind == EV_TASK_WINDOW_WAIT:
-            spans(task).window_waited = True
-        elif kind == EV_TASK_ALLOCATED:
-            spans(task).allocated = time
-            tid_to_seq[value] = task
-        elif kind == EV_TASK_DECODED:
-            spans(task).decoded = time
-        elif kind == EV_TASK_READY:
-            spans(task).ready = time
-        elif kind == EV_TASK_DISPATCHED:
-            entry = spans(task)
-            entry.dispatched = time
-            entry.core = value
-        elif kind == EV_TASK_RETIRED:
-            spans(task).retired = time
-        elif kind == EV_TASK_FREED:
-            spans(task).freed = time
+        if kind == EV_OCCUPANCY:
+            continue
+        if EV_TASK_CREATED <= kind <= EV_TASK_FREED:  # a lifecycle stamp
+            entry = tasks.get(task)
+            if entry is None:
+                entry = tasks[task] = TaskSpans(task)
+            if kind == EV_TASK_CREATED:
+                entry.created = time
+            elif kind == EV_TASK_ADMITTED:
+                entry.admitted = time
+            elif kind == EV_TASK_WINDOW_WAIT:
+                entry.window_waited = True
+            elif kind == EV_TASK_ALLOCATED:
+                entry.allocated = time
+                tid_to_seq[value] = task
+            elif kind == EV_TASK_DECODED:
+                entry.decoded = time
+            elif kind == EV_TASK_READY:
+                entry.ready = time
+            elif kind == EV_TASK_DISPATCHED:
+                entry.dispatched = time
+                entry.core = value
+            elif kind == EV_TASK_RETIRED:
+                entry.retired = time
+            else:
+                entry.freed = time
         elif kind == EV_DEP_FORWARD:
             pending_deps.append((task, value, time))
         elif kind == EV_MODULE_SERVICE:
@@ -154,14 +150,6 @@ def build_timeline(recording: Recording) -> Timeline:
             else:
                 totals[0] += 1
                 totals[1] += value
-        elif kind == EV_MODULE_STALL:
-            name = names[module]
-            if value:
-                open_stalls.setdefault(name, time)
-            else:
-                start = open_stalls.pop(name, None)
-                if start is not None:
-                    module_stalls.setdefault(name, []).append((start, time))
         elif kind == EV_STALL_SOURCE:
             if value:
                 if not active_sources:
@@ -172,12 +160,8 @@ def build_timeline(recording: Recording) -> Timeline:
                 if not active_sources and renaming_open is not None:
                     renaming_stalls.append((renaming_open, time))
                     renaming_open = None
-        elif kind == EV_OCCUPANCY:
-            occupancy.setdefault(names[module], []).append((time, value))
 
-    # Close intervals still open at the end of the recording.
-    for name, start in open_stalls.items():
-        module_stalls.setdefault(name, []).append((start, end_time))
+    # Close an interval still open at the end of the recording.
     if renaming_open is not None:
         renaming_stalls.append((renaming_open, end_time))
 
@@ -191,10 +175,8 @@ def build_timeline(recording: Recording) -> Timeline:
 
     return Timeline(tasks=tasks,
                     renaming_stalls=renaming_stalls,
-                    module_stalls=module_stalls,
                     module_service={name: (count, busy)
                                     for name, (count, busy) in service.items()},
-                    occupancy=occupancy,
                     end_time=end_time,
                     dropped=recording.dropped)
 

@@ -18,7 +18,8 @@ concurrent workers, or a sweep killed mid-write, can never leave a truncated
 file behind, and carrying a ``digest`` over the whole entry, verified on
 read.  Each entry records the full parameter dict alongside the result,
 which makes the artifact directory self-describing.  Manifests are plain
-JSON, read with :func:`repro.common.fileio.read_json`.
+JSON, written with :func:`repro.common.fileio.write_json` and read with
+:func:`~repro.common.fileio.read_json`.
 
 Integrity: a corrupt entry -- undecodable bytes, invalid or truncated JSON, a
 digest mismatch, a field of the wrong type -- is never served *and never
@@ -32,15 +33,14 @@ the one exception -- an ordinary miss, not damage.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.backend.system import SimulationResult
 from repro.common.errors import ArtifactIntegrityError
-from repro.common.fileio import (atomic_write_text, quarantine_file, read_json,
-                                 read_verified_json, write_verified_json)
+from repro.common.fileio import (quarantine_file, read_json, read_verified_json,
+                                 write_json, write_verified_json)
 from repro.sweep.spec import SweepPoint
 
 #: Bump when the entry layout changes; mismatched entries are treated as
@@ -62,9 +62,24 @@ SCHEMA_VERSION = 6
 DEFAULT_CACHE_ROOT = Path(".repro-artifacts") / "sweeps"
 
 
+#: The fields :func:`result_to_dict` copies, in declaration order.
+_RESULT_FIELDS = tuple(f.name for f in fields(SimulationResult))
+
+
 def result_to_dict(result: SimulationResult) -> Dict:
-    """Serialise a :class:`SimulationResult` to plain JSON data."""
-    return asdict(result)
+    """Serialise a :class:`SimulationResult` to plain JSON data.
+
+    Equal to ``dataclasses.asdict(result)`` and shares no mutable object
+    with ``result``.  Every field is a scalar or a flat list or dict of
+    scalars (``stats``, the per-frontend lists), so copying each container
+    once is already a deep copy -- without ``asdict``'s per-value
+    ``deepcopy`` of every stats entry.
+    """
+    data: Dict = {}
+    for name in _RESULT_FIELDS:
+        value = getattr(result, name)
+        data[name] = value.copy() if isinstance(value, (list, dict)) else value
+    return data
 
 
 def result_from_dict(data: Dict) -> SimulationResult:
@@ -170,7 +185,6 @@ class ResultCache:
     def write_manifest(self, spec_id: str, name: str,
                        points: List[SweepPoint]) -> Path:
         """Record which points a completed sweep covered (for provenance)."""
-        path = self._manifest_path(spec_id)
         manifest = {
             "schema": SCHEMA_VERSION,
             "spec_id": spec_id,
@@ -178,8 +192,7 @@ class ResultCache:
             "num_points": len(points),
             "point_ids": [point.point_id for point in points],
         }
-        atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=1))
-        return path
+        return write_json(self._manifest_path(spec_id), manifest)
 
     def read_manifest(self, spec_id: str) -> Optional[Dict]:
         """Load a sweep manifest, or ``None`` if the sweep never completed

@@ -1,10 +1,11 @@
 """Execute sweep specs in this process or over a crash-tolerant worker pool.
 
-:func:`execute_point` is the single entry point that turns one
-:class:`repro.sweep.spec.SweepPoint` into a
-:class:`repro.backend.system.SimulationResult`.  It is a module-level
-function taking only plain data, so it pickles cleanly into
-``multiprocessing`` workers; every call builds its own engine, frontend and
+:func:`simulate_point` is the single entry point that turns one
+:class:`repro.sweep.spec.SweepPoint`'s parameters into a
+:class:`repro.backend.system.SimulationResult`; :func:`execute_point` wraps
+it for pool workers, returning plain data.  Both are module-level functions
+taking only plain data, so they pickle cleanly into ``multiprocessing``
+workers; every call builds its own engine, frontend and
 backend, which is what keeps pool execution bit-identical to in-process
 execution -- simulations share no mutable state, and the runner reassembles
 results in spec order regardless of completion order.
@@ -307,6 +308,16 @@ def execute_point(point_params: Dict[str, ParamValue]) -> Dict:
     Takes and returns plain dicts (not dataclasses) so the function can cross
     process boundaries regardless of the multiprocessing start method.
     """
+    return result_to_dict(simulate_point(point_params))
+
+
+def simulate_point(point_params: Dict[str, ParamValue]) -> SimulationResult:
+    """Simulate one sweep point (with telemetry when configured).
+
+    The in-process runner calls this directly, so a result is serialised
+    once, by the cache that stores it; :func:`execute_point` is the same
+    call for pool workers and other callers that need plain data.
+    """
     params = dict(point_params)
     config = build_point_config(params)
     trace = trace_for_params(params)
@@ -354,7 +365,7 @@ def execute_point(point_params: Dict[str, ParamValue]) -> Dict:
                 f"telemetry write failed for point {digest[:12]} ({exc}); "
                 "the simulation result is unaffected", RuntimeWarning,
                 stacklevel=2)
-    return result_to_dict(result)
+    return result
 
 
 def _write_point_telemetry(obs: ObsSettings, digest: str,
@@ -682,10 +693,9 @@ class SweepRunner:
             if progress is not None:
                 progress(point, result, True)
 
-        def record(first: int, data: Dict) -> None:
+        def record(first: int, result: SimulationResult) -> None:
             """Cache, journal and report one fresh result (by first index)."""
             point = points[first]
-            result = result_from_dict(data)
             if self.cache is not None:
                 self.cache.put(point, result)
             journal.emit("point_done", point_id=point.point_id)
@@ -724,7 +734,8 @@ class SweepRunner:
 
     def _run_in_process(self, points: List[SweepPoint],
                         pending: Dict[str, List[int]], journal: RunJournal,
-                        record: Callable[[int, Dict], None]) -> None:
+                        record: Callable[[int, SimulationResult], None],
+                        ) -> None:
         """Simulate every pending configuration here, in spec order."""
         restore = _use_trace_store(self._store_setting)
         try:
@@ -733,10 +744,10 @@ class SweepRunner:
                 journal.emit("point_running", point_id=point.point_id,
                              attempt=0)
                 try:
-                    data = execute_point(point.as_dict())
+                    result = simulate_point(point.as_dict())
                 except Exception as exc:
                     raise _point_failure(journal, [point], 0, exc) from exc
-                record(indexes[0], data)
+                record(indexes[0], result)
         finally:
             restore()
 
@@ -744,7 +755,8 @@ class SweepRunner:
 
     def _run_pool(self, points: List[SweepPoint],
                   pending: Dict[str, List[int]], journal: RunJournal,
-                  record: Callable[[int, Dict], None]) -> Tuple[int, int]:
+                  record: Callable[[int, SimulationResult], None],
+                  ) -> Tuple[int, int]:
         """Dispatch every pending point, surviving crashes and stragglers.
 
         Returns ``(retried_points, pool_restarts)``.  With a trace store the
@@ -810,7 +822,7 @@ class SweepRunner:
                     journal, [points[index] for index, _ in item[0]],
                     item[1], exc) from exc
             for first, data in chunk_results:
-                record(first, data)
+                record(first, result_from_dict(data))
             return True
 
         in_flight: Dict[concurrent.futures.Future,

@@ -60,6 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.common.config import SimulationConfig
@@ -190,13 +191,14 @@ class SweepPoint:
         """The parameters as a plain dict (copy; mutating it is safe)."""
         return dict(self.params)
 
-    @property
+    @cached_property
     def point_id(self) -> str:
         """Content address of the parameters (hex; cache file name).
 
         Deliberately independent of :attr:`index` and of the spec the point
         came from: two specs that expand to the same parameters share cache
-        entries.
+        entries.  Computed once per point: the runner, cache and journal
+        each read it several times per point.
         """
         return content_digest(self.as_dict())
 

@@ -11,8 +11,10 @@ Paths ending in ``.gz`` are compressed/decompressed transparently (the text
 format gzips to a small fraction of its size), and reading streams the file
 line by line: :func:`read_trace_tasks` yields one task at a time in constant
 memory, and :func:`read_trace` parses header and tasks in a single pass over
-one open handle.  For a binary format that loads in bulk, see
-:mod:`repro.trace.packed`.
+one open handle.  A damaged file -- bytes that are not UTF-8, a broken gzip
+stream, a malformed or mistyped record -- raises :class:`TraceFormatError`
+naming the file; no line is ever skipped.  For a binary format that loads
+in bulk, see :mod:`repro.trace.packed`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import io
 import json
 import os
 import tempfile
+import zlib
+from contextlib import closing
 from pathlib import Path
 from typing import IO, Iterator, Tuple, Union
 
@@ -29,13 +33,6 @@ from repro.common.errors import TraceFormatError
 from repro.trace.records import Direction, OperandRecord, TaskRecord, TaskTrace
 
 PathLike = Union[str, Path]
-
-
-def _open(path: Path, mode: str) -> IO[str]:
-    """Open a trace file for text I/O, gzipping when the suffix asks for it."""
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return path.open(mode, encoding="utf-8")
 
 
 def _operand_to_json(operand: OperandRecord) -> list:
@@ -98,17 +95,42 @@ def write_trace(trace: TaskTrace, path: PathLike) -> None:
         raise
 
 
-def _parse_header_line(line: str, path: Path) -> dict:
+def _read_lines(path: Path) -> Iterator[Tuple[int, str]]:
+    """Yield ``(line number, text)`` for each non-empty line of a trace file.
+
+    Lines are read as bytes and decoded one at a time, so bytes that are not
+    UTF-8 -- or a damaged gzip stream -- raise :class:`TraceFormatError`
+    naming the file, never a bare decoding error.  A missing file raises
+    ``FileNotFoundError``.
+    """
+    opener = gzip.open if path.suffix == ".gz" else open
+    with opener(path, "rb") as handle:
+        try:
+            for lineno, raw in enumerate(handle, 1):
+                line = raw.decode("utf-8").strip()
+                if line:
+                    yield lineno, line
+        except (UnicodeDecodeError, gzip.BadGzipFile, zlib.error,
+                EOFError) as exc:
+            raise TraceFormatError(
+                f"trace file {path} has unreadable bytes ({exc})") from exc
+
+
+def _parse_header(lines: Iterator[Tuple[int, str]], path: Path) -> dict:
     """Parse and validate the header record (the first non-empty line)."""
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(
-            f"trace file {path} has a malformed header") from exc
-    if not isinstance(header, dict) or "trace" not in header:
-        raise TraceFormatError(
-            f"trace file {path} is missing the header record")
-    return header
+    for _, line in lines:
+        try:
+            header = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(
+                f"trace file {path} has a malformed header") from exc
+        if not (isinstance(header, dict)
+                and isinstance(header.get("trace"), str)
+                and isinstance(header.get("metadata", {}), dict)):
+            raise TraceFormatError(
+                f"trace file {path} is missing the header record")
+        return header
+    raise TraceFormatError(f"trace file {path} is empty")
 
 
 def _parse_task(line: str, path: Path, lineno: int) -> TaskRecord:
@@ -126,37 +148,23 @@ def _parse_task(line: str, path: Path, lineno: int) -> TaskRecord:
         )
     except KeyError as exc:
         raise TraceFormatError(f"{path}:{lineno}: missing field {exc}") from exc
+    except TypeError as exc:
+        raise TraceFormatError(
+            f"{path}:{lineno}: malformed task record ({exc})") from exc
 
 
-def _scan_header(handle: IO[str], path: Path) -> Tuple[dict, int]:
-    """Consume lines up to and including the header record.
-
-    Returns the parsed header and the number of lines consumed, so a task
-    iterator can continue on the same handle with correct line numbers.
-    """
-    lineno = 0
-    for raw in handle:
-        lineno += 1
-        line = raw.strip()
-        if line:
-            return _parse_header_line(line, path), lineno
-    raise TraceFormatError(f"trace file {path} is empty")
-
-
-def _iter_tasks(handle: IO[str], path: Path, lineno: int) -> Iterator[TaskRecord]:
-    """Yield the task records remaining on ``handle`` after the header."""
-    for raw in handle:
-        lineno += 1
-        line = raw.strip()
-        if line:
-            yield _parse_task(line, path, lineno)
+def _parse_tasks(lines: Iterator[Tuple[int, str]],
+                 path: Path) -> Iterator[TaskRecord]:
+    """Parse the task records remaining on ``lines`` after the header."""
+    for lineno, line in lines:
+        yield _parse_task(line, path, lineno)
 
 
 def read_trace_header(path: PathLike) -> dict:
     """Read only the header record ``{"trace": ..., "metadata": ...}``."""
     path = Path(path)
-    with _open(path, "r") as handle:
-        return _scan_header(handle, path)[0]
+    with closing(_read_lines(path)) as lines:
+        return _parse_header(lines, path)
 
 
 def read_trace_tasks(path: PathLike) -> Iterator[TaskRecord]:
@@ -167,12 +175,12 @@ def read_trace_tasks(path: PathLike) -> Iterator[TaskRecord]:
     memory.  The header line is validated and skipped.
 
     Raises:
-        TraceFormatError: if the file is malformed.
+        TraceFormatError: if the file is malformed or its bytes are damaged.
     """
     path = Path(path)
-    with _open(path, "r") as handle:
-        _, lineno = _scan_header(handle, path)
-        yield from _iter_tasks(handle, path, lineno)
+    with closing(_read_lines(path)) as lines:
+        _parse_header(lines, path)
+        yield from _parse_tasks(lines, path)
 
 
 def read_trace(path: PathLike) -> TaskTrace:
@@ -182,10 +190,10 @@ def read_trace(path: PathLike) -> TaskTrace:
     into the :class:`TaskTrace` constructor from one open handle.
 
     Raises:
-        TraceFormatError: if the file is malformed.
+        TraceFormatError: if the file is malformed or its bytes are damaged.
     """
     path = Path(path)
-    with _open(path, "r") as handle:
-        header, lineno = _scan_header(handle, path)
-        return TaskTrace(header["trace"], _iter_tasks(handle, path, lineno),
+    with closing(_read_lines(path)) as lines:
+        header = _parse_header(lines, path)
+        return TaskTrace(header["trace"], _parse_tasks(lines, path),
                          header.get("metadata", {}))

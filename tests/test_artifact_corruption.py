@@ -11,13 +11,16 @@ artifact's documented corruption outcome:
 * point summary       -> the damaged summary is skipped;
 * heartbeat file      -> the damaged record is skipped;
 * packed trace        -> quarantined by the trace store, a miss;
-* obs recording       -> ``TraceFormatError``.
+* obs recording       -> ``TraceFormatError``;
+* JSON-lines trace    -> ``TraceFormatError`` naming the file, plain or
+  gzipped (the interchange format never skips a line).
 
 No bare ``UnicodeDecodeError``, ``ValueError`` or ``TypeError`` may escape.
 """
 
 from __future__ import annotations
 
+import gzip
 import json
 import shutil
 from contextlib import contextmanager
@@ -40,6 +43,8 @@ from repro.sweep.campaign import (Campaign, load_report, run_campaign,
 from repro.sweep.resilience import RunJournal, replay
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import SweepSpec
+from repro.trace.io import (read_trace, read_trace_header, read_trace_tasks,
+                            write_trace)
 from repro.trace.store import TraceStore
 
 from tests.conftest import chain_trace
@@ -74,10 +79,13 @@ def damage_json(path: Path, mode: str, field: str, value) -> None:
         path.write_bytes(damage(raw, 0, len(raw), mode))
 
 
-def damage_jsonl(path: Path, mode: str, field: str, value) -> int:
-    """Damage the middle line of a JSONL log; returns that line's index."""
+def damage_jsonl(path: Path, mode: str, field: str, value,
+                 index=None) -> int:
+    """Damage one line of a JSONL file (the middle one by default); returns
+    that line's index."""
     lines = path.read_bytes().splitlines(keepends=True)
-    index = len(lines) // 2
+    if index is None:
+        index = len(lines) // 2
     if mode == "wrong_type":
         record = json.loads(lines[index])
         record[field] = value
@@ -205,9 +213,34 @@ def recording(swept, tmp_path: Path, mode: str) -> None:
         load_recording(path)
 
 
+def jsonl_trace(swept, tmp_path: Path, mode: str) -> None:
+    damaged = []
+    for name, field, value, index in (("task.jsonl", "operands", 5, None),
+                                      ("header.jsonl", "trace", 5, 0)):
+        path = tmp_path / name
+        write_trace(chain_trace(4), path)
+        damage_jsonl(path, mode, field, value, index)
+        zipped = path.with_name(name + ".gz")
+        zipped.write_bytes(gzip.compress(path.read_bytes()))
+        damaged += [path, zipped]
+    if mode != "wrong_type":
+        stream = tmp_path / "stream.jsonl.gz"
+        write_trace(chain_trace(4), stream)
+        raw = stream.read_bytes()
+        stream.write_bytes(damage(raw, 0, len(raw), mode))
+        damaged.append(stream)
+    for path in damaged:
+        readers = [read_trace, lambda path: list(read_trace_tasks(path))]
+        if path.name.startswith("header"):
+            readers.append(read_trace_header)
+        for read in readers:
+            with pytest.raises(TraceFormatError, match=path.name):
+                read(path)
+
+
 CASES = {case.__name__: case for case in (
     cache_entry, campaign_report, journal, point_summaries, heartbeats,
-    packed_trace, recording)}
+    packed_trace, recording, jsonl_trace)}
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -30,17 +30,27 @@ from repro.backend.system import TaskSuperscalarSystem
 from repro.common.errors import TraceFormatError
 from repro.experiments.common import experiment_config, experiment_trace
 from repro.obs import (
+    EV_DEP_FORWARD,
+    EV_MODULE_SERVICE,
+    EV_MODULE_STALL,
     EV_OCCUPANCY,
+    EV_STALL_SOURCE,
     EV_TASK_ADMITTED,
     EV_TASK_ALLOCATED,
     EV_TASK_CREATED,
+    EV_TASK_DECODED,
+    EV_TASK_DISPATCHED,
+    EV_TASK_FREED,
+    EV_TASK_READY,
+    EV_TASK_RETIRED,
+    EV_TASK_WINDOW_WAIT,
     EventRing,
     ObsConfig,
     Observer,
+    Recording,
     decode_task_id,
     encode_task_id,
 )
-from repro.obs.events import STRIDE
 from repro.obs.export import (
     PID_CORES,
     to_trace_events,
@@ -53,6 +63,11 @@ from repro.obs.io import (
     recording_from_bytes,
     recording_to_bytes,
     save_recording,
+)
+from repro.obs.report import (
+    load_point_summaries,
+    point_summary,
+    write_point_summary,
 )
 from repro.obs.timeline import (
     STALL_CATEGORIES,
@@ -95,14 +110,16 @@ class TestEventRing:
         # The oldest two events were overwritten; order stays chronological.
         assert [event[0] for event in ring.events()] == [2, 3, 4, 5]
 
-    def test_columns_match_events_after_wrap(self):
-        ring = EventRing(3)
+    def test_wrapped_events_survive_robs_round_trip(self):
+        # Every field of every retained event, in chronological order,
+        # survives the .robs columns after the ring wrapped.
+        observer = Observer(ObsConfig(capacity=3))
         for i in range(5):
-            ring.append(i, i + 1, i + 2, i + 3, i + 4)
-        columns = ring.columns()
-        assert len(columns) == STRIDE
-        assert [list(column) for column in columns] == [
-            list(column) for column in zip(*ring.events())]
+            observer.ring.append(i, i + 1, i + 2, i + 3, i + 4)
+        recording = observer.snapshot()
+        loaded = recording_from_bytes(recording_to_bytes(recording))
+        assert loaded.events == list(observer.ring.events()) == [
+            (i, i + 1, i + 2, i + 3, i + 4) for i in (2, 3, 4)]
 
     def test_prebound_fast_path_composes_with_wrap_path(self):
         # Observer handles prebind ring._buf / ring._buf.append for the
@@ -330,9 +347,88 @@ class TestTimelineAnalysis:
 
     def test_occupancy_probes_were_sampled(self, diamond):
         _, recording = diamond
-        timeline = build_timeline(recording)
-        assert "frontend.window_tasks" in timeline.occupancy
-        assert timeline.occupancy["frontend.window_tasks"]
+        sampled = {recording.names[module]
+                   for _, kind, module, _, _ in recording.events
+                   if kind == EV_OCCUPANCY}
+        assert "frontend.window_tasks" in sampled
+        # The timeline does not keep the samples, but their cycles still
+        # count towards the end of the recording.
+        assert build_timeline(recording).end_time == max(
+            event[0] for event in recording.events)
+
+
+def _two_task_recording() -> Recording:
+    """A hand-built recording: task 1 reads task 0's output, an ORT stall
+    overlaps task 1's allocation wait, and an occupancy sample is last."""
+    names = ["gateway", "trs0", "ort0", "frontend.window_tasks",
+             "AllocRequest"]
+    gateway, trs0, ort0, window, alloc = range(len(names))
+    events = [
+        (0, EV_OCCUPANCY, window, -1, 0),
+        (0, EV_TASK_CREATED, gateway, 0, 0),
+        (1, EV_TASK_ADMITTED, gateway, 0, 0),
+        (1, EV_TASK_CREATED, gateway, 1, 0),
+        (2, EV_TASK_ADMITTED, gateway, 1, 0),
+        (2, EV_TASK_WINDOW_WAIT, gateway, 1, 0),
+        (3, EV_MODULE_SERVICE, trs0, alloc, 2),
+        (3, EV_TASK_ALLOCATED, trs0, 0, encode_task_id(0, 0)),
+        (4, EV_STALL_SOURCE, gateway, ort0, 1),
+        (4, EV_MODULE_STALL, gateway, -1, 1),
+        (5, EV_TASK_DECODED, trs0, 0, 0),
+        (5, EV_TASK_READY, trs0, 0, 0),
+        (6, EV_TASK_DISPATCHED, gateway, 0, 0),
+        (7, EV_STALL_SOURCE, gateway, ort0, 0),
+        (7, EV_MODULE_STALL, gateway, -1, 0),
+        (8, EV_MODULE_SERVICE, trs0, alloc, 2),
+        (8, EV_TASK_ALLOCATED, trs0, 1, encode_task_id(0, 1)),
+        (10, EV_TASK_DECODED, trs0, 1, 0),
+        (16, EV_OCCUPANCY, window, -1, 2),
+        (16, EV_TASK_RETIRED, gateway, 0, 0),
+        (17, EV_TASK_FREED, trs0, 0, 0),
+        (17, EV_DEP_FORWARD, trs0, encode_task_id(0, 1),
+         encode_task_id(0, 0)),
+        (17, EV_TASK_READY, trs0, 1, 0),
+        (18, EV_TASK_DISPATCHED, gateway, 1, 1),
+        (30, EV_TASK_RETIRED, gateway, 1, 1),
+        (31, EV_TASK_FREED, trs0, 1, 0),
+        (40, EV_OCCUPANCY, window, -1, 0),
+    ]
+    return Recording(names=names, events=events, dropped=0,
+                     meta={"point": "two-task"})
+
+
+class TestPointSummary:
+    def test_summary_of_a_known_recording_is_pinned(self, tmp_path):
+        # Per task: admitted->allocated splits into renaming (overlap with
+        # the ORT stall [4, 7)) and window; then decode, operand wait, core
+        # wait and execution.  Task 0: 0+2, 2, 0, 1, 10; task 1: 3+3, 2, 7,
+        # 1, 12.
+        totals = {"window_full": 5, "renaming_full": 3, "decode": 4,
+                  "operand_unready": 7, "no_free_core": 2, "execute": 22}
+        summary = point_summary(_two_task_recording(),
+                                params={"workload": "two"},
+                                metrics={"makespan_cycles": 30})
+        assert summary == {
+            "schema": "repro.obs.point/1",
+            "events": 27,
+            "dropped": 0,
+            "tasks": 2,
+            "end_time": 40,
+            "stalls": {"totals": totals,
+                       "fractions": {category: cycles / 43
+                                     for category, cycles in totals.items()},
+                       "tasks_attributed": 2, "tasks_skipped": 0},
+            "critical_path": [
+                {"seq": 0, "ready": 5, "dispatched": 6, "retired": 16},
+                {"seq": 1, "ready": 17, "dispatched": 18, "retired": 30}],
+            "critical_path_length": 2,
+            "modules": {"trs0": {"services": 2, "busy_cycles": 4}},
+            "params": {"workload": "two"},
+            "metrics": {"makespan_cycles": 30},
+            "meta": {"point": "two-task"},
+        }
+        write_point_summary(tmp_path, "two", summary)
+        assert load_point_summaries(tmp_path) == {"two": summary}
 
 
 # -- Perfetto / Chrome trace-event export -------------------------------------

@@ -15,16 +15,19 @@ duplicate-freedom, order determinism and content-hash stability.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend.system import TaskSuperscalarSystem
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import canonical_json, content_digest, fingerprint64
+from repro.experiments.common import experiment_config, experiment_trace
 from repro.sweep import runner as runner_module
-from repro.sweep.cache import ResultCache, result_from_dict
+from repro.sweep.cache import ResultCache, result_from_dict, result_to_dict
 from repro.sweep.runner import (SweepRunner, build_point_config,
                                 configure_trace_store, default_runner,
                                 execute_point, resolve_trace_store,
@@ -281,6 +284,51 @@ class TestSweepSpecProperties:
 # ---------------------------------------------------------------------------
 
 class TestResultCache:
+    @pytest.mark.parametrize("topology", (
+        {}, {"num_frontends": 2, "shard_policy": "hash_by_kernel",
+             "steal_policy": "nearest"}))
+    def test_result_to_dict_is_asdict_without_shared_objects(self, topology):
+        config = experiment_config(num_cores=16)
+        if topology:
+            config = config.with_topology(**topology)
+        result = TaskSuperscalarSystem(config).run(
+            experiment_trace("MatMul", scale_factor=0.3, max_tasks=120))
+        if topology:
+            assert result.num_frontends == 2 and result.tasks_stolen > 0
+        expected = asdict(result)
+        data = result_to_dict(result)
+        assert data == expected
+        containers = {id(value) for value in vars(result).values()
+                      if isinstance(value, (list, dict))}
+        assert containers  # stats and the per-frontend/cluster lists
+        assert not containers & {id(value) for value in data.values()}
+        for value in data.values():
+            if isinstance(value, dict):
+                value.clear()
+            elif isinstance(value, list):
+                value.append(-1)
+        assert asdict(result) == expected
+
+    def test_entry_in_the_indented_layout_is_a_hit(self, tmp_path):
+        """Entries written as sorted, one-space-indented JSON (the layout
+        before verified documents were encoded once) stay warm."""
+        spec = tiny_spec()
+        SweepRunner(cache=ResultCache(tmp_path)).run(spec)
+        paths = sorted((tmp_path / "objects").glob("*/*.json"))
+        for path in paths:
+            document = json.loads(path.read_bytes())
+            del document["digest"]
+            path.write_text(json.dumps(
+                dict(document, digest=content_digest(document)),
+                sort_keys=True, indent=1))
+        before = {path: path.read_bytes() for path in paths}
+        cache = ResultCache(tmp_path)
+        run = SweepRunner(cache=cache).run(spec)
+        assert (run.cached_count, run.computed_count) == (spec.cardinality, 0)
+        assert cache.hits == spec.cardinality and cache.corrupt == 0
+        assert not cache.quarantine_dir().exists()
+        assert {path: path.read_bytes() for path in paths} == before
+
     def test_roundtrip_preserves_result_exactly(self, tmp_path):
         spec = tiny_spec()
         point = spec.points()[0]
