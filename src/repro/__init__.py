@@ -23,12 +23,24 @@ Package map:
   OVT, ready queue): the paper's core contribution.
 * :mod:`repro.backend`, :mod:`repro.cores` -- scheduler, worker cores and the
   task-generating thread.
+* :mod:`repro.topology` -- multi-frontend machines: router, fabric, work
+  stealing.
+* :mod:`repro.sim` -- the discrete-event engine and statistics.
 * :mod:`repro.software` -- the StarSs software-runtime baseline.
 * :mod:`repro.runtime` -- the StarSs-like programming model (annotations,
   gold dependency graph, functional executors).
-* :mod:`repro.workloads` -- the nine Table I benchmark generators.
-* :mod:`repro.memsys` -- cache / coherence / ring / DRAM substrate.
+* :mod:`repro.trace` -- task and operand records, trace files and the packed
+  trace store.
+* :mod:`repro.workloads` -- the nine Table I benchmark generators and the
+  synthetic task-graph families.
+* :mod:`repro.analysis` -- the decode-rate law, speedup and chain metrics.
+* :mod:`repro.sweep` -- sweep grids, the result cache, runners and
+  seed-ensemble campaigns.
+* :mod:`repro.obs` -- opt-in cycle-resolved telemetry: stall attribution,
+  critical path, Perfetto export.
 * :mod:`repro.experiments` -- drivers reproducing every table and figure.
+* :mod:`repro.common` -- Table II configuration, IDs, errors, units and the
+  on-disk codecs.
 """
 
 from repro.backend.system import SimulationResult, TaskSuperscalarSystem, run_trace

@@ -21,7 +21,6 @@ of the dispatch latency for the remote pull.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import BackendConfig, TopologyConfig
@@ -88,13 +87,11 @@ class TaskScheduler(SimModule):
         self.last_completion_time = 0
         #: Optional callback fired on every task completion.
         self.on_task_complete: Optional[Callable[[TaskID, TaskRecord], None]] = None
-        #: Optional hook returning extra execution cycles for a task on a core
-        #: (used by the data-transfer model: operand movement cost).
-        self.runtime_extension: Optional[Callable[[TaskRecord, int], int]] = None
         scope = self.scope
         self._stat_dispatches = scope.counter_handle("dispatches")
         self._stat_completions = scope.counter_handle("completions")
-        self._stat_transfer_cycles = scope.counter_handle("transfer_cycles")
+        # Always 0; kept so pinned goldens and benchmark digests stay equal.
+        scope.counter_handle("transfer_cycles")
         # Steal accounting only exists on stealing topologies: a trivial
         # machine must not grow new stat keys.
         if self._steal_policy != "none":
@@ -190,11 +187,6 @@ class TaskScheduler(SimModule):
         self._stat_dispatches.value += 1
         record = ready.record
         self._obs_task(EV_TASK_DISPATCHED, self.now, record.sequence, core_index)
-        if self.runtime_extension is not None:
-            extra = self.runtime_extension(record, core_index)
-            if extra:
-                self._stat_transfer_cycles.value += extra
-                record = replace(record, runtime_cycles=record.runtime_cycles + extra)
         core.execute(ready.task, record, self._task_finished)
 
     def _task_finished(self, task: TaskID, record: TaskRecord, core_index: int) -> None:

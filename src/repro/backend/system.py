@@ -111,22 +111,7 @@ class TaskSuperscalarSystem:
             for fe in self.frontends:
                 fe.bind_observer(observer)
             self.scheduler.bind_observer(observer)
-        self.memory_hierarchy = None
-        if self.config.backend.model_data_transfers:
-            # Optional extension: charge each task the cost of moving its
-            # operands to the executing core through the Table II memory
-            # hierarchy (import here to keep the default path lightweight).
-            from repro.memsys.hierarchy import MemoryHierarchy
-
-            self.memory_hierarchy = MemoryHierarchy(self.config.cmp,
-                                                    self.config.interconnect,
-                                                    self.config.memory)
-            self.scheduler.runtime_extension = self._transfer_cycles
         self._window_peak = 0
-
-    def _transfer_cycles(self, record, core_index: int) -> int:
-        estimate = self.memory_hierarchy.estimate_task_transfer(record, core_index)
-        return estimate.transfer_cycles
 
     # -- Hooks -----------------------------------------------------------------------
 

@@ -29,11 +29,11 @@ Python:
   aggregation, each campaign's figure tables, and reports under
   ``<artifacts>/campaigns/<campaign_id>/`` (:mod:`repro.sweep.campaign`,
   :mod:`repro.experiments.campaigns`).
-* ``python -m repro bench obs-overhead|trace|profile`` -- the host-side
-  checks the repository benchmark (``python3 perfbench/run.py``, which
-  measures throughput) does not make: gate the telemetry overhead at 5% of
-  the pinned suite, time packed trace-store loads against cold generation,
-  or cProfile one pinned scenario (:mod:`repro.sweep.bench`).
+* ``python -m repro bench obs-overhead|trace`` -- the two host-side checks
+  the repository benchmark (``python3 perfbench/run.py``, which measures
+  throughput) does not make: gate the telemetry overhead at 5% of the
+  pinned suite, and time packed trace-store loads against cold generation
+  (:mod:`repro.sweep.bench`).
 * ``python -m repro obs record|report|export|heartbeats|gc`` -- cycle-resolved
   pipeline telemetry: record one observed run, print its stall-attribution
   report, or export it as Chrome/Perfetto trace JSON (:mod:`repro.obs`);
@@ -344,31 +344,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return 1
         return 0
 
-    if args.action == "trace":
-        entry = bench.run_trace_bench(quick=args.quick, repeat=args.repeat,
-                                      store_root=args.store)
-        print(bench.format_trace_bench(entry))
-        if args.output:
-            bench.write_report(entry, args.output)
-            print(f"wrote {args.output}")
-        if not entry["metrics_match"]:
-            print("FAIL: packed load returned a different trace than cold "
-                  "generation")
-            return 1
-        if args.min_speedup and entry["timing"]["speedup"] < args.min_speedup:
-            print(f"FAIL: packed load speedup "
-                  f"{entry['timing']['speedup']:.1f}x is below the required "
-                  f"{args.min_speedup:.1f}x")
-            return 1
-        return 0
-
-    # action == "profile"
-    report = bench.run_profile(scenario_name=args.scenario, quick=args.quick,
-                               top=args.top, sort=args.sort)
-    print(bench.format_profile(report))
-    if args.out:
-        bench.write_report(report, args.out)
-        print(f"wrote {args.out}")
+    # action == "trace"
+    entry = bench.run_trace_bench(quick=args.quick, repeat=args.repeat,
+                                  store_root=args.store)
+    print(bench.format_trace_bench(entry))
+    if args.output:
+        bench.write_report(entry, args.output)
+        print(f"wrote {args.output}")
+    if not entry["metrics_match"]:
+        print("FAIL: packed load returned a different trace than cold "
+              "generation")
+        return 1
+    if args.min_speedup and entry["timing"]["speedup"] < args.min_speedup:
+        print(f"FAIL: packed load speedup "
+              f"{entry['timing']['speedup']:.1f}x is below the required "
+              f"{args.min_speedup:.1f}x")
+        return 1
     return 0
 
 
@@ -876,10 +867,10 @@ def build_parser() -> argparse.ArgumentParser:
     _campaign_common(campaign_report)
     campaign_report.set_defaults(func=_cmd_campaign)
 
-    from repro.sweep.bench import OBS_OVERHEAD_BUDGET, PROFILE_SORTS, SUITE
+    from repro.sweep.bench import OBS_OVERHEAD_BUDGET
 
     bench = subparsers.add_parser(
-        "bench", help="telemetry-overhead, trace-load and profiling checks "
+        "bench", help="telemetry-overhead and trace-load checks "
                       "(see repro.sweep.bench; throughput is perfbench/run.py)")
     bench_sub = bench.add_subparsers(dest="action", required=True)
     bench_obs = bench_sub.add_parser(
@@ -912,27 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="exit 1 unless packed load beats cold "
                                   "generation by this factor")
     bench_trace.set_defaults(func=_cmd_bench)
-    bench_profile = bench_sub.add_parser(
-        "profile", help="cProfile one pinned scenario and print the hot spots")
-    bench_profile.add_argument("--scenario", default="h264",
-                               choices=[scenario.name for scenario in SUITE],
-                               help="suite scenario to profile (default "
-                                    "'h264')")
-    bench_profile.add_argument("--quick", action="store_true",
-                               help="shrunk trace so the profile finishes "
-                                    "in seconds")
-    bench_profile.add_argument("--top", type=int, default=25,
-                               help="number of hot-spot rows to report "
-                                    "(default 25)")
-    bench_profile.add_argument("--sort", default="cumulative",
-                               choices=PROFILE_SORTS,
-                               help="row order: time including callees "
-                                    "(cumulative, default) or self time "
-                                    "(tottime)")
-    bench_profile.add_argument("--out", default=None, metavar="PROF_JSON",
-                               help="also write the full profile report "
-                                    "as JSON")
-    bench_profile.set_defaults(func=_cmd_bench)
 
     from repro.obs.io import DEFAULT_OBS_ROOT
 

@@ -7,8 +7,8 @@ parameters") and the module-design constants given in Section IV.B:
 * private 64 KB 4-way L1 caches with 3-cycle latency,
 * a shared L2 of 32 banks x 4 MB, 8-way, 22-cycle latency,
 * 4 memory controllers with 2 DDR3-800 channels each,
-* a segmented two-level ring interconnect (8 cores per local ring,
-  16 bytes/cycle, 4 concurrent connections per segment),
+* a segmented two-level ring interconnect (16 bytes/cycle, 4 concurrent
+  connections per segment),
 * a task pipeline whose modules charge 16 cycles of packet processing
   (multiplied by the number of operands involved) on top of 22-cycle eDRAM
   accesses,
@@ -16,6 +16,11 @@ parameters") and the module-design constants given in Section IV.B:
   operands, up to 3 indirect blocks of 5 operands each, 19 operands max),
 * a 1 KB gateway buffer holding roughly 20 incoming tasks,
 * 16-way associative ORT sets that never evict (the gateway stalls instead).
+
+The cache, memory and interconnect fields only describe the Table II
+machine (``repro experiment table2`` prints them): the paper's task runtimes
+were measured with L1-resident working sets, so no model charges data
+movement on top of them.
 
 Every dataclass has a ``validate`` method that raises
 :class:`repro.common.errors.ConfigurationError` on inconsistent settings, and
@@ -39,7 +44,6 @@ class CMPConfig:
     num_cores: int = 256
     clock_ghz: float = CLOCK_GHZ
     issue_width: int = 2
-    cores_per_ring: int = 8
 
     l1_size_bytes: int = 64 * KB
     l1_assoc: int = 4
@@ -58,10 +62,6 @@ class CMPConfig:
             raise ConfigurationError(f"num_cores must be positive, got {self.num_cores}")
         if self.clock_ghz <= 0:
             raise ConfigurationError(f"clock_ghz must be positive, got {self.clock_ghz}")
-        if self.cores_per_ring <= 0:
-            raise ConfigurationError(
-                f"cores_per_ring must be positive, got {self.cores_per_ring}"
-            )
         for name in ("l1_size_bytes", "l1_assoc", "l1_latency_cycles", "l1_line_bytes",
                      "l2_banks", "l2_bank_size_bytes", "l2_assoc", "l2_latency_cycles",
                      "l2_line_bytes", "issue_width"):
@@ -84,18 +84,12 @@ class MemoryConfig:
 
     num_controllers: int = 4
     channels_per_controller: int = 2
-    channel_bandwidth_bytes_per_cycle: float = 4.0
-    access_latency_cycles: int = 120
 
     def validate(self) -> None:
         if self.num_controllers <= 0:
             raise ConfigurationError("num_controllers must be positive")
         if self.channels_per_controller <= 0:
             raise ConfigurationError("channels_per_controller must be positive")
-        if self.channel_bandwidth_bytes_per_cycle <= 0:
-            raise ConfigurationError("channel_bandwidth_bytes_per_cycle must be positive")
-        if self.access_latency_cycles < 0:
-            raise ConfigurationError("access_latency_cycles must be non-negative")
 
     @property
     def num_channels(self) -> int:
@@ -109,18 +103,12 @@ class InterconnectConfig:
 
     bytes_per_cycle: int = 16
     concurrent_connections_per_segment: int = 4
-    hop_latency_cycles: int = 1
-    global_ring_latency_cycles: int = 5
 
     def validate(self) -> None:
         if self.bytes_per_cycle <= 0:
             raise ConfigurationError("bytes_per_cycle must be positive")
         if self.concurrent_connections_per_segment <= 0:
             raise ConfigurationError("concurrent_connections_per_segment must be positive")
-        if self.hop_latency_cycles < 0:
-            raise ConfigurationError("hop_latency_cycles must be non-negative")
-        if self.global_ring_latency_cycles < 0:
-            raise ConfigurationError("global_ring_latency_cycles must be non-negative")
 
 
 @dataclass
@@ -251,14 +239,6 @@ class BackendConfig:
 
     #: Cycles to notify the frontend that a task finished.
     completion_latency_cycles: int = 16
-
-    #: When True, the backend charges each task the estimated cost of moving
-    #: its operands to the executing core (L1/L2 misses, coherence traffic,
-    #: ring transfers, DRAM accesses) on top of its trace runtime.  The
-    #: paper's headline results come from trace runtimes alone -- the traces
-    #: were measured with L1-resident working sets -- so this defaults to
-    #: off; it is the knob used by the data-transfer ablation.
-    model_data_transfers: bool = False
 
     def validate(self) -> None:
         if self.dispatch_latency_cycles < 0:

@@ -138,8 +138,9 @@ class DependencyGraph:
             renamed: Whether WaR/WaW were removed by renaming.
 
         Raises:
-            WorkloadError: on any violated dependency, missing task, or a
-                task finishing before it starts.
+            WorkloadError: on a missing task, a task finishing before it
+                starts, or violated dependencies.  Every edge is checked, so
+                the message counts all violated edges and names the first.
         """
         for task in self.trace:
             seq = task.sequence
@@ -150,15 +151,19 @@ class DependencyGraph:
                     f"task {seq} finishes at {finish_times[seq]} before its start "
                     f"{start_times[seq]}"
                 )
-        predecessors = self._predecessors_true if renamed else self._predecessors_all
-        for consumer, producers in predecessors.items():
-            for producer in producers:
-                if start_times[consumer] < finish_times[producer]:
-                    raise WorkloadError(
-                        f"dependency violated: task {consumer} started at "
-                        f"{start_times[consumer]} before its producer {producer} "
-                        f"finished at {finish_times[producer]}"
-                    )
+        edges = (self.edges_of_kind(DependencyKind.RAW) if renamed
+                 else self.edges)
+        violated = [edge for edge in edges
+                    if start_times[edge.consumer] < finish_times[edge.producer]]
+        if violated:
+            first = violated[0]
+            kind = "true dependency" if renamed else "dependency"
+            raise WorkloadError(
+                f"{len(violated)} of {len(edges)} {kind} edges violated; first: "
+                f"task {first.consumer} started at {start_times[first.consumer]} "
+                f"before its producer {first.producer} finished at "
+                f"{finish_times[first.producer]}"
+            )
 
     def critical_path_cycles(self, renamed: bool = True) -> int:
         """Length (in cycles) of the longest dependency chain.

@@ -3,30 +3,26 @@
 The simulator's throughput -- events and decoded tasks per host second,
 same-host pre/post pairs and the per-layer ledger behind them -- is measured
 by the repository benchmark, ``python3 perfbench/run.py`` (declared in
-``BENCHMARK.json``).  This module keeps the three checks that benchmark does
+``BENCHMARK.json``).  This module keeps the two checks that benchmark does
 not make:
 
 * ``obs-overhead`` -- the telemetry budget.  :func:`run_scenario_pair` times
   each pinned :data:`SUITE` scenario obs-off and obs-on in strict
   alternation, and the suite fails when the geomean off/on speed ratio
-  (:func:`overhead_geomean`) falls below ``1 - OBS_OVERHEAD_BUDGET``,
+  (:func:`overhead_geomean`) falls below ``1 - OBS_OVERHEAD_BUDGET``, and
 * ``trace`` -- packed trace-store load against cold generation
-  (:func:`run_trace_bench`), and
-* ``profile`` -- a :mod:`cProfile` drill-down of one pinned scenario
-  (:func:`run_profile`).
+  (:func:`run_trace_bench`).
 
 Typical use::
 
     python -m repro bench obs-overhead --quick --repeat 7
     python -m repro bench trace --quick --min-speedup 5
-    python -m repro bench profile --scenario h264 --quick --sort tottime
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -327,123 +323,6 @@ def format_trace_bench(entry: Dict[str, object]) -> str:
         f"  load speedup    : {timing['speedup']:9.1f}x vs cold generation",
         f"  metrics match   : {entry['metrics_match']}",
     ]
-    return "\n".join(lines)
-
-
-# -- Profiling ---------------------------------------------------------------
-
-#: Sort orders ``run_profile`` accepts (the two :mod:`pstats` views that
-#: matter for hot-path work: where time accumulates vs. where it is spent).
-PROFILE_SORTS = ("cumulative", "tottime")
-
-
-def _profile_site(path: str, line: int, func: str) -> str:
-    """Compact ``file:line(function)`` label for one profile row.
-
-    Paths are shortened to start at the ``repro`` package root so rows are
-    stable across checkouts; built-ins (which :mod:`cProfile` reports with a
-    ``~`` pseudo-path) keep just their function label.
-    """
-    if path == "~":
-        return func
-    marker = os.sep + "repro" + os.sep
-    index = path.rfind(marker)
-    path = path[index + 1:] if index >= 0 else os.path.basename(path)
-    return f"{path}:{line}({func})"
-
-
-def run_profile(scenario_name: str = "h264", quick: bool = False,
-                top: int = 25, sort: str = "cumulative") -> Dict[str, object]:
-    """Run one pinned scenario under :mod:`cProfile` and return the hot spots.
-
-    The scenario must name a member of the pinned :data:`SUITE` (default
-    ``h264``, the suite's deepest dependency chains and therefore the best
-    single proxy for the frontend hot path); an unknown name raises
-    :class:`BenchError`.  Trace generation happens outside the profiled
-    region -- the profile covers exactly one ``system.run`` call.  The
-    report carries the run's deterministic ``metrics`` block (the simulated
-    work, pinned for the quick suite by ``tests/golden/bench_quick.json``),
-    a ``timing`` block, and the ``top`` hottest rows under ``hotspots``
-    sorted by ``sort`` (``cumulative`` or ``tottime``).
-
-    Note the headline caveat: cProfile's per-call hook roughly triples the
-    wall time of this event-loop-bound simulator, so ``events_per_sec``
-    here is *not* comparable with uninstrumented throughput -- only the
-    relative shape of the table is meaningful.
-    """
-    import cProfile
-    import pstats
-
-    if top < 1:
-        raise BenchError(f"top must be >= 1, got {top}")
-    if sort not in PROFILE_SORTS:
-        raise BenchError(
-            f"sort must be one of {', '.join(PROFILE_SORTS)}, got {sort!r}")
-    scenario = next((scenario for scenario in SUITE
-                     if scenario.name == scenario_name), None)
-    if scenario is None:
-        raise BenchError(
-            f"unknown scenario {scenario_name!r}; known: "
-            f"{', '.join(scenario.name for scenario in SUITE)}")
-    params = scenario.effective_params(quick)
-    config = build_point_config(params)
-    trace = generate_trace_for_key(trace_key_for_params(params)[0])
-    system = TaskSuperscalarSystem(config)
-    profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    result = system.run(trace)
-    profiler.disable()
-    wall = max(time.perf_counter() - start, 1e-9)
-    events = system.engine.events_processed
-
-    raw = pstats.Stats(profiler)
-    sort_key = "cumtime" if sort == "cumulative" else "tottime"
-    rows = [
-        {
-            "function": _profile_site(path, line, func),
-            "ncalls": ncalls,
-            "primitive_calls": primitive,
-            "tottime": tottime,
-            "cumtime": cumtime,
-        }
-        for (path, line, func), (primitive, ncalls, tottime, cumtime, _callers)
-        in raw.stats.items()
-    ]
-    rows.sort(key=lambda row: row[sort_key], reverse=True)
-    return {
-        "schema": SCHEMA,
-        "kind": "profile",
-        "name": scenario.name,
-        "description": scenario.description,
-        "quick": bool(quick),
-        "sort": sort,
-        "params": {key: params[key] for key in sorted(params)},
-        "metrics": _metrics(result, events),
-        "timing": {
-            "wall_seconds": wall,
-            "events_per_sec": events / wall,
-            "profiled_seconds": raw.total_tt,
-        },
-        "hotspots": rows[:top],
-    }
-
-
-def format_profile(report: Dict[str, object]) -> str:
-    """Human-readable hot-spot table for one :func:`run_profile` report."""
-    timing = report["timing"]
-    lines = [
-        f"profile '{report['name']}'"
-        f"{' (quick)' if report.get('quick') else ''}: "
-        f"{timing['wall_seconds']:.2f}s wall under cProfile, "
-        f"{timing['events_per_sec']:.0f} events/s instrumented "
-        f"(not comparable with uninstrumented runs), sorted by "
-        f"{report['sort']}",
-        f"{'cumtime':>9s} {'tottime':>9s} {'ncalls':>10s}  function",
-    ]
-    for row in report["hotspots"]:
-        lines.append(f"{row['cumtime']:>8.3f}s {row['tottime']:>8.3f}s "
-                     f"{row['ncalls']:>10d}  {row['function']}")
     return "\n".join(lines)
 
 

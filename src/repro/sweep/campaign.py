@@ -191,6 +191,16 @@ def aggregate_run(run: SweepRun,
     return groups
 
 
+def campaign_id_of(grids: Mapping[str, Sequence[SweepPoint]]) -> str:
+    """Content address of expanded member grids, keyed by derived spec name.
+
+    :func:`run_campaign` passes the points its runs already expanded, so the
+    id costs no second expansion; :attr:`Campaign.campaign_id` expands them.
+    """
+    return content_digest({name: [point.as_dict() for point in points]
+                           for name, points in grids.items()})
+
+
 @dataclass
 class Campaign:
     """A named family of sweeps sharing one seed ensemble.
@@ -278,9 +288,8 @@ class Campaign:
         resume-safe semantics as the result cache: the same campaign always
         lands in the same place, on any machine.
         """
-        return content_digest({
-            spec.name: [point.as_dict() for point in spec.points()]
-            for spec in self.member_specs()})
+        return campaign_id_of({spec.name: spec.points()
+                               for spec in self.member_specs()})
 
     def describe(self) -> str:
         """One-line summary for logs and the CLI."""
@@ -582,9 +591,10 @@ def run_campaign(campaign: Campaign, runner=None,
     report is bit-identical either way).  When the campaign declares a
     baseline the report also carries the ablation deltas.
     """
-    campaign.validate()
     runner = runner if runner is not None else SweepRunner()
     members: List[MemberReport] = []
+    grids: Dict[str, List[SweepPoint]] = {}
+    # member_specs() validates the campaign, expanding each member once.
     for declared, spec in zip(campaign.members, campaign.member_specs()):
         point_progress = None
         if progress is not None:
@@ -594,8 +604,9 @@ def run_campaign(campaign: Campaign, runner=None,
                 callback=progress)
             point_progress = stream.on_point
         run = runner.run(spec, progress=point_progress)
+        grids[spec.name] = run.points
         members.append(MemberReport(
-            name=declared.name, spec_id=spec.spec_id,
+            name=declared.name, spec_id=run.spec_id,
             workloads=list(spec.workloads),
             groups=aggregate_run(run, metrics=campaign.metrics),
             computed_points=run.computed_count,
@@ -605,7 +616,7 @@ def run_campaign(campaign: Campaign, runner=None,
             retried_points=run.retried_points,
             corrupt_artifacts=run.corrupt_artifacts))
     report = CampaignReport(
-        campaign=campaign.name, campaign_id=campaign.campaign_id,
+        campaign=campaign.name, campaign_id=campaign_id_of(grids),
         seeds=[int(canonical_scalar(seed)) for seed in campaign.seeds],
         metrics=list(campaign.metrics), members=members,
         baseline=campaign.baseline)
@@ -754,6 +765,7 @@ __all__ = [
     "aggregate_run",
     "ablation_deltas",
     "campaign_dir",
+    "campaign_id_of",
     "format_report",
     "group_id_of",
     "group_params",

@@ -419,6 +419,8 @@ class SweepRun:
 
     spec: SweepSpec
     points: List[SweepPoint]
+    #: Content address of ``points`` (:func:`spec_id_of`; the manifest key).
+    spec_id: str
     results: List[SimulationResult]
     computed_count: int
     cached_count: int
@@ -722,7 +724,8 @@ class SweepRunner:
         journal.emit("sweep_done", computed=computed, cached=cached,
                      retried=retried, pool_restarts=restarts,
                      corrupt_artifacts=corrupt)
-        return SweepRun(spec=spec, points=points, results=list(results),
+        return SweepRun(spec=spec, points=points, spec_id=spec_id,
+                        results=list(results),
                         computed_count=computed, cached_count=cached,
                         trace_generated=stats.generated,
                         trace_reused=stats.packed_hits + stats.memo_hits,

@@ -1,12 +1,11 @@
 """Tests for the ``repro bench`` host-side checks.
 
-Three commands are pinned:
+Both checks are pinned:
 
 * ``obs-overhead`` -- telemetry changes no simulated work, and the suite
   gate passes exactly while the geomean obs-off/obs-on speed ratio stays at
-  or above ``1 - OBS_OVERHEAD_BUDGET``,
-* ``trace`` -- a packed trace-store load returns the generated trace, and
-* ``profile`` -- the cProfile drill-down reports sorted hot spots.
+  or above ``1 - OBS_OVERHEAD_BUDGET``, and
+* ``trace`` -- a packed trace-store load returns the generated trace.
 """
 
 from __future__ import annotations
@@ -147,44 +146,3 @@ class TestTraceBench:
                          "--min-speedup", "1e12"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
-
-
-class TestProfile:
-    def test_profile_reports_sorted_hotspots(self):
-        report = bench.run_profile("matmul_decode", quick=True, top=5)
-        assert report["kind"] == "profile"
-        assert report["sort"] == "cumulative"
-        assert len(report["hotspots"]) == 5
-        cums = [row["cumtime"] for row in report["hotspots"]]
-        assert cums == sorted(cums, reverse=True)
-        # The profiled run did the real simulated work...
-        assert report["metrics"]["events"] > 0
-        # ...and the event loop shows up at the top of the table.
-        assert any("engine" in row["function"] for row in report["hotspots"])
-        formatted = bench.format_profile(report)
-        assert "cProfile" in formatted and "matmul_decode" in formatted
-
-    def test_profile_tottime_order(self):
-        report = bench.run_profile("matmul_decode", quick=True, top=8,
-                                   sort="tottime")
-        tots = [row["tottime"] for row in report["hotspots"]]
-        assert tots == sorted(tots, reverse=True)
-
-    def test_profile_rejects_bad_arguments(self):
-        with pytest.raises(bench.BenchError):
-            bench.run_profile("matmul_decode", top=0)
-        with pytest.raises(bench.BenchError):
-            bench.run_profile("matmul_decode", sort="calls")
-        with pytest.raises(bench.BenchError):
-            bench.run_profile("no_such_scenario", quick=True)
-
-    def test_profile_cli_writes_report(self, tmp_path, capsys):
-        out = str(tmp_path / "prof.json")
-        assert cli_main(["bench", "profile", "--scenario", "matmul_decode",
-                         "--quick", "--top", "3", "--out", out]) == 0
-        captured = capsys.readouterr().out
-        assert "profile 'matmul_decode'" in captured
-        with open(out, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-        assert report["kind"] == "profile"
-        assert len(report["hotspots"]) == 3

@@ -222,6 +222,30 @@ class TestAggregation:
         assert all(e[3] == 4 for e in events)
         assert len({e[1] for e in events}) == 4
 
+    def test_each_grid_is_expanded_once_per_pass(self, tmp_path, monkeypatch):
+        campaign = Campaign(
+            name="two-members", seeds=(0, 1),
+            members=(tiny_member("a", workloads=("Cholesky",)),
+                     tiny_member("b", workloads=("MatMul",))))
+        expanded = []
+        points = SweepSpec.points
+
+        def counting_points(spec):
+            expanded.append(spec.name)
+            return points(spec)
+
+        monkeypatch.setattr(SweepSpec, "points", counting_points)
+        report = run_campaign(campaign,
+                              SweepRunner(cache=ResultCache(tmp_path)))
+        # Validation expands each declared member once (to reject repeated
+        # design points), the runner each derived member once; the ids
+        # reuse the runner's points.
+        assert expanded == ["a", "b", "two-members:a", "two-members:b"]
+        monkeypatch.undo()
+        assert report.campaign_id == campaign.campaign_id
+        assert ([member.spec_id for member in report.members]
+                == [spec.spec_id for spec in campaign.member_specs()])
+
 
 class TestAblation:
     def ablation(self) -> Ablation:

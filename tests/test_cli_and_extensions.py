@@ -1,10 +1,8 @@
-"""Tests for the CLI and the optional data-transfer accounting extension."""
+"""Tests for the command-line interface (``python -m repro``)."""
 
 import pytest
 
-from repro.backend.system import TaskSuperscalarSystem
 from repro.cli import main
-from repro.common.config import default_table2_config
 from repro.trace.io import read_trace
 from repro.workloads import registry
 
@@ -191,20 +189,10 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["simulate", "--workload", "random_dag:bogus_knob=3"])
 
-
-class TestDataTransferExtension:
-    def test_transfer_accounting_slows_but_completes(self):
-        trace = registry.generate("MatMul", scale=4)
-        plain_config = default_table2_config(8)
-        plain = TaskSuperscalarSystem(plain_config).run(trace, validate=True)
-        transfer_config = default_table2_config(8)
-        transfer_config.backend.model_data_transfers = True
-        modelled = TaskSuperscalarSystem(transfer_config).run(trace, validate=True)
-        assert modelled.tasks_completed == len(trace)
-        assert modelled.makespan_cycles >= plain.makespan_cycles
-        assert modelled.stats.get("scheduler.transfer_cycles", 0.0) > 0
-
-    def test_transfer_model_disabled_by_default(self):
-        system = TaskSuperscalarSystem(default_table2_config(4))
-        assert system.memory_hierarchy is None
-        assert system.scheduler.runtime_extension is None
+    def test_bench_has_no_profile_command(self, capsys):
+        # Profiling is `python -m cProfile` plus perfbench's per-layer
+        # ledger; `repro bench` keeps only its two checks.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "profile", "--scenario", "h264", "--quick"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err

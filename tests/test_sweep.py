@@ -111,6 +111,12 @@ class TestSweepSpec:
             SweepSpec(name="bad", workloads=("Cholesky",),
                       axes={"knobs": [{"backend.allow_task_stealing": True}]},
                       ).validate()
+        # Deleted fields are unknown too: data movement is part of the trace
+        # runtimes, so no axis may switch a transfer model on.
+        with pytest.raises(ConfigurationError, match="backend.model_data_transfers"):
+            SweepSpec(name="bad", workloads=("Cholesky",),
+                      axes={"backend.model_data_transfers": (False, True)},
+                      ).validate()
 
         with pytest.raises(ConfigurationError):
             SweepSpec(name="bad", workloads=("Cholesky",),

@@ -118,8 +118,16 @@ class TestAnalyses:
         finishes = {0: 10, 1: 20, 2: 30}
         graph.validate_schedule(starts, finishes)
         bad_starts = {**starts, 2: 15}
-        with pytest.raises(WorkloadError):
+        with pytest.raises(WorkloadError, match="1 of 2 true dependency edges"):
             graph.validate_schedule(bad_starts, finishes)
+        # Every violated edge is counted; the first one is named.
+        both_early = {0: 0, 1: 5, 2: 12}
+        both_finishes = {0: 10, 1: 15, 2: 22}
+        with pytest.raises(WorkloadError) as exc:
+            graph.validate_schedule(both_early, both_finishes)
+        message = str(exc.value)
+        assert "2 of 2 true dependency edges violated" in message
+        assert "task 1 started at 5 before its producer 0 finished at 10" in message
 
     def test_validate_schedule_missing_task(self):
         graph = build_dependency_graph(chain_trace(2, runtime=10))
