@@ -91,11 +91,6 @@ class MemoryConfig:
         if self.channels_per_controller <= 0:
             raise ConfigurationError("channels_per_controller must be positive")
 
-    @property
-    def num_channels(self) -> int:
-        """Total number of DRAM channels."""
-        return self.num_controllers * self.channels_per_controller
-
 
 @dataclass
 class InterconnectConfig:
@@ -320,11 +315,10 @@ class TopologyConfig:
     frames the frontend as a distributed, scalable structure (Section IV).
     This section opens that scenario space: ``num_frontends`` independent
     pipelines shard the task stream behind a :class:`repro.topology.TaskRouter`,
-    cross-pipeline dependency traffic travels as explicit
-    :class:`~repro.frontend.messages.InterFrontendForward` messages charged
-    ``forward_latency_cycles`` each, and the backend partitions its cores into
-    one cluster per frontend with optional work stealing between cluster
-    ready queues.
+    the :class:`repro.topology.InterFrontendFabric` delivers each
+    cross-pipeline protocol message after ``forward_latency_cycles``, and the
+    backend partitions its cores into one cluster per frontend with optional
+    work stealing between cluster ready queues.
 
     The trivial topology (``num_frontends=1``, ``steal_policy="none"``) is
     guaranteed bit-identical to the pre-topology machine: no router events,

@@ -27,7 +27,6 @@ class WorkerCore(SimModule):
         self._busy = False
         self._current: Optional[TaskID] = None
         self.busy_cycles = 0
-        self.tasks_executed = 0
         self._stat_tasks_executed = self.stats.counter_handle("cores.tasks_executed")
 
     @property
@@ -54,7 +53,6 @@ class WorkerCore(SimModule):
         self._busy = False
         self._current = None
         self.busy_cycles += runtime
-        self.tasks_executed += 1
         self._stat_tasks_executed.value += 1
         on_finish(task, record, self.index)
 

@@ -36,7 +36,6 @@ class TaskGeneratingThread(SimModule):
         self._next_index = 0
         self._stall_started: Optional[int] = None
         self.stall_cycles = 0
-        self.finished_at: Optional[int] = None
         self._stat_tasks_submitted = self.stats.counter_handle(
             "generator.tasks_submitted")
         self._stat_stalls = self.stats.counter_handle("generator.stalls")
@@ -66,7 +65,6 @@ class TaskGeneratingThread(SimModule):
 
     def _generate_next(self) -> None:
         if self.done:
-            self.finished_at = self.now
             if self.on_done is not None:
                 self.on_done()
             return

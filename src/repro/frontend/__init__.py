@@ -14,7 +14,7 @@ asynchronous point-to-point protocol (Figure 5):
   their most recent user, detecting object dependencies (the task-level
   analogue of the register renaming table).
 * :class:`repro.frontend.ovt.ObjectVersioningTable` -- tracks live operand
-  versions, allocates rename buffers to break anti/output dependencies, and
+  versions, renames output operands to break anti/output dependencies, and
   releases versions (and their ORT entries) when the last user finishes.
 * :class:`repro.frontend.ready_queue.ReadyQueue` -- the interface to the
   backend's Carbon-like queuing system.

@@ -45,11 +45,10 @@ from repro.trace.records import TaskRecord
 class _PendingTask:
     """A task sitting in the gateway's internal buffer."""
 
-    __slots__ = ("record", "buffer_slot", "attempted_trs")
+    __slots__ = ("record", "attempted_trs")
 
-    def __init__(self, record: TaskRecord, buffer_slot: int):
+    def __init__(self, record: TaskRecord):
         self.record = record
-        self.buffer_slot = buffer_slot
         self.attempted_trs: Set[int] = set()
 
 
@@ -78,8 +77,6 @@ class PipelineGateway(PacketProcessor):
         self._waiting_for_space: Deque[int] = deque()
         self._space_listeners: List[Callable[[], None]] = []
         self._stall_sources: Set[str] = set()
-        self._tasks_admitted = 0
-        self._tasks_issued = 0
         self._latency = config.message_latency_cycles
         # "arrival" packets are plain ("arrival", slot) tuples, so the tuple
         # type itself keys their dispatch entry.
@@ -91,10 +88,10 @@ class PipelineGateway(PacketProcessor):
                               self._alloc_reply_cycles)
         scope = self.scope
         self._stat_submit_rejected = scope.counter_handle("submit_rejected")
-        self._stat_tasks_admitted = scope.counter_handle("tasks_admitted")
+        self._stat_admitted = scope.counter_handle("tasks_admitted")
         self._stat_window_full_waits = scope.counter_handle("window_full_waits")
         self._stat_alloc_retries = scope.counter_handle("alloc_retries")
-        self._stat_tasks_issued = scope.counter_handle("tasks_issued")
+        self._stat_issued = scope.counter_handle("tasks_issued")
 
     def _bind_obs_handles(self) -> None:
         super()._bind_obs_handles()
@@ -145,10 +142,8 @@ class PipelineGateway(PacketProcessor):
             return False
         slot = self._next_buffer_slot
         self._next_buffer_slot += 1
-        pending = _PendingTask(record, slot)
-        self._buffer[slot] = pending
-        self._tasks_admitted += 1
-        self._stat_tasks_admitted.value += 1
+        self._buffer[slot] = _PendingTask(record)
+        self._stat_admitted.value += 1
         self._obs_task(EV_TASK_ADMITTED, self.now, record.sequence)
         self.receive(("arrival", slot))
         return True
@@ -269,8 +264,7 @@ class PipelineGateway(PacketProcessor):
         self._obs_task(EV_TASK_ALLOCATED, self.now, pending.record.sequence,
                        (reply.task.trs << 32) | reply.task.slot)
         del self._buffer[reply.buffer_slot]
-        self._tasks_issued += 1
-        self._stat_tasks_issued.value += 1
+        self._stat_issued.value += 1
         self._notify_space()
         # Allocation succeeded, so there is known free space: hand the next
         # waiting task its turn (retries are serialised -- see
@@ -300,8 +294,7 @@ class PipelineGateway(PacketProcessor):
             self.send(orts[ort_index],
                       OperandDecodeRequest(operand=operand_id,
                                            direction=operand.direction,
-                                           address=address,
-                                           size=operand.size),
+                                           address=address),
                       latency=latency)
 
     def ort_index_for(self, address: int) -> int:

@@ -85,7 +85,6 @@ class OperandDecodeRequest:
     operand: OperandID
     direction: Direction
     address: int
-    size: int
 
 
 @dataclass(slots=True)
@@ -107,16 +106,13 @@ class OperandInfo:
     memory object (the data producer, or the previous consumer thanks to
     consumer chaining); it is ``None`` when the lookup missed or when the
     operand is a pure output (whose readiness comes from the OVT rename).
-    ``expected_ready`` tells the TRS how many data-ready messages the operand
-    needs before it is considered ready (1 for input/output, 2 for inout).
+    ``ovt_index`` names the OVT the operand's version lives in, which the
+    TRS notifies when the task finishes.
     """
 
     operand: OperandID
     direction: Direction
-    address: int
-    size: int
     previous_user: Optional[OperandID]
-    expected_ready: int
     ovt_index: int
 
 
@@ -126,14 +122,13 @@ class DataReady:
 
     Sent by: the OVT (rename complete / previous version released), a
     producer task's TRS (task finished), a chained consumer's TRS (forwarding)
-    or the ORT itself (lookup miss -- data already in memory).
-    ``rename_address`` carries the allocated rename-buffer address for
-    renamed output operands (Figure 7's "@7164").
+    or the ORT itself (lookup miss -- data already in memory).  Only the
+    arrival matters to timing, so a renamed output's buffer address (Figure
+    7's "@7164") is not modelled.
     """
 
     operand: OperandID
     kind: ReadyKind
-    rename_address: Optional[int] = None
 
 
 @dataclass(slots=True)
@@ -156,8 +151,9 @@ class RegisterConsumer:
 class VersionKind(enum.Enum):
     """Why a new version is being created in the OVT.
 
-    * ``OUTPUT`` -- a pure output operand: the version is renamed (a rename
-      buffer is allocated) and the operand becomes ready immediately.
+    * ``OUTPUT`` -- a pure output operand: the version is renamed and the
+      operand becomes ready immediately.  The rename buffer itself is not
+      modelled: the OVT's service time does not depend on it.
     * ``INOUT`` -- an inout operand: the version is *not* renamed (it is part
       of a true dependency); the operand additionally waits for the previous
       version's release before its output half is ready.
@@ -184,7 +180,6 @@ class VersionRequest:
 
     operand: OperandID
     address: int
-    size: int
     kind: VersionKind
     version_id: int
     previous_version: Optional[int]
@@ -195,7 +190,6 @@ class VersionUse:
     """ORT -> OVT: a reader operand was mapped onto an existing version."""
 
     operand: OperandID
-    address: int
     version: int
 
 
@@ -204,7 +198,6 @@ class VersionRelease:
     """TRS -> OVT: a finished task releases its use of an operand's version."""
 
     operand: OperandID
-    address: int
 
 
 # ---------------------------------------------------------------------------
@@ -247,27 +240,3 @@ class TrsSpaceAvailable:
     """TRS -> Gateway: storage was freed; the TRS can accept allocations again."""
 
     trs_index: int
-
-
-# ---------------------------------------------------------------------------
-# Inter-frontend fabric (multi-pipeline topologies)
-# ---------------------------------------------------------------------------
-
-@dataclass(slots=True)
-class InterFrontendForward:
-    """Envelope for a protocol message crossing frontend pipelines.
-
-    With ``topology.num_frontends > 1`` the TRS/ORT/OVT directories are
-    partitioned across pipelines but globally indexed, so any module may need
-    to message a module living in another pipeline (cross-shard operand
-    lookups, dependency forwards, remote version releases).  The
-    :class:`repro.topology.InterFrontendFabric` wraps such messages in this
-    envelope and delivers the ``payload`` to the destination module after
-    ``topology.forward_latency_cycles`` -- the explicit cost of leaving a
-    pipeline's local interconnect.  Never created in a single-frontend
-    topology.
-    """
-
-    payload: object
-    src_frontend: int
-    dst_frontend: int

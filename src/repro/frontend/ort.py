@@ -152,12 +152,10 @@ class ObjectRenamingTable(BackPressureTile):
         if row >= 0:
             previous_user = table.user_col[row]
             self.send(self.ovt, VersionUse(operand=request.operand,
-                                           address=request.address,
                                            version=table.version_col[row]),
                       latency=latency)
-            self._send_operand_info(request, previous_user=previous_user, expected_ready=1)
+            self._send_operand_info(request, previous_user)
             table.user_col[row] = request.operand
-            table.writer_col[row] = False
             self._stat_reader_hits.value += 1
         else:
             # Miss: the data is already in memory.  A new version is created to
@@ -166,13 +164,11 @@ class ObjectRenamingTable(BackPressureTile):
             version_id = self._allocate_version_id()
             self.send(self.ovt, VersionRequest(operand=request.operand,
                                                address=request.address,
-                                               size=request.size,
                                                kind=VersionKind.READER_MISS,
                                                version_id=version_id,
                                                previous_version=None), latency=latency)
-            table.insert_row(request.address, request.size, request.operand,
-                             version_id, False)
-            self._send_operand_info(request, previous_user=None, expected_ready=1)
+            table.insert_row(request.address, request.operand, version_id)
+            self._send_operand_info(request, None)
             self._stat_reader_misses.value += 1
 
     def _decode_output(self, request: OperandDecodeRequest) -> None:
@@ -182,16 +178,14 @@ class ObjectRenamingTable(BackPressureTile):
         previous_version = table.version_col[row] if row >= 0 else None
         version_id = self._allocate_version_id()
         latency = self._latency
-        self._send_operand_info(request, previous_user=None, expected_ready=1)
+        self._send_operand_info(request, None)
         self.send(self.ovt, VersionRequest(operand=request.operand,
                                            address=request.address,
-                                           size=request.size,
                                            kind=VersionKind.OUTPUT,
                                            version_id=version_id,
                                            previous_version=previous_version),
                   latency=latency)
-        table.insert_row(request.address, request.size, request.operand,
-                         version_id, True)
+        table.insert_row(request.address, request.operand, version_id)
         self._stat_writer_decodes.value += 1
 
     def _decode_inout(self, request: OperandDecodeRequest) -> None:
@@ -206,16 +200,14 @@ class ObjectRenamingTable(BackPressureTile):
             previous_version = None
         version_id = self._allocate_version_id()
         latency = self._latency
-        self._send_operand_info(request, previous_user=previous_user, expected_ready=2)
+        self._send_operand_info(request, previous_user)
         self.send(self.ovt, VersionRequest(operand=request.operand,
                                            address=request.address,
-                                           size=request.size,
                                            kind=VersionKind.INOUT,
                                            version_id=version_id,
                                            previous_version=previous_version),
                   latency=latency)
-        table.insert_row(request.address, request.size, request.operand,
-                         version_id, True)
+        table.insert_row(request.address, request.operand, version_id)
         self._stat_inout_decodes.value += 1
 
     # -- Helpers -------------------------------------------------------------------------
@@ -226,11 +218,9 @@ class ObjectRenamingTable(BackPressureTile):
         return version_id
 
     def _send_operand_info(self, request: OperandDecodeRequest,
-                           previous_user, expected_ready: int) -> None:
+                           previous_user) -> None:
         info = OperandInfo(operand=request.operand, direction=request.direction,
-                           address=request.address, size=request.size,
-                           previous_user=previous_user, expected_ready=expected_ready,
-                           ovt_index=self.index)
+                           previous_user=previous_user, ovt_index=self.index)
         self.send(self.trs_list[request.operand.trs], info,
                   latency=self._latency)
 

@@ -1,14 +1,16 @@
 """Object versioning tables (Section IV.B.4).
 
 An OVT accounts for the live versions of memory operands.  It breaks anti-
-and output-dependencies either by renaming (allocating a rename buffer for
-output operands -- the analogue of allocating a free physical register) or by
-chaining inout operands and unblocking them in order (sending a data-ready
-message whenever the previous version is released).
+and output-dependencies either by renaming (an output operand gets a fresh
+buffer -- the analogue of allocating a free physical register -- and is
+ready at once) or by chaining inout operands and unblocking them in order
+(sending a data-ready message whenever the previous version is released).
+The paper allocates rename buffers from OS-assigned memory through
+power-of-two buckets; the model charges the same fixed service time without
+tracking their addresses.
 
-Each OVT entry holds a usage count (reported by the ORT), a pointer to the
-next version and the consumer-chain head; rename buffers are allocated from
-OS-assigned memory through power-of-two buckets.  When a version's usage
+Each OVT entry holds the object's address, a usage count (reported by the
+ORT) and the inout operand waiting on the version.  When a version's usage
 count reaches zero the OVT:
 
 * notifies a waiting inout operand of the superseding version (its output
@@ -104,10 +106,8 @@ class ObjectVersioningTable(BackPressureTile):
 
     def _create_version(self, request: VersionRequest) -> None:
         table = self.table
-        renamed = request.kind is VersionKind.OUTPUT
         producer = None if request.kind is VersionKind.READER_MISS else request.operand
-        row = table.create(address=request.address, size=request.size,
-                           producer=producer, renamed=renamed,
+        row = table.create(address=request.address, producer=producer,
                            version_id=request.version_id)
         if request.kind is VersionKind.READER_MISS:
             # Track the missing reader as a user so the version lives until it
@@ -120,8 +120,7 @@ class ObjectVersioningTable(BackPressureTile):
         if request.kind is VersionKind.OUTPUT:
             # Renamed: the output buffer is available immediately (Figure 7).
             self.send(trs, DataReady(operand=request.operand,
-                                     kind=ReadyKind.OUTPUT_BUFFER,
-                                     rename_address=table.renamed_col[row]),
+                                     kind=ReadyKind.OUTPUT_BUFFER),
                       latency=latency)
             self._stat_renames.value += 1
             return
@@ -130,7 +129,6 @@ class ObjectVersioningTable(BackPressureTile):
         # buffer is free right away.
         prev_row = table.row_of(request.previous_version)
         if prev_row >= 0 and table.usage_col[prev_row] > 0:
-            table.next_col[prev_row] = request.version_id
             table.waiting_col[prev_row] = request.operand
             self._stat_inout_waits.value += 1
         else:

@@ -34,14 +34,13 @@ class TaskSuperscalarFrontend:
     """The distributed frontend: gateway + TRSs + ORTs + OVTs + ready queue.
 
     In a multi-frontend topology (:mod:`repro.topology`) each pipeline is one
-    instance of this class, identified by ``instance`` and publishing its
-    per-pipeline metrics under an ``fe<instance>.`` prefix.  Its TRS/ORT/OVT
-    modules then carry *global* directory indices (``trs_base + i`` /
-    ``ort_base + i``) so that structural IDs route unchanged across
-    pipelines, and :meth:`wire` is called with global directory views in
-    which remote modules appear as forwarding stubs.  The single-frontend
-    default (instance 0, empty prefix, local self-wiring) is exactly the
-    legacy machine.
+    instance of this class, publishing its per-pipeline metrics under an
+    ``fe<instance>.`` prefix.  Its TRS/ORT/OVT modules then carry *global*
+    directory indices (``trs_base + i`` / ``ort_base + i``) so that
+    structural IDs route unchanged across pipelines, and :meth:`wire` is
+    called with global directory views in which remote modules appear as
+    forwarding stubs.  The single-frontend default (instance 0, empty prefix,
+    local self-wiring) is exactly the legacy machine.
     """
 
     def __init__(self, engine: Engine, config: FrontendConfig,
@@ -52,10 +51,7 @@ class TaskSuperscalarFrontend:
         self.engine = engine
         self.config = config
         self.stats = stats if stats is not None else StatsCollector()
-        self.instance = instance
-        self.num_frontends = num_frontends
         self.trs_base = trs_base
-        self.ort_base = ort_base
         #: Stat/probe namespace; empty for the (legacy) single-frontend case.
         self.prefix = "" if num_frontends == 1 else f"fe{instance}."
 
@@ -188,7 +184,7 @@ class TaskSuperscalarFrontend:
         """Record a window-occupancy sample into the statistics collector
         and return it."""
         occupancy = sum(map(len, self._trs_tables))
-        self._stat_window_samples.add(self.engine.now, occupancy)
+        self._stat_window_samples.add()
         self._stat_window_occupancy.add(occupancy)
         return occupancy
 

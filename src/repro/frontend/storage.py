@@ -12,12 +12,15 @@ Three untimed data structures back the timed pipeline modules:
 * :class:`RenamingTable` -- the ORT's map from object base address to its most
   recent user and current version, organised as a 16-way set-associative
   cache that never evicts (a full set stalls the gateway instead).
-* :class:`VersionTable` -- the OVT's version records: usage counts, next
-  version pointers, consumer-chain heads and rename-buffer addresses, plus
-  the power-of-two bucket allocator for rename buffers.
+* :class:`VersionTable` -- the OVT's version records: object address, usage
+  count and the inout operand waiting for the version to die.
+
+Only state that a timing decision, a statistic or a check reads is kept:
+the paper charges each ORT and OVT access a fixed service time, so object
+sizes and rename-buffer addresses would change no result.
 
 The renaming and version tables are stored **structure-of-arrays**: one
-``array('q')`` column per integer field (tag, version, use count, ...) plus
+``array('q')`` column per integer field (version, use count, ...) plus
 parallel object columns for the operand IDs, indexed by a recycled row
 number.  This mirrors the hardware's fixed tag/payload arrays -- a live entry
 is a row whose valid bit is set, not a Python object -- and removes the
@@ -49,8 +52,8 @@ class BlockStorage:
     """Fixed-size block allocator modelling a TRS's private eDRAM.
 
     Args:
-        num_blocks: Total number of blocks in the eDRAM array.
-        block_bytes: Size of one block (128 B in the paper).
+        num_blocks: Total number of blocks (of 128 B in the paper) in the
+            eDRAM array.
         operands_in_main_block: Operands stored in a task's main block (4).
         operands_per_indirect_block: Operands per indirect block (5).
         max_indirect_blocks: Maximum indirect blocks per task (3).
@@ -66,14 +69,12 @@ class BlockStorage:
     here (the TRS charges one fixed service time per allocation request).
     """
 
-    def __init__(self, num_blocks: int, block_bytes: int = 128,
-                 operands_in_main_block: int = 4,
+    def __init__(self, num_blocks: int, operands_in_main_block: int = 4,
                  operands_per_indirect_block: int = 5,
                  max_indirect_blocks: int = 3):
         if num_blocks <= 0:
             raise CapacityError(f"TRS must have at least one block, got {num_blocks}")
         self.num_blocks = num_blocks
-        self.block_bytes = block_bytes
         self.operands_in_main_block = operands_in_main_block
         self.operands_per_indirect_block = operands_per_indirect_block
         self.max_indirect_blocks = max_indirect_blocks
@@ -190,18 +191,17 @@ class RenamingTable:
     hash the object's base address to a set and match the full address within
     the set.
 
-    Storage is structure-of-arrays: ``addr_col`` / ``size_col`` /
-    ``version_col`` / ``writer_col`` are ``array('q')`` columns and
-    ``user_col`` the parallel object column holding each row's last-user
-    operand ID.  A freed row's tag is reset to ``-1`` (its valid bit) and the
-    row is recycled through a free list.  The hardware locates an entry with
-    a parallel tag compare across the 16 ways of a set; the model's O(1)
-    equivalent is one ``{address: row}`` index dict over all sets.  Each set
-    keeps only its live-row count, which the capacity policy below reads, so
-    a lookup or an update of a live row never hashes the address to its set;
-    only inserting or removing a row does.  The interface is
-    :meth:`lookup_row` / :meth:`insert_row` / :meth:`remove` plus direct
-    column access.
+    Storage is structure-of-arrays: ``version_col`` is an ``array('q')``
+    column and ``user_col`` the parallel object column holding each row's
+    last-user operand ID.  A freed row's ``user_col`` entry is reset to
+    ``None`` and the row is recycled through a free list.  The hardware
+    locates an entry with a parallel tag compare across the 16 ways of a
+    set; the model's O(1) equivalent is one ``{address: row}`` index dict
+    over all sets.  Each set keeps only its live-row count, which the
+    capacity policy below reads, so a lookup or an update of a live row never
+    hashes the address to its set; only inserting or removing a row does.
+    The interface is :meth:`lookup_row` / :meth:`insert_row` /
+    :meth:`remove` plus direct column access.
 
     Capacity policy: the hardware stalls the *gateway* when an allocation
     targets a full set, so no new work is admitted until an entry is released
@@ -227,10 +227,7 @@ class RenamingTable:
         #: Total number of ways across all sets.
         self.capacity = num_sets * assoc
         #: Packed columns, indexed by row; rows are recycled via ``_free_rows``.
-        self.addr_col = array("q")
-        self.size_col = array("q")
         self.version_col = array("q")
-        self.writer_col = array("b")
         self.user_col: List[Optional[OperandID]] = []
         self._free_rows: List[int] = []
         #: ``{address: row}`` over every set (the parallel tag compare).
@@ -260,8 +257,8 @@ class RenamingTable:
         """Row holding ``address``, or -1."""
         return self._row_of.get(address, -1)
 
-    def insert_row(self, address: int, size: int, last_user: OperandID,
-                   version: int, writer: bool) -> int:
+    def insert_row(self, address: int, last_user: OperandID,
+                   version: int) -> int:
         """Insert or update the row for ``address`` and return it.
 
         Inserting into a full set is allowed (see the class docstring) but
@@ -269,9 +266,7 @@ class RenamingTable:
         """
         row = self._row_of.get(address, -1)
         if row >= 0:
-            self.size_col[row] = size
             self.version_col[row] = version
-            self.writer_col[row] = writer
             self.user_col[row] = last_user
             return row
         index = self._set_cache.get(address)
@@ -286,17 +281,11 @@ class RenamingTable:
         free = self._free_rows
         if free:
             row = free.pop()
-            self.addr_col[row] = address
-            self.size_col[row] = size
             self.version_col[row] = version
-            self.writer_col[row] = writer
             self.user_col[row] = last_user
         else:
-            row = len(self.addr_col)
-            self.addr_col.append(address)
-            self.size_col.append(size)
+            row = len(self.user_col)
             self.version_col.append(version)
-            self.writer_col.append(writer)
             self.user_col.append(last_user)
         self._row_of[address] = row
         return row
@@ -329,7 +318,6 @@ class RenamingTable:
         if version is not None and self.version_col[row] != version:
             return False
         del self._row_of[address]
-        self.addr_col[row] = -1
         self.user_col[row] = None
         self._free_rows.append(row)
         # Inserting the row memoised its set, so this never misses.
@@ -348,51 +336,18 @@ class RenamingTable:
 
 
 # ---------------------------------------------------------------------------
-# OVT version table and rename-buffer allocator
+# OVT version table
 # ---------------------------------------------------------------------------
-
-class RenameBufferAllocator:
-    """Power-of-two bucket allocator for rename buffers (Section IV.B.4).
-
-    The operating system assigns the OVT a region of main memory, broken into
-    fixed-size chunks kept in per-size buckets; allocation grabs a buffer from
-    the appropriate bucket and refills it from the region when empty.  The
-    model tracks addresses and bytes handed out but never runs out (the
-    region is refilled from main memory on demand, exactly as in the paper).
-    """
-
-    def __init__(self, base_address: int = 0x4000_0000, min_bucket_bytes: int = 4096):
-        self._next = base_address
-        self._min_bucket = min_bucket_bytes
-        self.allocated_buffers = 0
-        self.allocated_bytes = 0
-
-    def bucket_size(self, size: int) -> int:
-        """Smallest power-of-two bucket that fits ``size`` bytes."""
-        bucket = self._min_bucket
-        while bucket < size:
-            bucket *= 2
-        return bucket
-
-    def allocate(self, size: int) -> int:
-        """Allocate a rename buffer for an object of ``size`` bytes."""
-        bucket = self.bucket_size(size)
-        address = self._next
-        self._next += bucket
-        self.allocated_buffers += 1
-        self.allocated_bytes += bucket
-        return address
-
 
 class VersionTable:
     """The OVT's table of live versions plus per-operand version membership.
 
     Structure-of-arrays: every live version is a row across the packed
-    columns ``vid_col`` / ``addr_col`` / ``size_col`` / ``usage_col`` /
-    ``next_col`` / ``renamed_col`` (``array('q')``; ``-1`` means "none") and
-    the parallel object columns ``waiting_col`` / ``producer_col``.  Rows are
-    located through the ``{version_id: row}`` index and recycled through a
-    free list; a freed row's ``vid_col`` is reset to ``-1`` (its valid bit).
+    columns ``vid_col`` / ``addr_col`` / ``usage_col`` (``array('q')``) and
+    the parallel object column ``waiting_col``, the inout operand of the
+    superseding version waiting for this one to die.  Rows are located
+    through the ``{version_id: row}`` index and recycled through a free
+    list; a freed row's ``vid_col`` is reset to ``-1`` (its valid bit).
     The interface is :meth:`create` / :meth:`row_of` / :meth:`add_user_row` /
     :meth:`release_use_row` / :meth:`remove_row` plus direct column access.
     """
@@ -404,12 +359,8 @@ class VersionTable:
         #: Packed columns, indexed by row; rows are recycled via ``_free_rows``.
         self.vid_col = array("q")
         self.addr_col = array("q")
-        self.size_col = array("q")
         self.usage_col = array("q")
-        self.next_col = array("q")
-        self.renamed_col = array("q")
         self.waiting_col: List[Optional[OperandID]] = []
-        self.producer_col: List[Optional[OperandID]] = []
         self._row_of: Dict[int, int] = {}
         self._free_rows: List[int] = []
         #: ``operand -> version_id`` membership (kept on version IDs, not
@@ -417,7 +368,6 @@ class VersionTable:
         #: recycled).
         self.operand_version: Dict[OperandID, int] = {}
         self.overflow_creations = 0
-        self.renamer = RenameBufferAllocator()
 
     @property
     def live_versions(self) -> int:
@@ -433,11 +383,13 @@ class VersionTable:
         """
         return len(self._row_of) >= self.capacity
 
-    def create(self, address: int, size: int, producer: Optional[OperandID],
-               renamed: bool, version_id: int) -> int:
+    def create(self, address: int, producer: Optional[OperandID],
+               version_id: int) -> int:
         """Create a new version and return its row.
 
         Args:
+            producer: The writer operand, registered as the version's first
+                user; ``None`` for a reader-miss version.
             version_id: The identifier the paired ORT assigned.  The ORT
                 numbers versions itself so it can keep decoding without
                 waiting for the OVT's reply.
@@ -449,7 +401,6 @@ class VersionTable:
             self.overflow_creations += 1
         if version_id in self._row_of:
             raise AllocationError(f"version id {version_id} is already live")
-        renamed_address = self.renamer.allocate(size) if renamed else -1
         usage = 0
         if producer is not None:
             usage = 1
@@ -459,22 +410,13 @@ class VersionTable:
             row = free.pop()
             self.vid_col[row] = version_id
             self.addr_col[row] = address
-            self.size_col[row] = size
             self.usage_col[row] = usage
-            self.next_col[row] = -1
-            self.renamed_col[row] = renamed_address
-            self.waiting_col[row] = None
-            self.producer_col[row] = producer
         else:
             row = len(self.vid_col)
             self.vid_col.append(version_id)
             self.addr_col.append(address)
-            self.size_col.append(size)
             self.usage_col.append(usage)
-            self.next_col.append(-1)
-            self.renamed_col.append(renamed_address)
             self.waiting_col.append(None)
-            self.producer_col.append(producer)
         self._row_of[version_id] = row
         return row
 
@@ -518,5 +460,4 @@ class VersionTable:
         del self._row_of[version_id]
         self.vid_col[row] = -1
         self.waiting_col[row] = None
-        self.producer_col[row] = None
         self._free_rows.append(row)

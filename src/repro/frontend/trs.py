@@ -54,48 +54,41 @@ from repro.trace.records import Direction, TaskRecord
 class _TaskEntry:
     """An in-flight task stored in the TRS (slot-indexed operand table).
 
-    Per-operand boolean state (decoded / scalar / input half satisfied /
-    output half satisfied / data available to chained consumers / forwarded)
-    is packed into integer bit-vectors, one bit per operand index -- the
+    Per-operand boolean state (decoded / input half satisfied / output half
+    satisfied / data available to chained consumers / forwarded) is packed
+    into integer bit-vectors, one bit per operand index -- the
     model's equivalent of the valid/ready bit columns the hardware keeps in
     each task's blocks.  ``want_mask`` has one bit per operand, so "task
     fully decoded" is the single compare ``decoded_mask == want_mask`` and
     "task ready" is ``decoded_mask & input_mask & output_mask == want_mask``;
     no per-operand scan or counter bookkeeping is needed.  The few non-bool
-    fields (direction, address, OVT index, chained consumer, rename address)
-    live in small parallel per-operand lists.
+    fields (direction, OVT index, chained consumer) live in small parallel
+    per-operand lists.
     """
 
     __slots__ = ("task", "record", "main_block", "indirect_blocks",
-                 "alloc_time", "decode_time", "ready_time", "finished",
-                 "want_mask", "decoded_mask", "input_mask", "output_mask",
-                 "avail_mask", "forwarded_mask", "scalar_mask",
-                 "dir_col", "addr_col", "ovt_col", "consumer_col",
-                 "rename_col")
+                 "decode_time", "ready_time", "want_mask", "decoded_mask",
+                 "input_mask", "output_mask", "avail_mask", "forwarded_mask",
+                 "dir_col", "ovt_col", "consumer_col")
 
     def __init__(self, task: TaskID, record: Optional[TaskRecord],
                  main_block: int, indirect_blocks: List[int],
-                 num_operands: int, alloc_time: int):
+                 num_operands: int):
         self.task = task
         self.record = record
         self.main_block = main_block
         self.indirect_blocks = indirect_blocks
-        self.alloc_time = alloc_time
         self.decode_time: Optional[int] = None
         self.ready_time: Optional[int] = None
-        self.finished = False
         self.want_mask = (1 << num_operands) - 1
         self.decoded_mask = 0
         self.input_mask = 0
         self.output_mask = 0
         self.avail_mask = 0
         self.forwarded_mask = 0
-        self.scalar_mask = 0
         self.dir_col: List[Optional[Direction]] = [None] * num_operands
-        self.addr_col: List[Optional[int]] = [None] * num_operands
         self.ovt_col: List[Optional[int]] = [None] * num_operands
         self.consumer_col: List[Optional[OperandID]] = [None] * num_operands
-        self.rename_col: List[Optional[int]] = [None] * num_operands
 
     @property
     def num_operands(self) -> int:
@@ -118,7 +111,6 @@ class TaskReservationStation(PacketProcessor):
         self.config = config
         self.storage = BlockStorage(
             num_blocks=config.trs_blocks_per_module,
-            block_bytes=config.trs_block_bytes,
             operands_in_main_block=config.operands_in_main_block,
             operands_per_indirect_block=config.operands_per_indirect_block,
             max_indirect_blocks=config.max_indirect_blocks,
@@ -234,8 +226,7 @@ class TaskReservationStation(PacketProcessor):
         self._tasks[slot] = _TaskEntry(task=task, record=None,
                                        main_block=main_block,
                                        indirect_blocks=indirect,
-                                       num_operands=request.num_operands,
-                                       alloc_time=self.now)
+                                       num_operands=request.num_operands)
         self._stat_tasks_allocated.value += 1
         self.send(self.gateway, AllocReply(trs_index=self.index,
                                            buffer_slot=request.buffer_slot,
@@ -275,7 +266,6 @@ class TaskReservationStation(PacketProcessor):
             raise ProtocolError(f"{self.name}: scalar for unknown task {operand}")
         bit = 1 << operand.index
         entry.decoded_mask |= bit
-        entry.scalar_mask |= bit
         entry.input_mask |= bit
         entry.output_mask |= bit
         entry.avail_mask |= bit
@@ -294,7 +284,6 @@ class TaskReservationStation(PacketProcessor):
         entry.decoded_mask |= bit
         direction = info.direction
         entry.dir_col[index] = direction
-        entry.addr_col[index] = info.address
         entry.ovt_col[index] = info.ovt_index
         if direction is Direction.INPUT:
             entry.output_mask |= bit
@@ -401,8 +390,6 @@ class TaskReservationStation(PacketProcessor):
                     self._forward_ready(operand, consumer)
         if kind is ReadyKind.OUTPUT_BUFFER or kind is ReadyKind.FULL:
             entry.output_mask |= bit
-            if packet.rename_address is not None:
-                entry.rename_col[index] = packet.rename_address
         self._stat_data_ready.value += 1
         self._after_operand_update(entry)
 
@@ -434,12 +421,10 @@ class TaskReservationStation(PacketProcessor):
             raise ProtocolError(f"{self.name}: finish for unknown task {packet.task}")
         if entry.ready_time is None:
             raise ProtocolError(f"{self.name}: task {packet.task} finished before ready")
-        entry.finished = True
         latency = self._latency
         task = entry.task
         trs_index = self.index
         dir_col = entry.dir_col
-        addr_col = entry.addr_col
         ovt_col = entry.ovt_col
         consumer_col = entry.consumer_col
         ovts = self.ovts
@@ -456,9 +441,7 @@ class TaskReservationStation(PacketProcessor):
             ovt_index = ovt_col[index]
             if ovt_index is not None:
                 # Scalars never acquire an OVT index, so this also skips them.
-                self.send(ovts[ovt_index],
-                          VersionRelease(operand=operand_id,
-                                         address=addr_col[index]),
+                self.send(ovts[ovt_index], VersionRelease(operand=operand_id),
                           latency=latency)
             consumer = consumer_col[index]
             direction = dir_col[index]

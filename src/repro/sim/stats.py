@@ -7,8 +7,8 @@ whole simulation) and records four kinds of data through pre-bound handles:
 * scalar accumulators with mean/max
   (:meth:`~StatsCollector.accumulator_handle`),
 * integer histograms (:meth:`~StatsCollector.histogram_handle`), and
-* time-stamped samples (:meth:`~StatsCollector.sampler_handle`) used by the
-  window-occupancy analysis.
+* sample counts (:meth:`~StatsCollector.sampler_handle`): how many
+  window-occupancy samples a capped, decimating series would retain.
 
 A module resolves each metric name **once**, at construction, and calls the
 returned handle's ``add`` in the hot path; a handle is a direct reference to
@@ -129,49 +129,46 @@ DEFAULT_SAMPLE_CAP = 65536
 
 
 class Sampler:
-    """Pre-bound handle for one time-series sample list, with capped memory.
+    """Pre-bound handle counting one series' samples under a memory cap.
 
-    Long runs used to grow sample lists without bound; a sampler now holds at
-    most ``cap`` entries.  When the cap is reached the series is *decimated*
-    in place -- every second entry removed -- and the sampling stride doubles,
-    so the retained series always spans the whole run at progressively coarser
-    (but uniform) time resolution.  :attr:`dropped` counts the samples that
-    were offered but are no longer retained; ``summary()`` surfaces it as
+    The counts are those of a series holding at most ``cap`` entries: when
+    the cap is reached every second entry is dropped and the sampling stride
+    doubles, so the retained series would span the whole run at a coarser,
+    uniform resolution.  No result reads the sample values, so only the
+    counts are kept: :attr:`retained` and :attr:`dropped`, which
+    ``summary()`` reports as ``<name>.samples`` and
     ``<name>.samples_dropped``.
 
     Handles are shared per series name (see
     :meth:`StatsCollector.sampler_handle`), so the stride/drop bookkeeping
     stays consistent however many call sites record into one series.
-    Decimation mutates the entry list in place, preserving its identity --
-    ``stats.samples[name]`` views stay valid.
     """
 
-    __slots__ = ("entries", "cap", "stride", "dropped", "_skip")
+    __slots__ = ("cap", "stride", "retained", "dropped", "_skip")
 
-    def __init__(self, entries: List[Tuple[int, float]],
-                 cap: int = DEFAULT_SAMPLE_CAP) -> None:
+    def __init__(self, cap: int = DEFAULT_SAMPLE_CAP) -> None:
         if cap < 2:
             raise ValueError(f"sample cap must be at least 2, got {cap}")
-        self.entries = entries
         self.cap = cap
         self.stride = 1
+        self.retained = 0
         self.dropped = 0
         self._skip = 0
 
-    def add(self, time: int, value: float) -> None:
-        """Record a time-stamped sample (subject to the decimation stride)."""
+    def add(self) -> None:
+        """Offer one sample (subject to the decimation stride)."""
         if self._skip:
             self._skip -= 1
             self.dropped += 1
             return
-        entries = self.entries
-        entries.append((time, value))
+        retained = self.retained + 1
         self._skip = self.stride - 1
-        if len(entries) >= self.cap:
-            removed = len(entries) // 2
-            del entries[1::2]
+        if retained >= self.cap:
+            removed = retained // 2
+            retained -= removed
             self.dropped += removed
             self.stride *= 2
+        self.retained = retained
 
 
 class ScopedStats:
@@ -219,7 +216,6 @@ class StatsCollector:
         self._counters: Dict[str, Counter] = defaultdict(Counter)
         self.accumulators: Dict[str, Accumulator] = defaultdict(Accumulator)
         self.histograms: Dict[str, Histogram] = defaultdict(Histogram)
-        self.samples: Dict[str, List[Tuple[int, float]]] = defaultdict(list)
         #: Per-series memory cap applied by :class:`Sampler` (see there).
         self.sample_cap = sample_cap
         self._samplers: Dict[str, Sampler] = {}
@@ -239,14 +235,14 @@ class StatsCollector:
         return self.histograms[name]
 
     def sampler_handle(self, name: str) -> Sampler:
-        """The shared :class:`Sampler` for ``name``'s sample list.
+        """The shared :class:`Sampler` for series ``name``.
 
         One sampler per name (created on first request), so every call site
         sees the same decimation stride and drop count.
         """
         sampler = self._samplers.get(name)
         if sampler is None:
-            sampler = Sampler(self.samples[name], cap=self.sample_cap)
+            sampler = Sampler(cap=self.sample_cap)
             self._samplers[name] = sampler
         return sampler
 
@@ -289,10 +285,10 @@ class StatsCollector:
         ``<name>.count`` / ``<name>.mean`` / ``<name>.max`` and the
         percentiles ``<name>.p50`` / ``<name>.p95`` / ``<name>.p99``
         (so reports can quote chain-length percentiles without reaching into
-        internals); each time series contributes its retained sample count as
-        ``<name>.samples`` plus ``<name>.samples_dropped`` -- the samples the
-        decimating :class:`Sampler` recorded but no longer retains (0 unless
-        the series hit its memory cap).
+        internals); each sampled series contributes its retained sample count
+        as ``<name>.samples`` plus ``<name>.samples_dropped`` -- the samples
+        the decimating :class:`Sampler` was offered but would no longer retain
+        (0 unless the series hit its memory cap).
 
         Collision rule (asserted by the test suite): when one name is used
         as both an accumulator and a histogram, the *accumulator* owns the
@@ -317,9 +313,7 @@ class StatsCollector:
                                      ("p99", 0.99)):
                 result[f"{name}.{suffix}"] = (float(hist.percentile(fraction))
                                               if hist.count else 0.0)
-        for name, entries in sorted(self.samples.items()):
-            result[f"{name}.samples"] = float(len(entries))
-            sampler = self._samplers.get(name)
-            result[f"{name}.samples_dropped"] = float(
-                sampler.dropped if sampler is not None else 0)
+        for name, sampler in sorted(self._samplers.items()):
+            result[f"{name}.samples"] = float(sampler.retained)
+            result[f"{name}.samples_dropped"] = float(sampler.dropped)
         return result

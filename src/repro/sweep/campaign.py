@@ -292,8 +292,9 @@ class Campaign:
                                for spec in self.member_specs()})
 
     def describe(self) -> str:
-        """One-line summary for logs and the CLI."""
-        points = sum(spec.cardinality for spec in self.member_specs())
+        """One-line summary for logs and the CLI (expands no grid)."""
+        points = (sum(spec.cardinality for spec in self.members)
+                  * len(self.seeds))
         return (f"campaign {self.name!r}: {len(self.members)} member(s) x "
                 f"{len(self.seeds)} seed(s) = {points} points")
 

@@ -310,11 +310,6 @@ class SweepSpec:
                     names.add(axis)
         return names
 
-    @property
-    def spec_id(self) -> str:
-        """Content address of the whole expanded grid (manifest key)."""
-        return spec_id_of(self.points())
-
     def describe(self) -> str:
         """One-line summary for logs and the CLI."""
         axes = ", ".join(f"{name}[{len(values)}]"
@@ -324,11 +319,7 @@ class SweepSpec:
 
 
 def spec_id_of(points: Sequence[SweepPoint]) -> str:
-    """Content address of an already-expanded grid.
-
-    Runners use this instead of :attr:`SweepSpec.spec_id` so the grid is not
-    expanded a second time just to key the manifest.
-    """
+    """Content address of an expanded grid (the manifest and journal key)."""
     return content_digest([point.as_dict() for point in points])
 
 

@@ -6,8 +6,7 @@ package opens that scenario space: :class:`TopologySpec` (``num_frontends``,
 ``shard_policy``, ``steal_policy``, per-frontend capacity scaling) describes a
 machine with N independent :class:`~repro.frontend.pipeline
 .TaskSuperscalarFrontend` instances behind a sharding :class:`TaskRouter`,
-with cross-pipeline dependency traffic carried as explicit
-:class:`~repro.frontend.messages.InterFrontendForward` messages.
+with cross-pipeline dependency traffic delivered by an explicit fabric.
 
 The building blocks:
 
@@ -20,9 +19,8 @@ The building blocks:
   (``TaskID(trs, slot)``, ``OperandID``) route unchanged across pipelines.
   Each pipeline is wired with global directory *views* holding its own
   modules at their global positions and :class:`RemoteStub` proxies for
-  modules living in other pipelines; a message sent to a stub is wrapped in
-  an :class:`InterFrontendForward` envelope and delivered to the real module
-  after ``forward_latency_cycles``.
+  modules living in other pipelines; a message sent to a stub is delivered to
+  the real module after ``forward_latency_cycles``.
 * :class:`GatewayGroup` -- broadcast sink for ORT/OVT capacity back-pressure:
   with a globally hashed ORT pool, a full table must stall admission at
   *every* gateway, not just its own pipeline's.
@@ -41,7 +39,6 @@ from typing import Callable, Dict, List, Optional
 from repro.common.config import (FrontendConfig, SHARD_POLICIES,
                                  STEAL_POLICIES, TopologyConfig)
 from repro.common.hashing import bucket_for, fingerprint64
-from repro.frontend.messages import InterFrontendForward
 from repro.frontend.pipeline import TaskSuperscalarFrontend
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsCollector
@@ -62,11 +59,11 @@ class InterFrontendFabric:
     """Delivers protocol messages across pipelines with an explicit latency.
 
     One fabric is shared by all of a machine's :class:`RemoteStub` proxies.
-    Every crossing is wrapped in an :class:`InterFrontendForward` envelope,
-    counted (``fabric.forwards`` plus a per-destination ``fabric.to_fe<i>``
-    counter) and unwrapped at the destination module after
-    ``forward_latency_cycles``.  Only constructed for multi-frontend
-    topologies, so the trivial machine carries none of these stat keys.
+    Every crossing is counted (``fabric.forwards`` plus a per-destination
+    ``fabric.to_fe<i>`` counter) and the packet itself is delivered to the
+    destination module after ``forward_latency_cycles``.  Only constructed
+    for multi-frontend topologies, so the trivial machine carries none of
+    these stat keys.
     """
 
     __slots__ = ("engine", "latency", "_stat_forwards", "_stat_by_dst",
@@ -83,20 +80,19 @@ class InterFrontendFabric:
             for i in range(topology.num_frontends)
         ]
 
-    def forward(self, src: int, dst: int, module, packet) -> None:
+    def forward(self, dst: int, module, packet) -> None:
         """Ship ``packet`` to ``module`` in pipeline ``dst`` after the fabric
         latency."""
         self.forwards += 1
         self._stat_forwards.value += 1
         self._stat_by_dst[dst].value += 1
-        envelope = InterFrontendForward(payload=packet, src_frontend=src,
-                                        dst_frontend=dst)
-        self.engine.schedule_unref(self.latency, self._deliver, module,
-                                   envelope)
+        self.engine.schedule_unref(self.latency, self._deliver, module, packet)
 
     @staticmethod
-    def _deliver(module, envelope: InterFrontendForward) -> None:
-        module.receive(envelope.payload)
+    def _deliver(module, packet) -> None:
+        # A function of this module rather than ``module.receive`` itself, so
+        # that per-layer profiles book the delivery to the fabric.
+        module.receive(packet)
 
 
 class RemoteStub:
@@ -120,7 +116,7 @@ class RemoteStub:
 
     def receive(self, packet) -> None:
         """Forward ``packet`` to the real module across the fabric."""
-        self._fabric.forward(self.src, self.dst, self.target, packet)
+        self._fabric.forward(self.dst, self.target, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RemoteStub fe{self.src}->fe{self.dst} {self.target.name}>"

@@ -29,7 +29,7 @@ class TestWorkerCore:
         assert finished == [(1234, 0)]
         assert not core.is_busy
         assert core.busy_cycles == 1234
-        assert core.tasks_executed == 1
+        assert core.stats.counter("cores.tasks_executed") == 1
 
     def test_double_dispatch_rejected(self):
         engine = Engine()

@@ -28,7 +28,7 @@ from repro.sweep.campaign import (Ablation, Campaign, CampaignReport,
                                   group_id_of, load_report, run_campaign,
                                   write_report)
 from repro.sweep.runner import trace_cache_clear
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import SweepSpec, spec_id_of
 
 
 def tiny_member(name="grid", workloads=("Cholesky", "MatMul"), **base_extra):
@@ -244,7 +244,8 @@ class TestAggregation:
         monkeypatch.undo()
         assert report.campaign_id == campaign.campaign_id
         assert ([member.spec_id for member in report.members]
-                == [spec.spec_id for spec in campaign.member_specs()])
+                == [spec_id_of(spec.points())
+                    for spec in campaign.member_specs()])
 
 
 class TestAblation:

@@ -133,6 +133,34 @@ class TestCLI:
                      "--artifacts", str(tmp_path)]) == 0
         assert "window-ablation" in capsys.readouterr().out
 
+    def test_campaign_run_expands_each_grid_only_inside_run_campaign(
+            self, tmp_path, capsys, monkeypatch):
+        # Printing the campaign's one-line summary must not expand a grid:
+        # the command expands exactly as often as run_campaign does alone.
+        from repro.experiments.campaigns import get_campaign
+        from repro.sweep import ResultCache, SweepRunner
+        from repro.sweep.campaign import run_campaign
+        from repro.sweep.spec import SweepSpec
+
+        expansions = []
+        points = SweepSpec.points
+
+        def counting_points(spec):
+            expansions.append(spec.name)
+            return points(spec)
+
+        monkeypatch.setattr(SweepSpec, "points", counting_points)
+        assert main(["campaign", "run", "--campaign", "window-ablation",
+                     "--quick", "--seeds", "1",
+                     "--artifacts", str(tmp_path)]) == 0
+        capsys.readouterr()
+        through_cli = len(expansions)
+        expansions.clear()
+        run_campaign(get_campaign("window-ablation", seeds=range(1),
+                                  quick=True),
+                     SweepRunner(cache=ResultCache(tmp_path)))
+        assert through_cli == len(expansions) == 8
+
     def test_campaign_report_before_run_is_an_error(self, tmp_path):
         with pytest.raises(SystemExit, match="no report"):
             main(["campaign", "report", "--campaign", "design-space",

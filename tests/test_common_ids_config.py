@@ -122,7 +122,8 @@ class TestFrontendConfig:
 class TestOtherConfigs:
     def test_memory_channels(self):
         mem = MemoryConfig()
-        assert mem.num_channels == 8
+        mem.validate()
+        assert (mem.num_controllers, mem.channels_per_controller) == (4, 2)
 
     def test_generator_cost_scales_with_operands(self):
         gen = TaskGeneratorConfig(cycles_per_task=100, cycles_per_operand=10)

@@ -92,13 +92,24 @@ class TestGateway:
 
 
 class TestORTAndOVT:
-    def test_output_operand_is_renamed_and_ready(self):
-        engine, frontend = small_frontend()
+    def test_output_operand_is_renamed_and_ready(self, monkeypatch):
+        engine, frontend = small_frontend(num_trs=1)
+        trs = frontend.trs_list[0]
+        ready = []
+        serve = trs.receive
+
+        def spy(packet):
+            if isinstance(packet, DataReady):
+                ready.append(packet)
+            serve(packet)
+
+        monkeypatch.setattr(trs, "receive", spy)
         frontend.try_submit(record(0, [mem(0x2000, Direction.OUTPUT)]))
         engine.run()
-        ovt = frontend.ovts[0]
-        assert ovt.stats.counter("ovt0.renames") == 1
-        assert ovt.table.renamer.allocated_buffers == 1
+        assert frontend.ovts[0].stats.counter("ovt0.renames") == 1
+        # The rename is the operand's only data-ready: its output buffer.
+        assert ready == [DataReady(operand=OperandID(0, 0, 0),
+                                   kind=ReadyKind.OUTPUT_BUFFER)]
         assert len(frontend.ready_queue) == 1
 
     def test_reader_miss_creates_version_and_is_immediately_ready(self):
@@ -222,7 +233,7 @@ class TestProtocolErrors:
         # A decode request is an ORT packet; every other module rejects it.
         packet = OperandDecodeRequest(operand=OperandID(0, 0, 0),
                                       direction=Direction.INPUT,
-                                      address=0x1000, size=64)
+                                      address=0x1000)
         if module == "ort":
             packet = DataReady(operand=OperandID(0, 0, 0),
                                kind=ReadyKind.INPUT_DATA)

@@ -11,7 +11,6 @@ from repro.common.ids import OperandID
 from repro.common.units import MB
 from repro.frontend.storage import (
     BlockStorage,
-    RenameBufferAllocator,
     RenamingTable,
     VersionTable,
 )
@@ -111,7 +110,7 @@ class TestBlockStorage:
 
 
 def insert(table, address, version=0):
-    return table.insert_row(address, 64, OperandID(0, 0, 0), version, True)
+    return table.insert_row(address, OperandID(0, 0, 0), version)
 
 
 class TestRenamingTable:
@@ -120,7 +119,7 @@ class TestRenamingTable:
         assert table.lookup_row(0x1000) == -1
         insert(table, 0x1000)
         row = table.lookup_row(0x1000)
-        assert row >= 0 and table.addr_col[row] == 0x1000
+        assert row >= 0 and table.user_col[row] == OperandID(0, 0, 0)
 
     def test_update_existing_entry_does_not_grow(self):
         table = RenamingTable(num_sets=4, assoc=2)
@@ -171,10 +170,9 @@ class TestVersionTable:
     def test_writer_version_lifecycle(self):
         table = VersionTable(capacity=16)
         producer = OperandID(0, 0, 0)
-        row = table.create(0x1000, 64, producer=producer, renamed=True,
-                           version_id=7)
+        row = table.create(0x1000, producer=producer, version_id=7)
         assert table.usage_col[row] == 1
-        assert table.renamed_col[row] >= 0
+        assert table.addr_col[row] == 0x1000
         assert table.operand_version[producer] == 7
         assert table.release_use_row(producer) == row
         assert table.vid_col[row] == 7
@@ -184,8 +182,7 @@ class TestVersionTable:
     def test_reader_usage_counting(self):
         table = VersionTable(capacity=16)
         producer = OperandID(0, 0, 0)
-        row = table.create(0x1000, 64, producer=producer, renamed=False,
-                           version_id=0)
+        row = table.create(0x1000, producer=producer, version_id=0)
         readers = [OperandID(0, i + 1, 0) for i in range(3)]
         for reader in readers:
             table.add_user_row(row, reader)
@@ -202,33 +199,31 @@ class TestVersionTable:
 
     def test_external_version_ids(self):
         table = VersionTable(capacity=4)
-        row = table.create(0x1000, 64, producer=OperandID(0, 0, 0), renamed=False,
-                           version_id=42)
+        row = table.create(0x1000, producer=OperandID(0, 0, 0), version_id=42)
         assert table.vid_col[row] == 42
         assert table.row_of(42) == row
         with pytest.raises(AllocationError):
-            table.create(0x2000, 64, producer=None, renamed=False, version_id=42)
+            table.create(0x2000, producer=None, version_id=42)
 
     def test_overflow_counted_not_fatal(self):
         table = VersionTable(capacity=1)
-        table.create(0x1000, 64, producer=None, renamed=False, version_id=0)
+        table.create(0x1000, producer=None, version_id=0)
         assert table.is_pressured()
-        table.create(0x2000, 64, producer=None, renamed=False, version_id=1)
+        table.create(0x2000, producer=None, version_id=1)
         assert table.overflow_creations == 1
         assert table.live_versions == 2
 
     def test_double_release_is_noop(self):
         table = VersionTable(capacity=4)
         producer = OperandID(0, 0, 0)
-        row = table.create(0x1000, 64, producer=producer, renamed=False,
-                           version_id=0)
+        row = table.create(0x1000, producer=producer, version_id=0)
         assert table.release_use_row(producer) == row
         # Releasing again is a no-op because the operand mapping is gone.
         assert table.release_use_row(producer) == -1
 
     def test_negative_usage_detected(self):
         table = VersionTable(capacity=4)
-        table.create(0x1000, 64, producer=None, renamed=False, version_id=5)
+        table.create(0x1000, producer=None, version_id=5)
         # A reader-miss version starts with no users; a mapping made without
         # add_user_row leaves its usage count at zero.
         reader = OperandID(0, 1, 0)
@@ -241,19 +236,3 @@ class TestVersionTable:
         assert table.row_of(None) == -1
         assert table.row_of(123) == -1
 
-
-class TestRenameBufferAllocator:
-    def test_power_of_two_buckets(self):
-        allocator = RenameBufferAllocator(min_bucket_bytes=4096)
-        assert allocator.bucket_size(100) == 4096
-        assert allocator.bucket_size(4096) == 4096
-        assert allocator.bucket_size(5000) == 8192
-        assert allocator.bucket_size(70_000) == 131_072
-
-    def test_allocations_do_not_overlap(self):
-        allocator = RenameBufferAllocator()
-        first = allocator.allocate(10_000)
-        second = allocator.allocate(10_000)
-        assert second >= first + allocator.bucket_size(10_000)
-        assert allocator.allocated_buffers == 2
-        assert allocator.allocated_bytes == 2 * allocator.bucket_size(10_000)

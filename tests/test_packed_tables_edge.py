@@ -69,14 +69,14 @@ class TestRenamingTableSetPressure:
             frontend.try_submit(record(i, [mem(0x10000 + i * 0x1000,
                                                Direction.OUTPUT)]))
         engine.run()
-        rows_after_fill = len(ort.table.addr_col)
+        rows_after_fill = len(ort.table.user_col)
         assert ort.table.occupancy == 4
         for i in range(4):
             frontend.notify_finished(TaskID(0, i))
         engine.run()
         assert ort.table.occupancy == 0
-        # Freed rows carry the invalid tag and sit on the free list...
-        assert all(tag == -1 for tag in ort.table.addr_col)
+        # Freed rows drop their last user and sit on the free list...
+        assert all(user is None for user in ort.table.user_col)
         assert len(ort.table._free_rows) == 4
         # ...and a fresh wave of objects reuses them instead of growing
         # the columns.
@@ -84,7 +84,8 @@ class TestRenamingTableSetPressure:
             frontend.try_submit(record(4 + i, [mem(0x90000 + i * 0x1000,
                                                    Direction.OUTPUT)]))
         engine.run()
-        assert len(ort.table.addr_col) == rows_after_fill
+        assert (len(ort.table.version_col) == len(ort.table.user_col)
+                == rows_after_fill)
         assert ort.table.occupancy == 4
 
 

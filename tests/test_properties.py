@@ -165,7 +165,7 @@ class TestRenamingTableProperties:
                     same_set = [a for a in live
                                 if table.set_index(a) == table.set_index(address)]
                     overflows += len(same_set) >= table.assoc
-                table.insert_row(address, 64, OperandID(0, 0, 0), version, True)
+                table.insert_row(address, OperandID(0, 0, 0), version)
                 live[address] = version
             else:
                 removed = table.remove(address)
@@ -191,8 +191,7 @@ class TestVersionTableProperties:
     def test_release_fires_exactly_when_last_user_leaves(self, readers, extra_releases):
         table = VersionTable(capacity=64)
         producer = OperandID(0, 0, 0)
-        row = table.create(0x1000, 64, producer=producer, renamed=False,
-                           version_id=0)
+        row = table.create(0x1000, producer=producer, version_id=0)
         reader_ids = [OperandID(0, i + 1, 0) for i in range(readers)]
         for reader in reader_ids:
             table.add_user_row(row, reader)

@@ -27,7 +27,7 @@ from repro.sweep.resilience import (JOURNAL_SCHEMA, RetryPolicy, RunJournal,
 from repro.sweep.runner import (ObsSettings, SweepRunner,
                                 configure_observability, execute_point,
                                 trace_cache_clear)
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import SweepSpec, spec_id_of
 from repro.trace.packed import pack_trace
 from repro.trace.store import TraceStore
 
@@ -213,7 +213,8 @@ class TestWorkerCrashRecovery:
         assert spec.points()[0].label() in str(info.value)
         assert isinstance(info.value.__cause__, ConfigurationError)
         assert "num_trs must be positive" in str(info.value.__cause__)
-        state = replay(RunJournal.for_root(tmp_path, spec.spec_id).read())
+        state = replay(RunJournal.for_root(
+            tmp_path, spec_id_of(spec.points())).read())
         assert state["points"] == {spec.points()[0].point_id: "failed"}
         assert state["retries"] == 0 and not state["completed"]
 

@@ -180,8 +180,8 @@ class TestStatsCollector:
         chain.add(1, weight=95)
         chain.add(7, weight=5)
         window = stats.sampler_handle("window")
-        window.add(10, 3.0)
-        window.add(20, 5.0)
+        window.add()
+        window.add()
         summary = stats.summary()
         assert summary["chain.length.count"] == 100.0
         assert summary["chain.length.mean"] == pytest.approx(1.3)
@@ -245,46 +245,62 @@ class TestStatsCollector:
     def test_sampler_handle_appends_to_the_series(self):
         stats = StatsCollector()
         sampler = stats.sampler_handle("occupancy")
-        sampler.add(5, 1.0)
-        stats.sampler_handle("occupancy").add(9, 2.0)
-        assert stats.samples["occupancy"] == [(5, 1.0), (9, 2.0)]
+        sampler.add()
+        stats.sampler_handle("occupancy").add()
+        assert stats.summary()["occupancy.samples"] == 2.0
+
+
+def reference_counts(offered, cap):
+    """``(retained, dropped)`` of the list-based sampler the counts replace.
+
+    It kept every ``stride``-th offered sample and, whenever the list reached
+    ``cap`` entries, deleted every second entry and doubled the stride.
+    """
+    entries, stride, skip, dropped = [], 1, 0, 0
+    for time in range(offered):
+        if skip:
+            skip -= 1
+            dropped += 1
+            continue
+        entries.append((time, float(time)))
+        skip = stride - 1
+        if len(entries) >= cap:
+            dropped += len(entries) // 2
+            del entries[1::2]
+            stride *= 2
+    return len(entries), dropped
 
 
 class TestSamplerMemoryCap:
+    @pytest.mark.parametrize("cap", [2, 3, 8])
+    def test_counts_match_the_list_based_reference(self, cap):
+        for offered in range(5 * cap + 1):
+            stats = StatsCollector(sample_cap=cap)
+            sampler = stats.sampler_handle("occ")
+            for _ in range(offered):
+                sampler.add()
+            retained, dropped = reference_counts(offered, cap)
+            summary = stats.summary()
+            assert summary["occ.samples"] == retained, offered
+            assert summary["occ.samples_dropped"] == dropped, offered
+
     def test_decimation_keeps_series_bounded_and_spanning(self):
         stats = StatsCollector(sample_cap=8)
         sampler = stats.sampler_handle("occ")
-        for i in range(64):
-            sampler.add(i, float(i))
-        entries = stats.samples["occ"]
-        # The cap bounds memory; every retained + dropped sample was offered.
-        assert len(entries) <= 8
-        assert len(entries) + sampler.dropped == 64
-        # Decimation thins uniformly, so the retained series still spans the
-        # run at a coarser stride (first sample kept, last near the end).
-        assert entries[0] == (0, 0.0)
-        assert entries[-1][0] >= 64 - sampler.stride
-        times = [time for time, _ in entries]
-        assert times == sorted(times)
-
-    def test_decimation_preserves_list_identity(self):
-        # Views handed out via stats.samples[name] must stay valid across
-        # decimation (it mutates the list in place, never reassigns it).
-        stats = StatsCollector(sample_cap=4)
-        view = stats.samples["occ"]
-        sampler = stats.sampler_handle("occ")
-        for i in range(16):
-            sampler.add(i, 1.0)
-        assert stats.samples["occ"] is view
-        assert sampler.dropped > 0
+        for _ in range(64):
+            sampler.add()
+        # The cap bounds the series; every retained + dropped sample was
+        # offered.
+        assert sampler.retained <= 8
+        assert sampler.retained + sampler.dropped == 64
 
     def test_summary_reports_dropped_samples(self):
         stats = StatsCollector(sample_cap=4)
         sampler = stats.sampler_handle("occ")
-        for i in range(10):
-            sampler.add(i, 1.0)
+        for _ in range(10):
+            sampler.add()
         summary = stats.summary()
-        assert summary["occ.samples"] == float(len(stats.samples["occ"]))
+        assert summary["occ.samples"] == float(sampler.retained)
         assert summary["occ.samples_dropped"] == float(sampler.dropped)
         assert summary["occ.samples"] + summary["occ.samples_dropped"] == 10.0
 
@@ -296,7 +312,7 @@ class TestSamplerMemoryCap:
 
     def test_cap_must_allow_decimation(self):
         with pytest.raises(ValueError):
-            Sampler([], cap=1)
+            Sampler(cap=1)
 
 
 class TestHistogram:

@@ -34,7 +34,7 @@ from repro.sweep.runner import (SweepRunner, build_point_config,
                                 trace_cache_clear)
 from repro.sweep.runner import trace_key_for_params
 from repro.sweep.spec import (DEFAULT_PARAMS, SweepSpec, canonical_scalar,
-                              parse_axis_value)
+                              parse_axis_value, spec_id_of)
 from repro.trace.store import TraceStore
 
 #: A small but non-trivial grid: 2 workloads x 2 ORT settings x 2 TRS
@@ -358,7 +358,7 @@ class TestResultCache:
         spec = tiny_spec()
         cache = ResultCache(tmp_path)
         SweepRunner(cache=cache).run(spec)
-        manifest = cache.read_manifest(spec.spec_id)
+        manifest = cache.read_manifest(spec_id_of(spec.points()))
         assert manifest is not None
         assert manifest["num_points"] == spec.cardinality
         assert manifest["point_ids"] == [p.point_id for p in spec.points()]
