@@ -21,6 +21,7 @@ of the dispatch latency for the remote pull.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import BackendConfig, TopologyConfig
@@ -80,8 +81,11 @@ class TaskScheduler(SimModule):
         self._steal_rng = random.Random(0xC0FFEE)
         self.tasks_stolen = 0
         self.steals_by_cluster = [0] * num_clusters
-        #: Completion log: (task sequence, start cycle, finish cycle, core index).
-        self.completions: List[Tuple[int, int, int, int]] = []
+        #: Completion log, one int64 column per field and one row per task
+        #: in completion order (see :meth:`schedule_table`).
+        self._done_sequence = array("q")
+        self._done_start = array("q")
+        self._done_finish = array("q")
         self._start_times: Dict[TaskID, int] = {}
         self.tasks_completed = 0
         self.last_completion_time = 0
@@ -193,7 +197,9 @@ class TaskScheduler(SimModule):
         start = self._start_times.pop(task, None)
         if start is None:
             raise SchedulingError(f"completion for task {task} that never started")
-        self.completions.append((record.sequence, start, self.now, core_index))
+        self._done_sequence.append(record.sequence)
+        self._done_start.append(start)
+        self._done_finish.append(self.now)
         self.tasks_completed += 1
         self.last_completion_time = self.now
         self._stat_completions.value += 1
@@ -214,4 +220,5 @@ class TaskScheduler(SimModule):
 
     def schedule_table(self) -> Dict[int, Tuple[int, int]]:
         """Mapping of task sequence -> (start, finish) cycles."""
-        return {seq: (start, finish) for seq, start, finish, _ in self.completions}
+        return dict(zip(self._done_sequence,
+                        zip(self._done_start, self._done_finish)))

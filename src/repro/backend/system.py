@@ -90,7 +90,7 @@ class TaskSuperscalarSystem:
         self.observer = observer
         topology = self.config.topology
         self.topology = topology
-        self.frontends, self.fabric = build_frontends(
+        self.frontends = build_frontends(
             self.engine, self.config.frontend, topology, self.stats)
         #: First pipeline; *the* pipeline on a single-frontend machine.
         self.frontend = self.frontends[0]
@@ -241,8 +241,7 @@ class TaskSuperscalarSystem:
                                              for fe in self.frontends],
             tasks_stolen=self.scheduler.tasks_stolen,
             steals_by_cluster=list(self.scheduler.steals_by_cluster),
-            inter_frontend_forwards=(self.fabric.forwards
-                                     if self.fabric is not None else 0),
+            inter_frontend_forwards=self.stats.counter("fabric.forwards"),
         )
 
 

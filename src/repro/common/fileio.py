@@ -249,8 +249,13 @@ def read_json(path: PathLike, fields: Optional[FieldTypes] = None) -> Dict:
     :class:`ArtifactIntegrityError` when its bytes are not UTF-8 JSON, it is
     not an object, or a named field is missing or of the wrong type.
     """
+    return _parsed_json(path, Path(path).read_bytes(), fields)
+
+
+def _parsed_json(path: PathLike, raw: bytes,
+                 fields: Optional[FieldTypes]) -> Dict:
     try:
-        document = _decode_json(Path(path).read_bytes())
+        document = _decode_json(raw)
     except ValueError as exc:
         raise ArtifactIntegrityError(
             f"{path} is not valid UTF-8 JSON ({exc}); the file is truncated "
@@ -278,6 +283,12 @@ def write_verified_json(path: PathLike, document: Dict) -> Path:
         path, f'{text[:-1]},"digest":"{content_digest(text)}"}}')
 
 
+#: What :func:`write_verified_json` puts between the document's bytes and the
+#: 64 hex digits of their digest; ``"}`` closes the file after them.
+_DIGEST_KEY = b',"digest":"'
+_DIGEST_TAIL = len(_DIGEST_KEY) + 64 + len(b'"}')
+
+
 def read_verified_json(path: PathLike, schema: int,
                        fields: Optional[FieldTypes] = None) -> Dict:
     """Load a :func:`write_verified_json` document, without its ``digest``.
@@ -286,11 +297,23 @@ def read_verified_json(path: PathLike, schema: int,
     ``fields``; one of another integer schema is returned unchecked, so the
     caller can treat it as stale rather than damaged.  Raises like
     :func:`read_json` (a non-integer ``schema`` is damage too).
+
+    The digest is checked on the stored bytes: a file that ends in the
+    digest member holds exactly the digested bytes before it.  A document
+    in any other layout (an older checkout wrote sorted, indented JSON) is
+    re-encoded canonically to check it.
     """
-    document = read_json(path, {"schema": int})
+    raw = Path(path).read_bytes()
+    document = _parsed_json(path, raw, {"schema": int})
     if document["schema"] != schema:
         return document
-    if document.pop("digest", None) != content_digest(document):
+    recorded = document.pop("digest", None)
+    tail = raw[-_DIGEST_TAIL:]
+    if tail.startswith(_DIGEST_KEY) and tail.endswith(b'"}'):
+        digest = content_digest(raw[:-_DIGEST_TAIL] + b"}")
+    else:
+        digest = content_digest(document)
+    if recorded != digest:
         raise ArtifactIntegrityError(
             f"{path} does not match its recorded digest (truncated, "
             "bit-flipped or hand-edited)")

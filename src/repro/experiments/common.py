@@ -43,19 +43,16 @@ def experiment_trace(name: str, scale_factor: float = 1.0, seed: int = 0,
             below 1.0 shrink the traces for quick runs.  Workloads without an
             ``EXPERIMENT_SCALES`` entry scale from their own default.
         seed: Generator seed.
-        max_tasks: Optionally truncate the trace to its first ``max_tasks``
+        max_tasks: Optionally generate only the trace's first ``max_tasks``
             tasks (used by the decode-rate experiments, which only need a
-            steady-state prefix).
+            steady-state prefix); the generator stops there.
         **workload_kwargs: Extra generator-constructor arguments (the sweep
             subsystem forwards ``workload.<param>`` axes here).
     """
     workload = registry.get_workload(name, **workload_kwargs)
     base_scale = EXPERIMENT_SCALES.get(workload.spec.name, workload.default_scale)
     scale = max(1, int(round(base_scale * scale_factor)))
-    trace = workload.generate(scale=scale, seed=seed)
-    if max_tasks is not None and len(trace) > max_tasks:
-        trace = trace.subset(max_tasks)
-    return trace
+    return workload.generate(scale=scale, seed=seed, max_tasks=max_tasks)
 
 
 def fast_generator_config() -> TaskGeneratorConfig:

@@ -84,7 +84,6 @@ class ObjectRenamingTable(BackPressureTile):
                  stats: Optional[StatsCollector] = None):
         super().__init__(engine, f"ort{index}", stats)
         self.index = index
-        self.config = config
         self.table = RenamingTable(num_sets=config.ort_sets_per_module,
                                    assoc=config.ort_assoc)
         #: Wired by the pipeline assembly.

@@ -53,8 +53,6 @@ class ObjectVersioningTable(BackPressureTile):
     def __init__(self, engine: Engine, index: int, config: FrontendConfig,
                  stats: Optional[StatsCollector] = None):
         super().__init__(engine, f"ovt{index}", stats)
-        self.index = index
-        self.config = config
         self.table = VersionTable(capacity=config.ovt_entries_per_module)
         #: Wired by the pipeline assembly.
         self.ort = None

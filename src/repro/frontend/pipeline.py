@@ -58,7 +58,7 @@ class TaskSuperscalarFrontend:
         prefix = self.prefix
         self.gateway = PipelineGateway(engine, config, self.stats,
                                        name=prefix + "gateway")
-        self.ready_queue = ReadyQueue(engine, config, self.stats,
+        self.ready_queue = ReadyQueue(engine, self.stats,
                                       name=prefix + "ready_queue")
         self.trs_list: List[TaskReservationStation] = [
             TaskReservationStation(engine, trs_base + i, config, self.stats)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Optional
 
-from repro.common.config import FrontendConfig
 from repro.frontend.messages import TaskReady
 from repro.sim.engine import Engine
 from repro.sim.module import PacketProcessor
@@ -21,11 +20,9 @@ from repro.sim.stats import StatsCollector
 class ReadyQueue(PacketProcessor):
     """FIFO of ready tasks feeding the backend scheduler."""
 
-    def __init__(self, engine: Engine, config: FrontendConfig,
-                 stats: Optional[StatsCollector] = None,
+    def __init__(self, engine: Engine, stats: Optional[StatsCollector] = None,
                  name: str = "ready_queue"):
         super().__init__(engine, name, stats)
-        self.config = config
         self._ready_tasks: Deque[TaskReady] = deque()
         #: Callback invoked (with no arguments) whenever a task is enqueued.
         self.on_task_available: Optional[Callable[[], None]] = None

@@ -25,7 +25,7 @@ The TRS implements:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.common.config import FrontendConfig
 from repro.common.errors import ProtocolError
@@ -95,12 +95,6 @@ class _TaskEntry:
         return len(self.dir_col)
 
 
-#: Sentinel distinguishing "operand never existed" from "no chained consumer
-#: yet" in the retired-operand map (whose values are the chained consumer's
-#: OperandID, or None while the chain head is vacant).
-_MISSING = object()
-
-
 class TaskReservationStation(PacketProcessor):
     """Timed model of one TRS tile."""
 
@@ -124,13 +118,16 @@ class TaskReservationStation(PacketProcessor):
         #: completes; used by the pipeline for decode-rate measurement.
         self.on_task_decoded = None
         self._tasks: Dict[int, _TaskEntry] = {}
-        #: ``operand -> chained consumer (or None)`` for operands of finished
-        #: tasks; a retired operand's data is by definition available.  A late
+        #: Vacant chain heads of finished tasks: the memory operands that had
+        #: no chained consumer yet when their task finished.  A retired
+        #: operand's data is by definition available, and a late
         #: register-consumer message can still reference such an operand (its
         #: version may outlive the task while other readers drain); the
         #: hardware resolves this through the version's consumer-chain head in
-        #: the OVT, the model through this map.
-        self._retired: Dict[OperandID, Optional[OperandID]] = {}
+        #: the OVT, the model through this set.  A head leaves the set when its
+        #: one consumer registers, so scalars and chained operands never enter
+        #: it; what is left after a run are heads nobody chained onto.
+        self._retired: Set[OperandID] = set()
         #: Tasks currently ready but not yet finished (obs probe).
         self._ready_inflight = 0
         self._next_slot = 0
@@ -320,16 +317,18 @@ class TaskReservationStation(PacketProcessor):
         if entry is None:
             # The target task already finished and was freed; its data is
             # necessarily available, so complete the chain immediately.
-            existing = self._retired.get(target, _MISSING)
-            if existing is _MISSING:
+            if target not in self._retired:
+                # Slots are numbered monotonically, so a slot at or past the
+                # next one never existed; any other operand is not a vacant
+                # head.
+                if target.slot >= self._next_slot:
+                    raise ProtocolError(
+                        f"{self.name}: register-consumer for unknown operand "
+                        f"{target}")
                 raise ProtocolError(
-                    f"{self.name}: register-consumer for unknown operand {target}"
-                )
-            if existing is not None:
-                raise ProtocolError(
-                    f"{self.name}: operand {target} already has a chained consumer"
-                )
-            self._retired[target] = packet.consumer
+                    f"{self.name}: operand {target} already has a chained "
+                    "consumer (or was never a chain head)")
+            self._retired.remove(target)
             self._forward_ready(target, packet.consumer)
             return
         index = target.index
@@ -433,7 +432,7 @@ class TaskReservationStation(PacketProcessor):
         chain_len = 0
         # Single pass over the operand columns: release the version of every
         # non-scalar operand, publish the written data to chained consumers,
-        # and record the chain heads for late register-consumer messages.
+        # and keep the vacant chain heads for late register-consumer messages.
         # Message order (per operand: version release, then writer forward)
         # matches the hardware's walk over the task's operand blocks.
         for index in range(len(dir_col)):
@@ -452,7 +451,10 @@ class TaskReservationStation(PacketProcessor):
                     self._forward_ready(operand_id, consumer)
             if consumer is not None:
                 chain_len += 1
-            retired[operand_id] = consumer
+            elif direction is not None:
+                # Scalars never get a direction, so this keeps memory
+                # operands only.
+                retired.add(operand_id)
         entry.forwarded_mask = forwarded
         self._stat_chain_forwards.add(chain_len)
         self.storage.free(entry.main_block, entry.indirect_blocks)

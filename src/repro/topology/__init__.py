@@ -25,7 +25,7 @@ The building blocks:
   with a globally hashed ORT pool, a full table must stall admission at
   *every* gateway, not just its own pipeline's.
 * :func:`build_frontends` -- assembles the N pipelines, their global views
-  and the fabric, and returns them ready for the backend.
+  and the fabric, and returns the pipelines ready for the backend.
 
 The organising invariant: a trivial topology (``num_frontends=1``,
 ``steal_policy="none"``) constructs zero stubs, zero router state and zero
@@ -66,14 +66,12 @@ class InterFrontendFabric:
     these stat keys.
     """
 
-    __slots__ = ("engine", "latency", "_stat_forwards", "_stat_by_dst",
-                 "forwards")
+    __slots__ = ("engine", "latency", "_stat_forwards", "_stat_by_dst")
 
     def __init__(self, engine: Engine, topology: TopologyConfig,
                  stats: StatsCollector):
         self.engine = engine
         self.latency = topology.forward_latency_cycles
-        self.forwards = 0
         self._stat_forwards = stats.counter_handle("fabric.forwards")
         self._stat_by_dst = [
             stats.counter_handle(f"fabric.to_fe{i}")
@@ -83,7 +81,6 @@ class InterFrontendFabric:
     def forward(self, dst: int, module, packet) -> None:
         """Ship ``packet`` to ``module`` in pipeline ``dst`` after the fabric
         latency."""
-        self.forwards += 1
         self._stat_forwards.value += 1
         self._stat_by_dst[dst].value += 1
         self.engine.schedule_unref(self.latency, self._deliver, module, packet)
@@ -241,11 +238,12 @@ def build_frontends(engine: Engine, frontend_config: FrontendConfig,
                     topology: TopologyConfig, stats: StatsCollector):
     """Assemble ``topology.num_frontends`` pipelines with global directories.
 
-    Returns ``(frontends, fabric)``; ``fabric`` is None for a single
-    frontend.  Every pipeline's TRS/ORT/OVT modules carry globally unique
-    indices (pipeline ``f``'s local module ``i`` is global ``f * per_fe +
-    i``), and each pipeline is wired with global directory views in which
-    remote modules are :class:`RemoteStub` proxies.  Capacity back-pressure
+    Returns the frontends; the :class:`InterFrontendFabric` (built only for
+    more than one frontend) is reached through their stubs.  Every
+    pipeline's TRS/ORT/OVT modules carry globally unique indices (pipeline
+    ``f``'s local module ``i`` is global ``f * per_fe + i``), and each
+    pipeline is wired with global directory views in which remote modules
+    are :class:`RemoteStub` proxies.  Capacity back-pressure
     from any ORT/OVT fans out to every gateway through a
     :class:`GatewayGroup`.
 
@@ -255,7 +253,7 @@ def build_frontends(engine: Engine, frontend_config: FrontendConfig,
     per_fe = topology.scaled_frontend(frontend_config)
     num = topology.num_frontends
     if num == 1:
-        return [TaskSuperscalarFrontend(engine, per_fe, stats)], None
+        return [TaskSuperscalarFrontend(engine, per_fe, stats)]
 
     fabric = InterFrontendFabric(engine, topology, stats)
     frontends = [
@@ -289,4 +287,4 @@ def build_frontends(engine: Engine, frontend_config: FrontendConfig,
             local_trs=range(frontend.trs_base,
                             frontend.trs_base + len(frontend.trs_list)),
         )
-    return frontends, fabric
+    return frontends

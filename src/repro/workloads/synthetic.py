@@ -270,8 +270,9 @@ class SyntheticWorkload(Workload):
 
     # -- Workload interface --------------------------------------------------
 
-    def generate(self, scale: Optional[int] = None, seed: int = 0):
-        trace = super().generate(scale=scale, seed=seed)
+    def generate(self, scale: Optional[int] = None, seed: int = 0,
+                 max_tasks: Optional[int] = None):
+        trace = super().generate(scale=scale, seed=seed, max_tasks=max_tasks)
         trace.metadata["synthetic"] = self.params()
         return trace
 

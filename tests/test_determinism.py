@@ -55,7 +55,7 @@ class TestPipelineDeterminism:
         for name in WORKLOADS:
             first = experiment_trace(name, scale_factor=0.3, seed=7)
             second = experiment_trace(name, scale_factor=0.3, seed=7)
-            assert [t.__dict__ for t in first] == [t.__dict__ for t in second]
+            assert list(first) == list(second)
 
     def test_worker_entry_point_matches_in_process_run(self):
         params = {"workload": "Cholesky", "num_cores": 32,

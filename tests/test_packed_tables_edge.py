@@ -9,8 +9,8 @@ representation:
   drains again on entry release, with freed rows recycled through the free
   list rather than leaking columns;
 * a consumer chain registered against an operand of an already-freed task
-  resolves through the retired-operand stub map, and the one-consumer-per-
-  operand invariant survives the task's storage being recycled;
+  resolves through its vacant chain head, and the one-consumer-per-operand
+  invariant survives the task's storage being recycled;
 * a 15-operand task -- main block plus all three indirect blocks, with
   chain activity above bit 7 -- decodes, readies and frees through the wide
   bit-vectors.
@@ -96,20 +96,24 @@ class TestRetiredOperandStubs:
         frontend.try_submit(record(0, [mem(0x5000, Direction.OUTPUT)]))
         frontend.try_submit(record(1, [mem(0x6000, Direction.INPUT)]))
         engine.run()
-        # Free the producer: its operand moves to the retired map with a
-        # vacant chain head.
+        # Free the producer: its operand's chain head is still vacant.
         frontend.notify_finished(TaskID(0, 0))
         engine.run()
         producer_op = OperandID(0, 0, 0)
         assert trs.get_entry(TaskID(0, 0)) is None
-        assert trs._retired[producer_op] is None
         # A straggling register-consumer must complete the chain from the
         # stub: the data of a finished writer is by definition available.
         forwarded_before = trs.stats.counter("trs0.ready_forwarded")
         trs.receive(RegisterConsumer(target=producer_op,
                                      consumer=OperandID(0, 1, 0)))
         engine.run()
-        assert trs._retired[producer_op] == OperandID(0, 1, 0)
+        assert trs.stats.counter("trs0.ready_forwarded") == forwarded_before + 1
+        # The head is now taken: one consumer per operand, even after the
+        # task's storage is gone.
+        trs.receive(RegisterConsumer(target=producer_op,
+                                     consumer=OperandID(0, 9, 0)))
+        with pytest.raises(ProtocolError, match="already has a chained"):
+            engine.run()
         assert trs.stats.counter("trs0.ready_forwarded") == forwarded_before + 1
 
     def test_retired_stub_rejects_second_consumer(self):
@@ -120,16 +124,18 @@ class TestRetiredOperandStubs:
         frontend.try_submit(producer)
         frontend.try_submit(consumer)
         engine.run()
+        assert trs.stats.counter("trs0.consumer_registrations") == 1
         frontend.notify_finished(TaskID(0, 0))
         engine.run()
         # The chain head was taken by the in-flight registration before the
         # free; the retired stub must keep enforcing one consumer per
         # operand even though the task's storage is gone.
-        assert trs._retired[OperandID(0, 0, 0)] == OperandID(0, 1, 0)
+        forwarded_before = trs.stats.counter("trs0.ready_forwarded")
         trs.receive(RegisterConsumer(target=OperandID(0, 0, 0),
                                      consumer=OperandID(0, 9, 0)))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="already has a chained"):
             engine.run()
+        assert trs.stats.counter("trs0.ready_forwarded") == forwarded_before
 
     def test_registration_for_never_allocated_operand_rejected(self):
         engine, frontend = small_frontend(num_trs=1)
@@ -143,6 +149,20 @@ class TestRetiredOperandStubs:
         trs.receive(RegisterConsumer(target=OperandID(0, 0, 3),
                                      consumer=OperandID(0, 1, 0)))
         with pytest.raises(ProtocolError):
+            engine.run()
+
+    def test_registration_for_a_slot_never_handed_out_rejected(self):
+        engine, frontend = small_frontend(num_trs=1)
+        trs = frontend.trs_list[0]
+        frontend.try_submit(record(0, [mem(0x5000, Direction.OUTPUT)]))
+        engine.run()
+        frontend.notify_finished(TaskID(0, 0))
+        engine.run()
+        # Slot 1 was never allocated: no task, no retired state, and the
+        # error names the operand as unknown.
+        trs.receive(RegisterConsumer(target=OperandID(0, 1, 0),
+                                     consumer=OperandID(0, 0, 0)))
+        with pytest.raises(ProtocolError, match="unknown operand"):
             engine.run()
 
 

@@ -568,5 +568,5 @@ class TestAtomicTraceWrite:
         target = tmp_path / "trace.jsonl.gz"
         write_trace(trace, target)
         loaded = read_trace(target)
-        assert [t.__dict__ for t in loaded] == [t.__dict__ for t in trace]
+        assert list(loaded) == list(trace)
         assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl.gz"]

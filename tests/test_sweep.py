@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend.system import TaskSuperscalarSystem
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ArtifactIntegrityWarning, ConfigurationError
 from repro.common.hashing import canonical_json, content_digest, fingerprint64
 from repro.experiments.common import experiment_config, experiment_trace
 from repro.sweep import runner as runner_module
@@ -334,6 +334,49 @@ class TestResultCache:
         assert cache.hits == spec.cardinality and cache.corrupt == 0
         assert not cache.quarantine_dir().exists()
         assert {path: path.read_bytes() for path in paths} == before
+
+    def test_compact_entry_is_verified_without_re_encoding(self, tmp_path,
+                                                          monkeypatch):
+        spec = tiny_spec()
+        SweepRunner(cache=ResultCache(tmp_path)).run(spec)
+
+        def stored_bytes_only(raw):
+            assert isinstance(raw, bytes), \
+                "a compact entry was re-encoded to check its digest"
+            return content_digest(raw)
+
+        monkeypatch.setattr("repro.common.fileio.content_digest",
+                            stored_bytes_only)
+        cache = ResultCache(tmp_path)
+        assert all(cache.get(point) is not None for point in spec.points())
+        assert cache.hits == spec.cardinality and cache.corrupt == 0
+
+    @pytest.mark.parametrize("field", ("makespan_cycles", "digest"))
+    def test_compact_entry_with_one_changed_byte_is_quarantined(self, tmp_path,
+                                                                field):
+        """The digest is checked on the stored bytes: one changed digit in
+        the document, or in its recorded digest, keeps the file valid JSON
+        and still reads as damage."""
+        spec = tiny_spec()
+        SweepRunner(cache=ResultCache(tmp_path)).run(spec)
+        path = sorted((tmp_path / "objects").glob("*/*.json"))[0]
+        raw = bytearray(path.read_bytes())
+        key = f'"{field}":'.encode()
+        at = raw.index(key) + len(key)
+        if raw[at] == ord('"'):
+            at += 1  # the first hex digit of the digest string
+        raw[at] = ord("2") if raw[at] == ord("1") else ord("1")
+        path.write_bytes(bytes(raw))
+        json.loads(bytes(raw))
+        cache = ResultCache(tmp_path)
+        with pytest.warns(ArtifactIntegrityWarning, match="digest"):
+            run = SweepRunner(cache=cache).run(spec)
+        assert (run.cached_count, run.computed_count) == (spec.cardinality - 1, 1)
+        assert cache.corrupt == 1 and len(cache.quarantined) == 1
+        sidecar = cache.quarantined[0].with_name(
+            cache.quarantined[0].name + ".reason.json")
+        assert "does not match its recorded digest" in json.loads(
+            sidecar.read_text())["reason"]
 
     def test_roundtrip_preserves_result_exactly(self, tmp_path):
         spec = tiny_spec()

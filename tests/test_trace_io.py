@@ -60,8 +60,7 @@ class TestGzip:
         loaded = read_trace(path)
         assert loaded.name == original.name
         assert loaded.metadata == original.metadata
-        for a, b in zip(original, loaded):
-            assert a.__dict__ == b.__dict__
+        assert list(loaded) == list(original)
 
     def test_gz_file_is_actually_gzipped(self, tmp_path):
         path = tmp_path / "trace.jsonl.gz"

@@ -98,14 +98,6 @@ class TestTaskTrace:
                                 make_task(2, [make_operand(0x3000)], kernel="b")])
         assert trace.kernels == ["b", "a"]
 
-    def test_subset(self):
-        trace = TaskTrace("t", [make_task(i, [make_operand(0x1000 * (i + 1))])
-                                for i in range(5)])
-        prefix = trace.subset(2)
-        assert len(prefix) == 2
-        assert prefix.name == trace.name
-        assert [t.sequence for t in prefix] == [0, 1]
-
     def test_empty_trace_statistics_raise(self):
         trace = TaskTrace("empty", [])
         with pytest.raises(TraceFormatError):

@@ -69,7 +69,7 @@ class TestStore:
         store.put("ab" * 32, trace, params={"workload": "chain"})
         loaded = store.get("ab" * 32)
         rebuilt = loaded.to_task_trace()
-        assert [t.__dict__ for t in rebuilt] == [t.__dict__ for t in trace]
+        assert list(rebuilt) == list(trace)
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         store = TraceStore(tmp_path)
