@@ -5,7 +5,8 @@ Ready tasks arrive in per-pipeline :class:`repro.frontend.ready_queue
 contiguous *cluster* per pipeline and dispatches each queue's tasks onto its
 cluster's idle cores, charging a small hardware dispatch latency, and notifies
 the owning TRS when a task completes (plus a completion latency).  Dispatch
-order within a cluster is FIFO.
+order within a cluster is FIFO.  Every completion also samples the task
+window of every pipeline, for the window occupancy the evaluation reports.
 
 The paper's evaluated system has a single frontend and no task stealing --
 that remains the default (one cluster covering every core, ``steal_policy
@@ -21,7 +22,6 @@ of the dispatch latency for the remote pull.
 from __future__ import annotations
 
 import random
-from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import BackendConfig, TopologyConfig
@@ -32,6 +32,7 @@ from repro.frontend.messages import TaskReady
 from repro.frontend.ready_queue import ReadyQueue
 from repro.obs.events import EV_TASK_DISPATCHED, EV_TASK_RETIRED
 from repro.sim.engine import Engine
+from repro.sim.machine import CompletionLog
 from repro.sim.module import SimModule, obs_noop
 from repro.sim.stats import StatsCollector
 from repro.trace.records import TaskRecord
@@ -81,16 +82,12 @@ class TaskScheduler(SimModule):
         self._steal_rng = random.Random(0xC0FFEE)
         self.tasks_stolen = 0
         self.steals_by_cluster = [0] * num_clusters
-        #: Completion log, one int64 column per field and one row per task
-        #: in completion order (see :meth:`schedule_table`).
-        self._done_sequence = array("q")
-        self._done_start = array("q")
-        self._done_finish = array("q")
+        self.completions = CompletionLog()
         self._start_times: Dict[TaskID, int] = {}
         self.tasks_completed = 0
         self.last_completion_time = 0
-        #: Optional callback fired on every task completion.
-        self.on_task_complete: Optional[Callable[[TaskID, TaskRecord], None]] = None
+        #: Largest task window (summed over the pipelines) seen at a retire.
+        self.window_peak = 0
         scope = self.scope
         self._stat_dispatches = scope.counter_handle("dispatches")
         self._stat_completions = scope.counter_handle("completions")
@@ -124,6 +121,12 @@ class TaskScheduler(SimModule):
             # Work arrived: idle clusters elsewhere may steal the backlog.
             self._balance()
         return hook
+
+    def detach(self) -> None:
+        """Drop the ready queues' hooks into this scheduler once the run
+        is over (see :mod:`repro.sim.machine`)."""
+        for queue in self.ready_queues:
+            queue.on_task_available = None
 
     def _dispatch_cluster(self, cluster: int) -> None:
         idle = self._cluster_idle[cluster]
@@ -197,9 +200,7 @@ class TaskScheduler(SimModule):
         start = self._start_times.pop(task, None)
         if start is None:
             raise SchedulingError(f"completion for task {task} that never started")
-        self._done_sequence.append(record.sequence)
-        self._done_start.append(start)
-        self._done_finish.append(self.now)
+        self.completions.add(record.sequence, start, self.now)
         self.tasks_completed += 1
         self.last_completion_time = self.now
         self._stat_completions.value += 1
@@ -207,8 +208,12 @@ class TaskScheduler(SimModule):
         self._obs_retired(self.now)
         cluster = self._core_cluster[core_index]
         self._cluster_idle[cluster].append(core_index)
-        if self.on_task_complete is not None:
-            self.on_task_complete(task, record)
+        # Every retire samples the window of every pipeline at one instant.
+        window = 0
+        for frontend in self.frontends:
+            window += frontend.sample_occupancy()
+        if window > self.window_peak:
+            self.window_peak = window
         # Notify the owning frontend (global TRS index -> pipeline) so the
         # TRS can run the completion path.
         self.frontends[task.trs // self._trs_per_fe].notify_finished(
@@ -220,5 +225,4 @@ class TaskScheduler(SimModule):
 
     def schedule_table(self) -> Dict[int, Tuple[int, int]]:
         """Mapping of task sequence -> (start, finish) cycles."""
-        return dict(zip(self._done_sequence,
-                        zip(self._done_start, self._done_finish)))
+        return self.completions.table()

@@ -10,7 +10,6 @@ occupancy and module-level statistics.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -20,9 +19,9 @@ from repro.common.units import cycles_to_ns, cycles_to_us
 from repro.cores.core import WorkerCore
 from repro.cores.generator import TaskGeneratingThread
 from repro.backend.scheduler import TaskScheduler
-from repro.runtime.taskgraph import build_dependency_graph
 from repro.topology import TaskRouter, build_frontends
 from repro.sim.engine import Engine
+from repro.sim.machine import Machine
 from repro.sim.stats import StatsCollector
 from repro.trace.records import TaskTrace
 
@@ -75,8 +74,11 @@ class SimulationResult:
                 f"window peak {self.window_peak_tasks} tasks")
 
 
-class TaskSuperscalarSystem:
-    """A full simulated machine driven by the task-superscalar frontend."""
+class TaskSuperscalarSystem(Machine):
+    """A full simulated machine driven by the task-superscalar frontend.
+
+    A machine runs one trace (see :meth:`run`); build a new one per run.
+    """
 
     def __init__(self, config: Optional[SimulationConfig] = None,
                  observer=None):
@@ -106,21 +108,17 @@ class TaskSuperscalarSystem:
                                        [fe.ready_queue for fe in self.frontends],
                                        self.frontends, self.stats,
                                        topology=topology)
-        self.scheduler.on_task_complete = self._on_task_complete
         if observer is not None:
             for fe in self.frontends:
                 fe.bind_observer(observer)
             self.scheduler.bind_observer(observer)
-        self._window_peak = 0
 
-    # -- Hooks -----------------------------------------------------------------------
-
-    def _on_task_complete(self, task, record) -> None:
-        total = 0
+    def _detach(self) -> None:
         for fe in self.frontends:
-            total += fe.sample_occupancy()
-        if total > self._window_peak:
-            self._window_peak = total
+            fe.unwire()
+        self.scheduler.detach()
+        if self.observer is not None:
+            self.observer.clear_probes()
 
     # -- Aggregated measurements --------------------------------------------------------
 
@@ -145,6 +143,15 @@ class TaskSuperscalarSystem:
             max_events: Optional[int] = None) -> SimulationResult:
         """Simulate ``trace`` to completion and return the measurements.
 
+        A machine runs one trace.  When the run ends, also by raising, the
+        machine detaches: it drops the references its modules hold to each
+        other (peers, callbacks, the observer's probes, queued events), so
+        the caller's last reference frees it by reference counting.  What
+        stays readable afterwards: ``scheduler.schedule_table()``,
+        ``engine.events_processed`` and ``engine.now``, ``stats``, every
+        frontend's ``window_occupancy()`` and module tables (e.g. a TRS's
+        ``_retired`` heads), and the observer's ``snapshot()``.
+
         Args:
             trace: The task trace to execute.
             validate: If True, check the produced schedule against the gold
@@ -154,10 +161,17 @@ class TaskSuperscalarSystem:
                 experimental configurations.
 
         Raises:
+            ReproError: if this machine has already run a trace.
             SchedulingError: if the simulation drains without completing every
                 task (a deadlock, which indicates a configuration that cannot
-                make progress or a model bug), or if validation fails.
+                make progress or a model bug).
+            WorkloadError: if validation fails.
         """
+        with self._single_run():
+            return self._run(trace, validate, max_events)
+
+    def _run(self, trace: TaskTrace, validate: bool,
+             max_events: Optional[int]) -> SimulationResult:
         if max_events is not None:
             self.engine.max_events = max_events
         submit_target = self.router if self.router is not None else self.frontend
@@ -169,19 +183,7 @@ class TaskSuperscalarSystem:
             # (generator included) has registered its probes.
             self.engine.on_advance = self.observer.advance_hook()
         generator.start()
-        # Pause the cyclic garbage collector for the event loop: the
-        # simulation allocates short-lived messages and tuples at a rate that
-        # triggers constant generation-0 scans, yet produces no reference
-        # cycles on the hot path.  Collection (if it was enabled) resumes --
-        # and runs once -- right after the loop.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            self.engine.run()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        self._simulate()
 
         if self.scheduler.tasks_completed != len(trace):
             window = sum(fe.window_occupancy() for fe in self.frontends)
@@ -193,11 +195,7 @@ class TaskSuperscalarSystem:
             )
 
         if validate:
-            graph = build_dependency_graph(trace)
-            table = self.scheduler.schedule_table()
-            starts = {seq: start for seq, (start, finish) in table.items()}
-            finishes = {seq: finish for seq, (start, finish) in table.items()}
-            graph.validate_schedule(starts, finishes, renamed=True)
+            self.scheduler.completions.validate(trace)
 
         makespan = self.scheduler.last_completion_time
         for fe in self.frontends:
@@ -227,7 +225,7 @@ class TaskSuperscalarSystem:
             decode_rate_ns=cycles_to_ns(decode_rate, self.config.cmp.clock_ghz),
             tasks_decoded=self._tasks_decoded(),
             tasks_completed=self.scheduler.tasks_completed,
-            window_peak_tasks=self._window_peak,
+            window_peak_tasks=self.scheduler.window_peak,
             window_mean_tasks=window_mean,
             ready_queue_peak=max(fe.ready_queue.peak_depth
                                  for fe in self.frontends),

@@ -120,6 +120,12 @@ class PipelineGateway(PacketProcessor):
             local_trs = range(len(trs_list))
         self._free_trs = deque(local_trs)
 
+    def detach(self) -> None:
+        """Undo :meth:`attach` and drop the waiting space listeners."""
+        self.trs_list = []
+        self.orts = []
+        self._space_listeners = []
+
     # -- Task-generating-thread interface ----------------------------------------
 
     @property

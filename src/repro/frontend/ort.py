@@ -120,6 +120,12 @@ class ObjectRenamingTable(BackPressureTile):
         self.trs_list = trs_list
         self.gateway = gateway
 
+    def detach(self) -> None:
+        """Undo :meth:`attach`."""
+        self.ovt = None
+        self.trs_list = []
+        self.gateway = None
+
     # -- Packet service -----------------------------------------------------------
 
     def _handle_decode_packet(self, request: OperandDecodeRequest) -> None:

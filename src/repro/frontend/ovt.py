@@ -86,6 +86,12 @@ class ObjectVersioningTable(BackPressureTile):
         self.trs_list = trs_list
         self.gateway = gateway
 
+    def detach(self) -> None:
+        """Undo :meth:`attach`."""
+        self.ort = None
+        self.trs_list = []
+        self.gateway = None
+
     # -- Packet service -----------------------------------------------------------
 
     def _handle_create_packet(self, request: VersionRequest) -> None:

@@ -116,6 +116,17 @@ class TaskSuperscalarFrontend:
             trs.attach(trs_view, ovt_view, self.gateway, self.ready_queue)
             trs.on_task_decoded = self._record_decode
 
+    def unwire(self) -> None:
+        """Undo :meth:`wire` once the run is over.
+
+        The links make the pipeline's modules reference each other; without
+        them a finished machine is freed by reference counting, and each
+        module keeps its own tables and statistics readable.
+        """
+        self.gateway.detach()
+        for module in (*self.trs_list, *self.orts, *self.ovts):
+            module.detach()
+
     # -- Task-generating-thread interface -------------------------------------------
 
     def can_accept(self) -> bool:

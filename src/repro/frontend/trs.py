@@ -182,6 +182,14 @@ class TaskReservationStation(PacketProcessor):
         self.gateway = gateway
         self.ready_queue = ready_queue
 
+    def detach(self) -> None:
+        """Undo :meth:`attach` and drop the decode callback."""
+        self.trs_list = []
+        self.ovts = []
+        self.gateway = None
+        self.ready_queue = None
+        self.on_task_decoded = None
+
     # -- Introspection ---------------------------------------------------------------
 
     @property

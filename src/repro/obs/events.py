@@ -35,7 +35,7 @@ sequence-to-encoded-id binding so consumers can translate.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 # -- Event kinds -------------------------------------------------------------
 
@@ -105,8 +105,8 @@ class EventRing:
 
     The buffer grows by plain ``list.append`` until ``capacity`` events are
     held, then wraps: each further append overwrites the oldest event in
-    place and increments :attr:`dropped`.  :meth:`events` always yields in
-    chronological (append) order.
+    place and increments :attr:`dropped`.  :meth:`events` always returns
+    them in chronological (append) order.
 
     The ``_buf`` list object is stable for the ring's lifetime (append and
     item assignment mutate it in place; it is never reassigned), so recording
@@ -145,13 +145,15 @@ class EventRing:
         """True once at least one event has been overwritten."""
         return self.dropped > 0
 
-    def events(self) -> Iterator[Tuple[int, int, int, int, int]]:
-        """Yield retained events as tuples, oldest first."""
+    def events(self) -> List[Tuple[int, int, int, int, int]]:
+        """A copy of the retained events as tuples, oldest first.
+
+        Copied by slices: the whole buffer while the ring never wrapped,
+        else the part from the next write position (the oldest event) on,
+        then the part before it.
+        """
         buf = self._buf
         if not self.dropped:
-            yield from buf
-            return
+            return buf[:]
         start = self._wpos
-        count = len(buf)
-        for offset in range(count):
-            yield buf[(start + offset) % count]
+        return buf[start:] + buf[:start]

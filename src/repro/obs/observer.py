@@ -39,9 +39,10 @@ from repro.obs.events import (
 DEFAULT_CAPACITY = 1 << 20
 
 #: Default cycles between occupancy-probe samples.  Sampling a round costs
-#: a few microseconds (eight probe calls plus ring appends); 1024 cycles
-#: keeps hundreds of samples per bench-scale run while staying well inside
-#: the obs-on overhead budget the CI gate enforces.
+#: a few microseconds (one call per probe -- 24 on the Table II machine, 72
+#: with 32 TRSs -- plus one ring extend); 1024 cycles keeps hundreds of
+#: samples per bench-scale run while staying well inside the obs-on
+#: overhead budget the CI gate enforces.
 DEFAULT_SAMPLE_INTERVAL = 1024
 
 
@@ -229,6 +230,15 @@ class Observer:
         pid = existing[0] if existing is not None else self.intern(name)
         self._probes[name] = (pid, fn)
 
+    def clear_probes(self) -> None:
+        """Forget every probe (the machine's run is over).
+
+        Probes are closures over the modules, and the modules hold this
+        observer, so a finished machine drops them to be freed by reference
+        counting.  The names they interned and the samples they took stay.
+        """
+        self._probes.clear()
+
     def advance_hook(self) -> Optional[Callable[[int], int]]:
         """The ``Engine.on_advance`` callable, or None when sampling is off.
 
@@ -267,6 +277,6 @@ class Observer:
     def snapshot(self, meta: Optional[Dict[str, object]] = None) -> Recording:
         """Freeze the collected data into a :class:`Recording`."""
         return Recording(names=list(self.names),
-                         events=list(self.ring.events()),
+                         events=self.ring.events(),
                          dropped=self.ring.dropped,
                          meta=dict(meta) if meta else {})

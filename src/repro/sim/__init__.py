@@ -13,6 +13,10 @@ baseline are all built on the same small discrete-event core:
 * :class:`repro.sim.stats.StatsCollector` -- counters, accumulators,
   histograms and sample series shared by all components, written through
   pre-bound handles.
+* :class:`repro.sim.machine.Machine` -- what both simulated machines share:
+  one run per machine with the collector paused around the event loop, a
+  detach that frees the finished machine by reference counting, and the
+  completion log.
 """
 
 from repro.sim.engine import Engine, Event

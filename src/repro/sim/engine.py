@@ -195,6 +195,20 @@ class Engine:
         else:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
 
+    def detach(self) -> None:
+        """Drop every queued event and the clock hook.
+
+        Called when a machine's run ends.  Entries still queued (a run that
+        raised leaves some) hold bound methods of modules that reference
+        this engine, and the hook holds the observer's probes of those
+        modules; without both, the finished machine is freed by reference
+        counting.  The clock and :attr:`events_processed` stay readable.
+        """
+        self._heap.clear()
+        self._ready.clear()
+        self._ready_pos = 0
+        self.on_advance = None
+
     # -- Execution ---------------------------------------------------------------
 
     def _next_entry(self) -> Optional[Tuple[_Entry, bool]]:

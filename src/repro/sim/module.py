@@ -39,6 +39,12 @@ def obs_noop(*_args) -> None:
     """
 
 
+def _unbound(module: "SimModule", fn: Callable[..., Any]) -> Callable[..., Any]:
+    """``fn`` as a function of ``(module, packet)``: a method bound to
+    ``module`` becomes its plain function, anything else is kept."""
+    return fn.__func__ if getattr(fn, "__self__", None) is module else fn
+
+
 class SimModule:
     """A named simulation component."""
 
@@ -87,7 +93,7 @@ class SimModule:
         """Schedule a callback ``delay`` cycles in the future.
 
         Routed through the engine's no-reference fast path: module-scheduled
-        callbacks are never cancelled, so the engine may recycle the event.
+        callbacks are never cancelled, so no cancellation handle is built.
         """
         self._schedule_unref(delay, callback, *args)
 
@@ -95,7 +101,8 @@ class SimModule:
         """Deliver ``packet`` to ``destination`` after a transport latency.
 
         A zero-latency send goes through the engine's same-cycle micro-queue
-        (no heap traffic); either way the delivery event is recyclable.
+        (no heap traffic); either way the delivery is one plain entry tuple
+        with no cancellation handle.
 
         The entry construction is :meth:`Engine.schedule_unref` inlined --
         one delivery per protocol message makes the call overhead itself
@@ -140,7 +147,8 @@ class PacketProcessor(SimModule):
         self._busy_cycles: int = 0
         #: ``{packet type: (cycles or None, cost or None, handler)}`` (see
         #: :meth:`_register_packet`): one dict probe resolves a packet's
-        #: service.
+        #: service.  The callables are plain functions of ``(module,
+        #: packet)``, so the table holds no reference back to the module.
         self._dispatch: dict = {}
         scope = self.scope
         self._stat_packets_received = scope.counter_handle("packets_received")
@@ -148,16 +156,23 @@ class PacketProcessor(SimModule):
         self._stat_stalls = scope.counter_handle("stalls")
 
     def _register_packet(self, packet_type: type,
-                         handler: Callable[[Any], None],
-                         service: Union[int, Callable[[Any], int]]) -> None:
+                         handler: Callable[..., None],
+                         service: Union[int, Callable[..., int]]) -> None:
         """Register how this module serves packets of ``packet_type``.
 
         ``service`` is the service time in cycles or, for a cost that
         depends on the packet (a per-operand charge), a callable returning
         it; ``handler`` applies the packet's effect once that time elapses.
+        Either callable is a method of this module (``self._handle_x``) or
+        a function of ``(module, packet)``.  A method is stored as its plain
+        function and called as ``fn(self, packet)``: a bound method would
+        make the module reference itself, and a machine built of such
+        modules could then only be freed by the cyclic collector.
         """
+        handler = _unbound(self, handler)
         if callable(service):
-            self._dispatch[packet_type] = (None, service, handler)
+            self._dispatch[packet_type] = (None, _unbound(self, service),
+                                           handler)
             return
         if service < 0:
             raise ValueError(f"{self.name}: negative service time {service}")
@@ -257,7 +272,7 @@ class PacketProcessor(SimModule):
             raise ProtocolError(f"{self.name} received unexpected packet {packet!r}")
         duration, cost, handler = entry
         if duration is None:
-            duration = cost(packet)
+            duration = cost(self, packet)
             if duration < 0:
                 raise ValueError(f"{self.name}: negative service time {duration}")
         self._busy = True
@@ -277,11 +292,11 @@ class PacketProcessor(SimModule):
                                   self._finish, (packet, duration, handler)))
 
     def _finish(self, packet: Any, duration: int,
-                handler: Callable[[Any], None]) -> None:
+                handler: Callable[..., None]) -> None:
         self._busy = False
         self._busy_cycles += duration
         self._stat_packets_processed.value += 1
-        handler(packet)
+        handler(self, packet)
         queue = self._input_queue
         if queue and not (self._busy or self._stalled):
             self._start(queue.popleft())

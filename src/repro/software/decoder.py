@@ -62,6 +62,11 @@ class SoftwareDecoder(SimModule):
         self._stat_tasks_decoded = self.stats.counter_handle(
             "software.tasks_decoded")
 
+    def detach(self) -> None:
+        """Drop the callbacks into the machine (its run is over)."""
+        self.on_ready = None
+        self._space_listeners = []
+
     # -- Gateway-compatible interface ----------------------------------------------
 
     def can_accept(self) -> bool:

@@ -12,7 +12,7 @@ system so the two can be compared point by point.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro.backend.system import SimulationResult
 from repro.common.config import SimulationConfig, default_table2_config
@@ -21,15 +21,18 @@ from repro.common.units import cycles_to_ns, ns_to_cycles
 from repro.cores.core import WorkerCore
 from repro.cores.generator import TaskGeneratingThread
 from repro.common.ids import TaskID
-from repro.runtime.taskgraph import build_dependency_graph
 from repro.sim.engine import Engine
+from repro.sim.machine import CompletionLog, Machine
 from repro.sim.stats import StatsCollector
 from repro.software.decoder import SoftwareDecoder
 from repro.trace.records import TaskRecord, TaskTrace
 
 
-class SoftwareRuntimeSystem:
-    """A CMP driven by the StarSs-style software runtime."""
+class SoftwareRuntimeSystem(Machine):
+    """A CMP driven by the StarSs-style software runtime.
+
+    A machine runs one trace (see :meth:`run`); build a new one per run.
+    """
 
     def __init__(self, config: Optional[SimulationConfig] = None):
         self.config = config if config is not None else default_table2_config()
@@ -46,7 +49,7 @@ class SoftwareRuntimeSystem:
         self._dispatch_cost = max(0, ns_to_cycles(self.config.software.dispatch_ns_per_task,
                                                   self.config.cmp.clock_ghz))
         self._start_times: Dict[int, int] = {}
-        self.completions: List[Tuple[int, int, int, int]] = []
+        self.completions = CompletionLog()
         self.tasks_completed = 0
         self.last_completion_time = 0
         self._ready_peak = 0
@@ -74,7 +77,7 @@ class SoftwareRuntimeSystem:
         start = self._start_times.pop(record.sequence, None)
         if start is None:
             raise SchedulingError(f"completion for task {record.sequence} that never started")
-        self.completions.append((record.sequence, start, self.engine.now, core_index))
+        self.completions.add(record.sequence, start, self.engine.now)
         self.tasks_completed += 1
         self.last_completion_time = self.engine.now
         self._idle_cores.append(core_index)
@@ -83,24 +86,42 @@ class SoftwareRuntimeSystem:
         self.decoder.task_completed(record)
         self._dispatch()
 
+    def _detach(self) -> None:
+        self.decoder.detach()
+
     # -- Execution --------------------------------------------------------------------------
 
     def run(self, trace: TaskTrace, validate: bool = False) -> SimulationResult:
-        """Simulate ``trace`` under the software runtime."""
+        """Simulate ``trace`` under the software runtime.
+
+        A machine runs one trace.  When the run ends, also by raising, the
+        machine detaches (see :meth:`repro.backend.system
+        .TaskSuperscalarSystem.run`) and is freed by reference counting.
+        What stays readable afterwards: ``completions.table()``,
+        ``engine.events_processed`` and ``engine.now``, ``stats`` and the
+        decoder's counters.
+
+        Raises:
+            ReproError: if this machine has already run a trace.
+            SchedulingError: if the run drains without completing every task.
+            WorkloadError: if ``validate`` is set and the schedule violates a
+                true dependency of the gold graph.
+        """
+        with self._single_run():
+            return self._run(trace, validate)
+
+    def _run(self, trace: TaskTrace, validate: bool) -> SimulationResult:
         generator = TaskGeneratingThread(self.engine, trace, self.decoder,
                                          self.config.generator, self.stats)
         generator.start()
-        self.engine.run()
+        self._simulate()
         if self.tasks_completed != len(trace):
             raise SchedulingError(
                 f"software runtime deadlocked: completed {self.tasks_completed} of "
                 f"{len(trace)} tasks"
             )
         if validate:
-            graph = build_dependency_graph(trace)
-            starts = {seq: start for seq, start, _finish, _core in self.completions}
-            finishes = {seq: finish for seq, _start, finish, _core in self.completions}
-            graph.validate_schedule(starts, finishes, renamed=True)
+            self.completions.validate(trace)
         makespan = self.last_completion_time
         busy = sum(core.busy_cycles for core in self.cores)
         utilization = busy / (makespan * len(self.cores)) if makespan > 0 else 0.0

@@ -110,6 +110,24 @@ class TestEventRing:
         # The oldest two events were overwritten; order stays chronological.
         assert [event[0] for event in ring.events()] == [2, 3, 4, 5]
 
+    @pytest.mark.parametrize("appended, expected", [
+        (3, [0, 1, 2]),        # never wrapped: the buffer as it is
+        (4, [0, 1, 2, 3]),     # exactly full, still not wrapped
+        (6, [2, 3, 4, 5]),     # wrapped mid-buffer: two slices
+        (8, [4, 5, 6, 7]),     # wrapped exactly once round: one slice
+    ])
+    def test_snapshot_copies_events_in_current_order(self, appended,
+                                                     expected):
+        observer = Observer(ObsConfig(capacity=4))
+        for i in range(appended):
+            observer.ring.append(i, 1, 0, i, 0)
+        events = observer.snapshot().events
+        assert [event[0] for event in events] == expected
+        # A copy: later appends do not reach the snapshot.
+        assert events is not observer.ring._buf
+        observer.ring.append(99, 1, 0, 99, 0)
+        assert [event[0] for event in events] == expected
+
     def test_wrapped_events_survive_robs_round_trip(self):
         # Every field of every retained event, in chronological order,
         # survives the .robs columns after the ring wrapped.

@@ -12,7 +12,7 @@ class RecordingProcessor(PacketProcessor):
     """A processor that records (packet, completion time) pairs.
 
     It serves ``int`` and ``str`` packets, each for ``per_packet`` cycles (a
-    cycle count or a callable of the packet).
+    cycle count or a function of the module and the packet).
     """
 
     def __init__(self, engine, name="proc", per_packet=10, stats=None):
@@ -65,13 +65,14 @@ class TestPacketProcessor:
         # A packet-dependent one is checked when the packet starts service,
         # which happens synchronously when the processor is idle, so the
         # error surfaces on the receive call itself.
-        proc = RecordingProcessor(engine, per_packet=lambda packet: -1)
+        proc = RecordingProcessor(engine, per_packet=lambda _proc, packet: -1)
         with pytest.raises(ValueError):
             proc.receive("bad")
 
     def test_service_time_may_depend_on_the_packet(self):
         engine = Engine()
-        proc = RecordingProcessor(engine, per_packet=len)
+        proc = RecordingProcessor(engine,
+                                  per_packet=lambda _proc, packet: len(packet))
         proc.receive("abc")
         proc.receive("abcdefg")
         engine.run()
@@ -95,7 +96,7 @@ class TestPacketProcessor:
         engine = Engine()
         proc = RecordingProcessor(engine, per_packet=10)
 
-        def record_and_echo(packet):
+        def record_and_echo(_proc, packet):
             proc.handled.append((packet, engine.now))
             if packet == 0:
                 proc.receive("echo")
