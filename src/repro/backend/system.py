@@ -129,13 +129,17 @@ class TaskSuperscalarSystem(Machine):
         """Machine-wide decode rate: cycles between successive graph adds.
 
         The pipelines' decode streams are merged first (the task graph grows
-        whenever *any* pipeline decodes); on a single-frontend machine this
-        is exactly the pipeline's own measurement.
+        whenever *any* pipeline decodes): the merged stream spans from the
+        earliest first stamp to the latest last one.  On a single-frontend
+        machine this is exactly the pipeline's own measurement.
         """
-        times = sorted(t for fe in self.frontends for t in fe.decode_times)
-        if len(times) < 2:
+        decoding = [fe for fe in self.frontends if fe.tasks_decoded]
+        count = sum(fe.tasks_decoded for fe in decoding)
+        if count < 2:
             return 0.0
-        return (times[-1] - times[0]) / (len(times) - 1)
+        span = (max(fe.last_decode for fe in decoding)
+                - min(fe.first_decode for fe in decoding))
+        return span / (count - 1)
 
     # -- Execution --------------------------------------------------------------------
 
@@ -186,12 +190,13 @@ class TaskSuperscalarSystem(Machine):
         self._simulate()
 
         if self.scheduler.tasks_completed != len(trace):
+            buffered = sum(fe.gateway.buffer_occupancy for fe in self.frontends)
             window = sum(fe.window_occupancy() for fe in self.frontends)
             ready = sum(len(fe.ready_queue) for fe in self.frontends)
             raise SchedulingError(
                 f"simulation deadlocked: completed {self.scheduler.tasks_completed} of "
                 f"{len(trace)} tasks (decoded {self._tasks_decoded()}, "
-                f"window {window}, ready queue {ready})"
+                f"gateway buffer {buffered}, window {window}, ready queue {ready})"
             )
 
         if validate:

@@ -19,7 +19,6 @@ addresses* for experiment configurations, so the module also provides
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any
 
@@ -88,7 +87,11 @@ def content_digest(obj: Any) -> str:
 
     Used by the sweep result cache to name artifacts: equal configurations
     map to equal file names, so re-running a sweep finds its earlier results.
+    ``hashlib`` (OpenSSL) is imported here, not with the module, because the
+    frontend imports this module for :func:`mix64` alone.
     """
+    import hashlib
+
     if isinstance(obj, bytes):
         raw = obj
     elif isinstance(obj, str):

@@ -73,8 +73,11 @@ class TaskSuperscalarFrontend:
             for i in range(config.num_ort)
         ]
 
-        #: Decode timestamps, in simulation cycles, in decode-completion order.
-        self.decode_times: List[int] = []
+        #: Decode stamps, in simulation cycles: the first, the last and how
+        #: many.  Stamps are taken at ``engine.now``, so they come in order.
+        self.first_decode = 0
+        self.last_decode = 0
+        self.tasks_decoded = 0
         #: Each TRS's task table (stable for the TRS's lifetime): the window
         #: occupancy is the sum of their lengths, sampled on every retire.
         self._trs_tables = [trs._tasks for trs in self.trs_list]
@@ -156,13 +159,11 @@ class TaskSuperscalarFrontend:
     # -- Measurements ----------------------------------------------------------------------
 
     def _record_decode(self, task: TaskID, record: TaskRecord, time: int) -> None:
-        self.decode_times.append(time)
+        if not self.tasks_decoded:
+            self.first_decode = time
+        self.last_decode = time
+        self.tasks_decoded += 1
         self._stat_tasks_decoded.value += 1
-
-    @property
-    def tasks_decoded(self) -> int:
-        """Number of tasks whose dependency decode has completed."""
-        return len(self.decode_times)
 
     def decode_rate_cycles(self) -> float:
         """Average cycles between successive additions to the task graph.
@@ -170,11 +171,9 @@ class TaskSuperscalarFrontend:
         This is the metric of Figures 12 and 13.  Returns 0.0 when fewer than
         two tasks have been decoded.
         """
-        if len(self.decode_times) < 2:
+        if self.tasks_decoded < 2:
             return 0.0
-        ordered = sorted(self.decode_times)
-        span = ordered[-1] - ordered[0]
-        return span / (len(ordered) - 1)
+        return (self.last_decode - self.first_decode) / (self.tasks_decoded - 1)
 
     def decode_rate_ns(self, clock_ghz: Optional[float] = None) -> float:
         """Decode rate in nanoseconds per task."""

@@ -20,8 +20,8 @@ Two kinds of artifact live here:
 
 from __future__ import annotations
 
+import functools
 import os
-import socket
 import time as _walltime
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -135,6 +135,14 @@ def load_point_summaries(root: PathLike) -> Dict[str, Dict[str, object]]:
     return summaries
 
 
+@functools.lru_cache(maxsize=None)
+def _host_name() -> str:
+    """This host's short name, resolved once per process."""
+    import socket
+
+    return socket.gethostname().split(".")[0] or "host"
+
+
 class HeartbeatWriter:
     """Appends worker progress events to a per-process heartbeat JSONL file.
 
@@ -146,8 +154,7 @@ class HeartbeatWriter:
     def __init__(self, root: PathLike):
         self.root = Path(root)
         self.pid = os.getpid()
-        host = socket.gethostname().split(".")[0] or "host"
-        self.path = self.root / "heartbeats" / f"{host}-{self.pid}.jsonl"
+        self.path = self.root / "heartbeats" / f"{_host_name()}-{self.pid}.jsonl"
 
     def emit(self, event: str, **fields) -> None:
         """Append one heartbeat record (failures are swallowed: telemetry

@@ -25,7 +25,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.common.errors import WorkloadError
 from repro.runtime.annotations import KernelSpec
 from repro.runtime.memory import MemoryObject
-from repro.trace.records import Direction, OperandRecord, TaskRecord, TaskTrace
+from repro.trace.records import (Direction, OperandRecord, OperandTable,
+                                 TaskRecord, TaskTrace)
 
 #: Default runtime (in cycles) assigned to a task when no cost model is given.
 DEFAULT_TASK_RUNTIME_CYCLES = 10_000
@@ -96,6 +97,7 @@ class TaskProgram:
         self.execute_eagerly = execute_eagerly
         self.recorded: List[RecordedTask] = []
         self.metadata: Dict[str, object] = {}
+        self._operand_table = OperandTable()
 
     # -- Context manager ------------------------------------------------------
 
@@ -158,15 +160,15 @@ class TaskProgram:
 
     def _build_operands(self, spec: KernelSpec,
                         bound: Dict[str, Any]) -> List[OperandRecord]:
+        record = self._operand_table.record
         operands: List[OperandRecord] = []
         for param in spec.parameters:
             value = bound[param]
             direction = spec.direction_of(param)
             if direction is None:
                 # Scalar operand: an immediate value, tracked only for size bookkeeping.
-                operands.append(OperandRecord(address=0, size=8,
-                                              direction=Direction.INPUT,
-                                              is_scalar=True, name=param))
+                operands.append(record(0, 8, Direction.INPUT, is_scalar=True,
+                                       name=param))
                 continue
             if not isinstance(value, MemoryObject):
                 raise WorkloadError(
@@ -174,9 +176,8 @@ class TaskProgram:
                     f"{direction.value} memory operand and must be a MemoryObject, "
                     f"got {type(value).__name__}"
                 )
-            operands.append(OperandRecord(address=value.address, size=value.size,
-                                          direction=direction, is_scalar=False,
-                                          name=value.name or param))
+            operands.append(record(value.address, value.size, direction,
+                                   name=value.name or param))
         return operands
 
     def _task_runtime(self, spec: KernelSpec, operands: Sequence[OperandRecord]) -> int:

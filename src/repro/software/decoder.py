@@ -18,7 +18,7 @@ execution -- matching StarSs behaviour).
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Callable, Deque, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.common.config import SoftwareRuntimeConfig
 from repro.common.units import ns_to_cycles
@@ -47,14 +47,18 @@ class SoftwareDecoder(SimModule):
         self.on_ready = on_ready
         self._decode_queue: Deque[TaskRecord] = deque()
         self._decoding = False
-        #: Dependency bookkeeping (software hash tables).
+        #: Dependency bookkeeping (software hash tables), all O(window)
+        #: except ``_last_writer``, which is O(objects).  A waiting
+        #: consumer's entry holds its record and the producers it waits on.
         self._last_writer: Dict[int, int] = {}
-        self._pending_producers: Dict[int, Set[int]] = {}
+        self._pending_producers: Dict[int, Tuple[TaskRecord, Set[int]]] = {}
         self._consumers: Dict[int, List[int]] = defaultdict(list)
-        self._records: Dict[int, TaskRecord] = {}
-        self._completed: Set[int] = set()
-        self._decoded: Set[int] = set()
-        self.decode_times: List[int] = []
+        #: Tasks decoded and not yet completed.  A producer found in
+        #: ``_last_writer`` was decoded, so it has finished unless it is here.
+        self._in_flight: Set[int] = set()
+        #: Decode stamps: the first, the last and how many.
+        self._first_decode = 0
+        self._last_decode = 0
         self.tasks_decoded = 0
         self._space_listeners: List[Callable[[], None]] = []
         self._stat_tasks_submitted = self.stats.counter_handle(
@@ -73,7 +77,7 @@ class SoftwareDecoder(SimModule):
         """The software runtime's task window is effectively infinite."""
         if self.config.window_tasks is None:
             return True
-        in_window = len(self._decoded) - len(self._completed) + len(self._decode_queue)
+        in_window = len(self._in_flight) + len(self._decode_queue)
         return in_window < self.config.window_tasks
 
     def try_submit(self, record: TaskRecord) -> bool:
@@ -107,22 +111,23 @@ class SoftwareDecoder(SimModule):
         record = self._decode_queue.popleft()
         self._decoding = False
         sequence = record.sequence
-        self._records[sequence] = record
         producers: Set[int] = set()
         for operand in record.memory_operands:
             if operand.direction.reads:
                 producer = self._last_writer.get(operand.address)
-                if producer is not None and producer not in self._completed:
+                if producer is not None and producer in self._in_flight:
                     producers.add(producer)
         for operand in record.memory_operands:
             if operand.direction.writes:
                 self._last_writer[operand.address] = sequence
-        self._decoded.add(sequence)
-        self.decode_times.append(self.now)
+        self._in_flight.add(sequence)
+        if not self.tasks_decoded:
+            self._first_decode = self.now
+        self._last_decode = self.now
         self.tasks_decoded += 1
         self._stat_tasks_decoded.value += 1
         if producers:
-            self._pending_producers[sequence] = producers
+            self._pending_producers[sequence] = (record, producers)
             for producer in producers:
                 self._consumers[producer].append(sequence)
         else:
@@ -134,15 +139,16 @@ class SoftwareDecoder(SimModule):
     def task_completed(self, record: TaskRecord) -> None:
         """Mark a task complete and release any consumers it was blocking."""
         sequence = record.sequence
-        self._completed.add(sequence)
+        self._in_flight.discard(sequence)
         for consumer in self._consumers.pop(sequence, ()):  # noqa: B020 - list copy not needed
-            pending = self._pending_producers.get(consumer)
-            if pending is None:
+            entry = self._pending_producers.get(consumer)
+            if entry is None:
                 continue
+            waiting, pending = entry
             pending.discard(sequence)
             if not pending:
                 del self._pending_producers[consumer]
-                self.on_ready(self._records[consumer])
+                self.on_ready(waiting)
         if self.config.window_tasks is not None and self.can_accept():
             listeners, self._space_listeners = self._space_listeners, []
             for callback in listeners:
@@ -152,6 +158,6 @@ class SoftwareDecoder(SimModule):
 
     def decode_rate_cycles(self) -> float:
         """Average cycles between successive additions to the task graph."""
-        if len(self.decode_times) < 2:
+        if self.tasks_decoded < 2:
             return 0.0
-        return (self.decode_times[-1] - self.decode_times[0]) / (len(self.decode_times) - 1)
+        return (self._last_decode - self._first_decode) / (self.tasks_decoded - 1)

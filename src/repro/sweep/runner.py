@@ -48,15 +48,14 @@ ones.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import time
 import warnings
 from collections import OrderedDict, deque
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
+                    Tuple, Union)
 
 from repro.backend.system import SimulationResult, TaskSuperscalarSystem
 from repro.common.errors import ConfigurationError, SweepExecutionError
@@ -71,6 +70,9 @@ from repro.sweep.spec import (OVERRIDE_SECTIONS, WORKLOAD_SECTION, ParamValue,
                               SweepPoint, SweepSpec, canonical_scalar,
                               spec_id_of)
 from repro.trace.store import TraceStore, canonical_trace_params
+
+if TYPE_CHECKING:  # imported at run time only by the pool path, _run_pool
+    import concurrent.futures
 
 _WORKLOAD_PREFIX = WORKLOAD_SECTION + "."
 
@@ -770,6 +772,11 @@ class SweepRunner:
         bad point can exhaust its own retry budget without dragging
         chunk-mates down with it.
         """
+        # The pool machinery (which loads multiprocessing) is imported only
+        # here: a jobs=1 run never needs it.
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
         retry = self.retry
         payloads = [(indexes[0], points[indexes[0]].as_dict())
                     for indexes in pending.values()]

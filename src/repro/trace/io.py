@@ -30,7 +30,8 @@ from pathlib import Path
 from typing import IO, Iterator, Tuple, Union
 
 from repro.common.errors import TraceFormatError
-from repro.trace.records import Direction, OperandRecord, TaskRecord, TaskTrace
+from repro.trace.records import (Direction, OperandRecord, OperandTable,
+                                 TaskRecord, TaskTrace)
 
 PathLike = Union[str, Path]
 
@@ -40,7 +41,7 @@ def _operand_to_json(operand: OperandRecord) -> list:
             operand.is_scalar, operand.name]
 
 
-def _operand_from_json(data: list) -> OperandRecord:
+def _operand_from_json(data: list, table: OperandTable) -> OperandRecord:
     if not isinstance(data, list) or len(data) != 5:
         raise TraceFormatError(f"malformed operand record: {data!r}")
     address, size, direction, is_scalar, name = data
@@ -48,8 +49,7 @@ def _operand_from_json(data: list) -> OperandRecord:
         parsed_direction = Direction(direction)
     except ValueError as exc:
         raise TraceFormatError(f"unknown operand direction {direction!r}") from exc
-    return OperandRecord(address=address, size=size, direction=parsed_direction,
-                         is_scalar=bool(is_scalar), name=name)
+    return table.record(address, size, parsed_direction, bool(is_scalar), name)
 
 
 def write_trace(trace: TaskTrace, path: PathLike) -> None:
@@ -133,7 +133,8 @@ def _parse_header(lines: Iterator[Tuple[int, str]], path: Path) -> dict:
     raise TraceFormatError(f"trace file {path} is empty")
 
 
-def _parse_task(line: str, path: Path, lineno: int) -> TaskRecord:
+def _parse_task(line: str, path: Path, lineno: int,
+                table: OperandTable) -> TaskRecord:
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -142,7 +143,8 @@ def _parse_task(line: str, path: Path, lineno: int) -> TaskRecord:
         return TaskRecord(
             sequence=record["seq"],
             kernel=record["kernel"],
-            operands=tuple(_operand_from_json(op) for op in record["operands"]),
+            operands=tuple(_operand_from_json(op, table)
+                           for op in record["operands"]),
             runtime_cycles=record["runtime_cycles"],
             creation_cycles=record.get("creation_cycles"),
         )
@@ -155,9 +157,14 @@ def _parse_task(line: str, path: Path, lineno: int) -> TaskRecord:
 
 def _parse_tasks(lines: Iterator[Tuple[int, str]],
                  path: Path) -> Iterator[TaskRecord]:
-    """Parse the task records remaining on ``lines`` after the header."""
+    """Parse the task records remaining on ``lines`` after the header.
+
+    The tasks share one :class:`OperandTable`, which lives as long as the
+    parse.
+    """
+    table = OperandTable()
     for lineno, line in lines:
-        yield _parse_task(line, path, lineno)
+        yield _parse_task(line, path, lineno, table)
 
 
 def read_trace_header(path: PathLike) -> dict:

@@ -43,7 +43,8 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from repro.common.errors import TraceFormatError
 from repro.common.fileio import ColumnarFormat, atomic_write_bytes
 from repro.common.units import cycles_to_us
-from repro.trace.records import Direction, OperandRecord, TaskRecord, TaskTrace
+from repro.trace.records import (Direction, OperandRecord, OperandTable,
+                                 TaskRecord, TaskTrace)
 
 PathLike = Union[str, Path]
 
@@ -111,8 +112,10 @@ class PackedTaskView:
     derived properties), so the task-generating thread, the hardware frontend
     and the software decoder consume packed tasks unchanged.  The operand
     tuple is materialised as real ``OperandRecord`` objects on first access
-    and cached, so one pipeline traversal pays the construction cost at most
-    once per task.
+    and cached, so one pipeline traversal pays the lookup cost at most once
+    per task; the records themselves come from the trace's
+    :class:`~repro.trace.records.OperandTable`, so each distinct operand is
+    built once per packed trace, however often it is replayed.
     """
 
     __slots__ = ("_trace", "sequence", "_operands")
@@ -203,6 +206,7 @@ class PackedTaskTrace:
         self.op_sizes = op_sizes
         self.op_flags = op_flags
         self.op_name_ids = op_name_ids
+        self._operand_table = OperandTable()
         self._validate()
 
     def _validate(self) -> None:
@@ -269,13 +273,10 @@ class PackedTaskTrace:
     def _operand_record(self, index: int) -> OperandRecord:
         name_id = self.op_name_ids[index]
         flags = self.op_flags[index]
-        return OperandRecord(
-            address=self.op_addresses[index],
-            size=self.op_sizes[index],
-            direction=_DIRECTIONS[flags & 0b11],
-            is_scalar=bool(flags & _SCALAR_BIT),
-            name=None if name_id == _NONE_SENTINEL else self.operand_names[name_id],
-        )
+        return self._operand_table.record(
+            self.op_addresses[index], self.op_sizes[index],
+            _DIRECTIONS[flags & 0b11], bool(flags & _SCALAR_BIT),
+            None if name_id == _NONE_SENTINEL else self.operand_names[name_id])
 
     def to_task_trace(self) -> TaskTrace:
         """Rebuild the original :class:`TaskTrace` (exact round-trip)."""

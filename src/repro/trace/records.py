@@ -12,10 +12,14 @@ lets the pipeline (and the gold dependency-graph builder) match consumers to
 the most recent producer.
 
 A trace holds one :class:`TaskRecord` per task and one :class:`OperandRecord`
-per operand, so both are ``slots=True`` dataclasses: without a
-per-instance ``__dict__`` a generated trace takes about a quarter fewer
-bytes.  Compare records with ``==`` (dataclass equality); they have no
-``__dict__``.
+per *distinct* operand: tasks name the same memory objects again and again,
+so everything that builds a trace goes through an :class:`OperandTable`,
+which builds (and validates) each distinct operand once and hands the same
+frozen record to every task that repeats it.  The table lives as long as
+the builder, reader or packed trace that owns it; there is no record cache
+across traces.  Both record classes are ``slots=True`` dataclasses with no
+``__dict__``: compare them with ``==`` (dataclass equality), never by
+identity, since two tasks' equal operands are one object.
 """
 
 from __future__ import annotations
@@ -81,6 +85,32 @@ class OperandRecord:
     def tracks_dependencies(self) -> bool:
         """True if this operand participates in dependency decoding."""
         return not self.is_scalar
+
+
+class OperandTable:
+    """The operand records of one trace, one per distinct operand.
+
+    :meth:`record` returns the table's record with the given fields,
+    building it -- and so running its checks -- only the first time.
+    Records are frozen, so sharing one between tasks is safe.
+    """
+
+    __slots__ = ("_records",)
+
+    def __init__(self) -> None:
+        self._records: Dict[tuple, OperandRecord] = {}
+
+    def record(self, address: int, size: int, direction: Direction,
+               is_scalar: bool = False,
+               name: Optional[str] = None) -> OperandRecord:
+        """The record ``OperandRecord(address, size, direction, is_scalar,
+        name)``, shared with every earlier request for the same fields."""
+        key = (address, size, direction, is_scalar, name)
+        record = self._records.get(key)
+        if record is None:
+            record = self._records[key] = OperandRecord(
+                address, size, direction, is_scalar, name)
+        return record
 
 
 @dataclass(slots=True)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.errors import WorkloadError
 from repro.common.units import KB, us_to_cycles
 from repro.runtime.memory import AddressSpace, MemoryObject
-from repro.trace.records import Direction, OperandRecord, TaskRecord, TaskTrace
+from repro.trace.records import Direction, OperandTable, TaskRecord, TaskTrace
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,11 @@ class TraceBuilder:
 
     Wraps an :class:`AddressSpace` plus the task list, and provides the
     ``add_task`` helper that converts ``(kernel profile, operand list)`` pairs
-    into :class:`TaskRecord` entries in creation order.  With ``max_tasks``
-    set, the call that would add one task more raises
-    :class:`TraceLimitReached` instead, so the generator builds only the
-    prefix that is kept.
+    into :class:`TaskRecord` entries in creation order.  Operands come from
+    the builder's :class:`OperandTable`, so an operand the trace repeats is
+    one record.  With ``max_tasks`` set, the call that would add one task
+    more raises :class:`TraceLimitReached` instead, so the generator builds
+    only the prefix that is kept.
     """
 
     def __init__(self, name: str, seed: int = 0,
@@ -110,6 +111,7 @@ class TraceBuilder:
         self.metadata: Dict[str, object] = dict(metadata or {})
         self.metadata.setdefault("seed", seed)
         self.max_tasks = max_tasks
+        self._operand_table = OperandTable()
 
     def alloc(self, size: int, name: Optional[str] = None) -> MemoryObject:
         """Allocate a memory object in the workload's address space."""
@@ -139,12 +141,12 @@ class TraceBuilder:
         """
         if len(self.tasks) == self.max_tasks:
             raise TraceLimitReached
-        records = [OperandRecord(address=obj.address, size=obj.size,
-                                 direction=direction, name=obj.name)
+        record = self._operand_table.record
+        records = [record(obj.address, obj.size, direction, name=obj.name)
                    for obj, direction in operands]
         for index in range(scalars):
-            records.append(OperandRecord(address=0, size=8, direction=Direction.INPUT,
-                                         is_scalar=True, name=f"scalar{index}"))
+            records.append(record(0, 8, Direction.INPUT, is_scalar=True,
+                                  name=f"scalar{index}"))
         runtime = runtime_cycles
         if runtime is None:
             runtime = profile.sample_runtime_cycles(self.rng)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.backend.system import TaskSuperscalarSystem, run_trace
 from repro.common.config import SoftwareRuntimeConfig, default_table2_config
-from repro.common.errors import SchedulingError
+from repro.common.errors import CapacityError, SchedulingError
 from repro.common.ids import TaskID
 from repro.common.units import ns_to_cycles
 from repro.cores.core import WorkerCore
@@ -77,15 +77,31 @@ class TestHardwareSystem:
         result = run_trace(cholesky5, num_cores=8)
         assert result.makespan_us == pytest.approx(result.makespan_cycles / 3200.0, rel=0.01)
 
-    def test_deadlock_detection_reports_progress(self):
-        # A task with more operands than the TRS layout supports can never be
-        # allocated; the system must fail loudly rather than hang silently.
+    def test_task_wider_than_the_trs_layout_is_rejected(self):
+        # A task with more operands than the main+indirect block layout
+        # holds can never be stored; TRS storage says so instead of hanging.
         operands = [make_operand(0x1000 * (i + 1), direction=Direction.INPUT)
                     for i in range(25)]
         trace = TaskTrace("too_wide", [make_task(0, operands)])
         system = TaskSuperscalarSystem(default_table2_config(2))
-        with pytest.raises(Exception):
+        with pytest.raises(CapacityError, match="19-operand limit"):
             system.run(trace)
+
+    def test_deadlock_detection_reports_progress(self):
+        # Six operands need a main and an indirect block, but 1 KB over
+        # eight TRSs leaves each TRS one block: the task waits in the
+        # gateway buffer forever, and the run says where it waits.
+        operands = [make_operand(0x1000 * (i + 1), direction=Direction.INPUT)
+                    for i in range(6)]
+        trace = TaskTrace("two_blocks", [make_task(0, operands)])
+        config = default_table2_config(2).with_frontend(
+            total_trs_capacity_bytes=1024)
+        system = TaskSuperscalarSystem(config)
+        with pytest.raises(SchedulingError,
+                           match="simulation deadlocked: completed 0 of 1 "
+                                 "tasks") as raised:
+            system.run(trace)
+        assert "gateway buffer 1, window 0, ready queue 0" in str(raised.value)
 
 
 class TestSoftwareRuntime:

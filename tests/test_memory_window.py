@@ -2,20 +2,27 @@
 
 * A trace generated with ``max_tasks`` is exactly the prefix of the whole
   trace, and the generator stops there instead of building the rest.
-* Trace records are slotted, so a generated trace costs a bounded number of
-  bytes per operand.
+* Trace records are slotted, and a trace holds one operand record per
+  distinct operand, so a generated trace costs a bounded number of bytes
+  per operand.
 * After a run the TRSs keep only vacant chain heads (memory operands of
   finished tasks that no consumer registered on), so their retained state
   is a small number of bytes per task.
-* Both machines log completions as three int64 columns.
+* Both machines log completions as three int64 columns, and the software
+  decoder keeps only what its window holds.
+* Setting up a simulation imports no process pool, socket or OpenSSL.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.backend.system import TaskSuperscalarSystem
 from repro.experiments.common import experiment_config, experiment_trace
 from repro.frontend.trs import TaskReservationStation
@@ -26,13 +33,10 @@ from repro.workloads.registry import synthetic_names, table1_names
 WORKLOAD_NAMES = table1_names() + synthetic_names()
 
 
-def retained_bytes(snapshot, module: str, excluding: str = "") -> int:
-    """Bytes still allocated whose allocating frames include ``module``
-    (and not ``excluding``)."""
+def retained_bytes(snapshot, module: str) -> int:
+    """Bytes still allocated whose allocating frames include ``module`` (a
+    path under ``repro/``, which may end in ``*``)."""
     filters = [tracemalloc.Filter(True, f"*/repro/{module}", all_frames=True)]
-    if excluding:
-        filters.append(tracemalloc.Filter(False, f"*/repro/{excluding}",
-                                          all_frames=True))
     traces = snapshot.filter_traces(filters)
     return sum(stat.size for stat in traces.statistics("filename"))
 
@@ -74,10 +78,11 @@ class TestGeneratedPrefix:
 
 class TestMemoryBounds:
     def test_trace_bytes_per_operand(self):
-        # Measured at 145 B per operand on Python 3.10-3.13 (dict-backed
-        # records took 200, and 225 when this prefix was cut from the
-        # whole trace): the slotted operand and task records, the operand
-        # tuples and the per-object names and addresses.
+        # Measured at 90-92 B per operand on Python 3.10-3.13 (145 with one
+        # operand record per operand, 200 with dict-backed records, and
+        # 225 when this prefix was cut from the whole trace): the slotted
+        # task records, the operand tuples, and 681 shared operand records
+        # with their names and addresses.
         tracemalloc.start()
         try:
             trace = experiment_trace("Cholesky", max_tasks=2000)
@@ -86,7 +91,7 @@ class TestMemoryBounds:
             tracemalloc.stop()
         operands = sum(task.num_operands for task in trace)
         assert operands == 5593
-        assert current / operands < 175
+        assert current / operands < 110
 
     def test_trs_retained_bytes_per_task_after_a_run(self):
         # Measured at 95-100 B per task after 2,000 Cholesky tasks on
@@ -109,10 +114,11 @@ class TestMemoryBounds:
         assert retained_bytes(snapshot, "backend/scheduler.py") / len(trace) < 50
 
     def test_software_runtime_retained_bytes_per_task_after_a_run(self):
-        # Measured at 45-49 B per task on Python 3.10-3.13 (130 with one
-        # (sequence, start, finish, core) tuple per task): the three int64
-        # completion columns the scheduler keeps too, plus the 128 cores.
-        # The decoder's own tables are not counted.
+        # Measured at 79-88 B per task on Python 3.10-3.13, decoder
+        # included (245-253 when the decoder kept every record, sequence
+        # and decode stamp): the three int64 completion columns the
+        # scheduler keeps too, the 128 cores and the decoder's last-writer
+        # table, which holds one entry per object.
         trace = experiment_trace("Cholesky", max_tasks=2000)
         tracemalloc.start(2)
         try:
@@ -122,9 +128,23 @@ class TestMemoryBounds:
         finally:
             tracemalloc.stop()
         assert len(system.completions.table()) == len(trace)
-        retained = retained_bytes(snapshot, "software/runtime_sim.py",
-                                  excluding="software/decoder.py")
-        assert retained / len(trace) < 70
+        assert retained_bytes(snapshot, "software/*") / len(trace) < 110
+
+
+class TestImports:
+    def test_setup_modules_import_no_pool_socket_or_hashlib(self):
+        # A jobs=1 run never opens a pool, a host name is resolved only for
+        # heartbeats and sha256 only for content digests.
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        heavy = ("multiprocessing", "concurrent.futures", "socket", "hashlib")
+        code = (f"import sys; sys.path.insert(0, {src!r}); "
+                "import repro.backend.system, repro.sweep.runner, "
+                "repro.obs.report; "
+                f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+        loaded = subprocess.run([sys.executable, "-I", "-c", code],
+                                capture_output=True, text=True, check=True,
+                                timeout=120)
+        assert loaded.stdout.strip() == "[]"
 
 
 class TestRetiredChainHeads:

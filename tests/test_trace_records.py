@@ -3,7 +3,14 @@
 import pytest
 
 from repro.common.errors import TraceFormatError
-from repro.trace.records import Direction, OperandRecord, TaskRecord, TaskTrace
+from repro.experiments.common import experiment_trace
+from repro.runtime.annotations import task
+from repro.runtime.memory import AddressSpace
+from repro.runtime.recorder import TaskProgram
+from repro.trace.io import read_trace, write_trace
+from repro.trace.records import (Direction, OperandRecord, OperandTable,
+                                 TaskRecord, TaskTrace)
+from repro.trace.store import TraceStore
 
 from tests.conftest import make_operand, make_task
 
@@ -109,3 +116,72 @@ class TestTaskTrace:
         trace = TaskTrace("t", [make_task(0, [make_operand(0x1000), make_operand(0x2000)]),
                                 make_task(1, [make_operand(0x3000)])])
         assert trace.max_operands() == 2
+
+
+def generated(tmp_path):
+    return list(experiment_trace("H264", scale_factor=0.3, max_tasks=300))
+
+
+def written_and_read(tmp_path):
+    path = tmp_path / "h264.jsonl"
+    write_trace(experiment_trace("H264", scale_factor=0.3, max_tasks=300),
+                path)
+    return list(read_trace(path))
+
+
+def loaded_from_the_store(tmp_path):
+    store = TraceStore(tmp_path / "traces")
+    params = {"workload": "H264", "max_tasks": 300}
+
+    def generate():
+        return experiment_trace("H264", scale_factor=0.3, max_tasks=300)
+
+    store.get_or_bake(params, generate)
+    packed, baked = store.get_or_bake(params, generate)
+    assert not baked
+    views = list(packed)
+    # A replay of the same packed trace builds no new records.
+    replayed = [op for view in packed for op in view.operands]
+    assert all(old is new for old, new in zip(
+        (op for view in views for op in view.operands), replayed))
+    return views
+
+
+def recorded(tmp_path):
+    @task(src="input", dst="output")
+    def copy(src, dst, count):
+        pass
+
+    space = AddressSpace()
+    first, second = space.alloc(64), space.alloc(64)
+    with TaskProgram("ping_pong") as program:
+        for _ in range(4):
+            copy(first, second, 1)
+            copy(second, first, 1)
+    return list(program.trace())
+
+
+class TestSharedOperandRecords:
+    def test_table_builds_each_distinct_operand_once(self):
+        table = OperandTable()
+        op = table.record(0x1000, 64, Direction.INOUT, name="a")
+        assert op == OperandRecord(address=0x1000, size=64,
+                                   direction=Direction.INOUT, name="a")
+        assert table.record(0x1000, 64, Direction.INOUT, name="a") is op
+        assert table.record(0x1000, 64, Direction.INPUT, name="a") is not op
+        assert table.record(0x1000, 64, Direction.INOUT) is not op
+        with pytest.raises(TraceFormatError):
+            table.record(0, 8, Direction.OUTPUT, is_scalar=True)
+
+    @pytest.mark.parametrize("build", [generated, written_and_read,
+                                       loaded_from_the_store, recorded])
+    def test_equal_operands_within_a_trace_are_one_record(self, build,
+                                                          tmp_path):
+        operands = [op for record in build(tmp_path)
+                    for op in record.operands]
+        first = {}
+        for op in operands:
+            assert first.setdefault(op, op) is op
+        assert len(first) < len(operands)
+        scalars = [op for op in operands if op.is_scalar]
+        assert len(set(scalars)) < len(scalars)
