@@ -276,28 +276,21 @@ class SoftwareRuntimeConfig:
 
     Section II measures the highly tuned StarSs decoder at just over 700 ns
     per task on a 2.66 GHz Core Duo (and cites ~2.5 us for the Cell BE port).
-    The software runtime has an effectively infinite task window but decodes
-    tasks serially on a single thread.
+    The software runtime has an effectively infinite task window, which the
+    model leaves unbounded, but decodes tasks serially on a single thread,
+    at a fixed cost per task.
     """
 
+    #: Serial decode cost per task, in nanoseconds.
     decode_ns_per_task: float = 700.0
-    #: Additional per-operand decode cost in nanoseconds.
-    decode_ns_per_operand: float = 0.0
     #: Scheduling/dispatch cost per task, in nanoseconds.
     dispatch_ns_per_task: float = 100.0
-    #: The software runtime's task window; ``None`` models the paper's
-    #: "effectively infinite" window.
-    window_tasks: int | None = None
 
     def validate(self) -> None:
         if self.decode_ns_per_task < 0:
             raise ConfigurationError("decode_ns_per_task must be non-negative")
-        if self.decode_ns_per_operand < 0:
-            raise ConfigurationError("decode_ns_per_operand must be non-negative")
         if self.dispatch_ns_per_task < 0:
             raise ConfigurationError("dispatch_ns_per_task must be non-negative")
-        if self.window_tasks is not None and self.window_tasks <= 0:
-            raise ConfigurationError("window_tasks must be positive or None")
 
 
 #: Valid task-stream sharding policies for multi-frontend topologies.
@@ -318,7 +311,10 @@ class TopologyConfig:
     the :class:`repro.topology.InterFrontendFabric` delivers each
     cross-pipeline protocol message after ``forward_latency_cycles``, and the
     backend partitions its cores into one cluster per frontend with optional
-    work stealing between cluster ready queues.
+    work stealing between cluster ready queues.  Every pipeline is built from
+    the same :class:`FrontendConfig`, so machine-wide capacity grows with
+    ``num_frontends``; each pipeline's module counts are set through
+    ``frontend.num_trs`` and ``frontend.num_ort``.
 
     The trivial topology (``num_frontends=1``, ``steal_policy="none"``) is
     guaranteed bit-identical to the pre-topology machine: no router events,
@@ -338,11 +334,6 @@ class TopologyConfig:
     #: uniform victim choice) or ``nearest`` (ring scan from the thief).
     steal_policy: str = "none"
 
-    #: Scales each pipeline's TRS/ORT/OVT module counts, so aggregate
-    #: capacity can be held constant while sharding (e.g. ``0.5`` with two
-    #: frontends) or grown with the frontend count (the default ``1.0``).
-    capacity_scale: float = 1.0
-
     #: Latency charged on every inter-frontend forward message (cross-shard
     #: operand lookups, dependency forwards, remote completions).
     forward_latency_cycles: int = 8
@@ -359,9 +350,6 @@ class TopologyConfig:
             raise ConfigurationError(
                 f"steal_policy must be one of {STEAL_POLICIES}, "
                 f"got {self.steal_policy!r}")
-        if self.capacity_scale <= 0:
-            raise ConfigurationError(
-                f"capacity_scale must be positive, got {self.capacity_scale}")
         if self.forward_latency_cycles < 0:
             raise ConfigurationError(
                 "forward_latency_cycles must be non-negative, "
@@ -371,19 +359,6 @@ class TopologyConfig:
     def is_trivial(self) -> bool:
         """True for the single-pipeline, no-stealing (legacy) machine."""
         return self.num_frontends == 1 and self.steal_policy == "none"
-
-    def scaled_frontend(self, frontend: FrontendConfig) -> FrontendConfig:
-        """Per-pipeline :class:`FrontendConfig` after ``capacity_scale``.
-
-        Module counts scale (min 1 of each); per-module capacities are left
-        untouched, so total capacity scales with ``num_frontends *
-        capacity_scale``.  Identity when ``capacity_scale == 1.0``.
-        """
-        if self.capacity_scale == 1.0:
-            return frontend
-        num_trs = max(1, round(frontend.num_trs * self.capacity_scale))
-        num_ort = max(1, round(frontend.num_ort * self.capacity_scale))
-        return replace(frontend, num_trs=num_trs, num_ort=num_ort)
 
 
 @dataclass

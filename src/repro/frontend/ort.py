@@ -152,15 +152,15 @@ class ObjectRenamingTable(BackPressureTile):
     def _decode_input(self, request: OperandDecodeRequest) -> None:
         """Figure 8: match the reader with the most recent user of the object."""
         table = self.table
-        row = table.lookup_row(request.address)
+        entry = table.entries.get(request.address)
         latency = self._latency
-        if row >= 0:
-            previous_user = table.user_col[row]
+        if entry is not None:
+            previous_user, version_id = entry
             self.send(self.ovt, VersionUse(operand=request.operand,
-                                           version=table.version_col[row]),
+                                           version=version_id),
                       latency=latency)
             self._send_operand_info(request, previous_user)
-            table.user_col[row] = request.operand
+            table.insert(request.address, request.operand, version_id)
             self._stat_reader_hits.value += 1
         else:
             # Miss: the data is already in memory.  A new version is created to
@@ -172,15 +172,15 @@ class ObjectRenamingTable(BackPressureTile):
                                                kind=VersionKind.READER_MISS,
                                                version_id=version_id,
                                                previous_version=None), latency=latency)
-            table.insert_row(request.address, request.operand, version_id)
+            table.insert(request.address, request.operand, version_id)
             self._send_operand_info(request, None)
             self._stat_reader_misses.value += 1
 
     def _decode_output(self, request: OperandDecodeRequest) -> None:
         """Figure 7: rename the object; the operand is ready once renamed."""
         table = self.table
-        row = table.lookup_row(request.address)
-        previous_version = table.version_col[row] if row >= 0 else None
+        entry = table.entries.get(request.address)
+        previous_version = entry[1] if entry is not None else None
         version_id = self._allocate_version_id()
         latency = self._latency
         self._send_operand_info(request, None)
@@ -190,19 +190,17 @@ class ObjectRenamingTable(BackPressureTile):
                                            version_id=version_id,
                                            previous_version=previous_version),
                   latency=latency)
-        table.insert_row(request.address, request.operand, version_id)
+        table.insert(request.address, request.operand, version_id)
         self._stat_writer_decodes.value += 1
 
     def _decode_inout(self, request: OperandDecodeRequest) -> None:
         """Figure 9: true dependency -- chain the input, gate the output."""
         table = self.table
-        row = table.lookup_row(request.address)
-        if row >= 0:
-            previous_user = table.user_col[row]
-            previous_version = table.version_col[row]
+        entry = table.entries.get(request.address)
+        if entry is not None:
+            previous_user, previous_version = entry
         else:
-            previous_user = None
-            previous_version = None
+            previous_user = previous_version = None
         version_id = self._allocate_version_id()
         latency = self._latency
         self._send_operand_info(request, previous_user)
@@ -212,7 +210,7 @@ class ObjectRenamingTable(BackPressureTile):
                                            version_id=version_id,
                                            previous_version=previous_version),
                   latency=latency)
-        table.insert_row(request.address, request.operand, version_id)
+        table.insert(request.address, request.operand, version_id)
         self._stat_inout_decodes.value += 1
 
     # -- Helpers -------------------------------------------------------------------------
@@ -230,6 +228,5 @@ class ObjectRenamingTable(BackPressureTile):
                   latency=self._latency)
 
     def _release_entry(self, release: EntryRelease) -> None:
-        removed = self.table.remove(release.address, version=release.version)
-        if removed:
+        if self.table.remove(release.address, release.version):
             self._stat_entries_released.value += 1

@@ -111,12 +111,12 @@ class ObjectVersioningTable(BackPressureTile):
     def _create_version(self, request: VersionRequest) -> None:
         table = self.table
         producer = None if request.kind is VersionKind.READER_MISS else request.operand
-        row = table.create(address=request.address, producer=producer,
-                           version_id=request.version_id)
+        version = table.create(address=request.address, producer=producer,
+                               version_id=request.version_id)
         if request.kind is VersionKind.READER_MISS:
             # Track the missing reader as a user so the version lives until it
             # finishes (create() only auto-registers writers).
-            table.add_user_row(row, request.operand)
+            table.add_user(version, request.operand)
             self._stat_reader_miss_versions.value += 1
             return
         latency = self._latency
@@ -131,9 +131,9 @@ class ObjectVersioningTable(BackPressureTile):
         # INOUT: the output half is gated on the release of the previous
         # version (Figure 9).  If there is no live previous version, the
         # buffer is free right away.
-        prev_row = table.row_of(request.previous_version)
-        if prev_row >= 0 and table.usage_col[prev_row] > 0:
-            table.waiting_col[prev_row] = request.operand
+        previous = table.versions.get(request.previous_version)
+        if previous is not None and previous.usage > 0:
+            previous.waiting = request.operand
             self._stat_inout_waits.value += 1
         else:
             self.send(trs, DataReady(operand=request.operand,
@@ -142,22 +142,22 @@ class ObjectVersioningTable(BackPressureTile):
 
     def _add_user(self, use: VersionUse) -> None:
         table = self.table
-        row = table.row_of(use.version)
-        if row < 0:
+        version = table.versions.get(use.version)
+        if version is None:
             # The version died between the ORT's lookup and this message being
             # processed; the reader's data is already in memory, so nothing is
             # lost -- just account for it.
             self._stat_use_after_release.value += 1
             return
-        table.add_user_row(row, use.operand)
+        table.add_user(version, use.operand)
 
     def _release_use(self, release: VersionRelease) -> None:
         table = self.table
-        row = table.release_use_row(release.operand)
-        if row < 0:
+        version = table.release_use(release.operand)
+        if version is None:
             return
         latency = self._latency
-        waiting = table.waiting_col[row]
+        waiting = version.waiting
         if waiting is not None:
             # Unblock the inout operand of the superseding version: all the
             # readers of the previous version have drained.
@@ -166,8 +166,8 @@ class ObjectVersioningTable(BackPressureTile):
                                      kind=ReadyKind.OUTPUT_BUFFER), latency=latency)
             self._stat_inout_released.value += 1
         if self.ort is not None:
-            self.send(self.ort, EntryRelease(address=table.addr_col[row],
-                                             version=table.vid_col[row]),
+            self.send(self.ort, EntryRelease(address=version.address,
+                                             version=version.id),
                       latency=latency)
-        table.remove_row(row)
+        table.remove(version)
         self._stat_versions_released.value += 1

@@ -186,10 +186,6 @@ class TaskSuperscalarFrontend:
         """Number of tasks currently held across all TRSs."""
         return sum(map(len, self._trs_tables))
 
-    def trs_blocks_in_use(self) -> int:
-        """Total TRS blocks currently allocated across all TRSs."""
-        return sum(trs.storage.used_blocks for trs in self.trs_list)
-
     def sample_occupancy(self) -> int:
         """Record a window-occupancy sample into the statistics collector
         and return it."""

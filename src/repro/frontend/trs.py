@@ -66,18 +66,17 @@ class _TaskEntry:
     per-operand lists.
     """
 
-    __slots__ = ("task", "record", "main_block", "indirect_blocks",
-                 "decode_time", "ready_time", "want_mask", "decoded_mask",
-                 "input_mask", "output_mask", "avail_mask", "forwarded_mask",
-                 "dir_col", "ovt_col", "consumer_col")
+    __slots__ = ("task", "record", "blocks", "decode_time", "ready_time",
+                 "want_mask", "decoded_mask", "input_mask", "output_mask",
+                 "avail_mask", "forwarded_mask", "dir_col", "ovt_col",
+                 "consumer_col")
 
     def __init__(self, task: TaskID, record: Optional[TaskRecord],
-                 main_block: int, indirect_blocks: List[int],
-                 num_operands: int):
+                 blocks: int, num_operands: int):
         self.task = task
         self.record = record
-        self.main_block = main_block
-        self.indirect_blocks = indirect_blocks
+        #: TRS blocks the task's storage takes (main + indirect).
+        self.blocks = blocks
         self.decode_time: Optional[int] = None
         self.ready_time: Optional[int] = None
         self.want_mask = (1 << num_operands) - 1
@@ -221,7 +220,7 @@ class TaskReservationStation(PacketProcessor):
                                                buffer_slot=request.buffer_slot,
                                                task=None), latency=latency)
             return
-        main_block, indirect = self.storage.allocate(request.num_operands)
+        blocks = self.storage.allocate(request.num_operands)
         slot = self._next_slot
         self._next_slot += 1
         task = TaskID(self.index, slot)
@@ -229,8 +228,7 @@ class TaskReservationStation(PacketProcessor):
         # placeholder entry keyed by the slot now so those messages always
         # find their task.  The gateway fills in the record via the reply path.
         self._tasks[slot] = _TaskEntry(task=task, record=None,
-                                       main_block=main_block,
-                                       indirect_blocks=indirect,
+                                       blocks=blocks,
                                        num_operands=request.num_operands)
         self._stat_tasks_allocated.value += 1
         self.send(self.gateway, AllocReply(trs_index=self.index,
@@ -465,7 +463,7 @@ class TaskReservationStation(PacketProcessor):
                 retired.add(operand_id)
         entry.forwarded_mask = forwarded
         self._stat_chain_forwards.add(chain_len)
-        self.storage.free(entry.main_block, entry.indirect_blocks)
+        self.storage.free(entry.blocks)
         del self._tasks[packet.task.slot]
         self._ready_inflight -= 1
         self._stat_tasks_finished.value += 1

@@ -45,6 +45,9 @@ DEFAULT_CAPACITY = 1 << 20
 #: overhead budget the CI gate enforces.
 DEFAULT_SAMPLE_INTERVAL = 1024
 
+#: Minimum wall-clock seconds between heartbeat callbacks.
+HEARTBEAT_SECONDS = 5.0
+
 
 @dataclass(frozen=True)
 class ObsConfig:
@@ -59,8 +62,6 @@ class ObsConfig:
     #: sweeps and the bench overhead gate run without spans, while
     #: ``repro obs record`` enables them for full Perfetto module tracks.
     module_spans: bool = False
-    #: Minimum wall-clock seconds between heartbeat callbacks.
-    heartbeat_seconds: float = 5.0
 
 
 @dataclass
@@ -196,9 +197,8 @@ class Observer:
 
         Counts every retire; checks the wall clock only every 32 retires so
         the hot path stays cheap, and invokes :attr:`heartbeat` at most once
-        per :attr:`ObsConfig.heartbeat_seconds`.
+        per :data:`HEARTBEAT_SECONDS`.
         """
-        interval = self.config.heartbeat_seconds
         state = {"last": _walltime.monotonic()}
 
         def record(cycle: int) -> None:
@@ -209,7 +209,7 @@ class Observer:
             if callback is None:
                 return
             now = _walltime.monotonic()
-            if now - state["last"] >= interval:
+            if now - state["last"] >= HEARTBEAT_SECONDS:
                 state["last"] = now
                 callback(cycle, self.tasks_retired)
 

@@ -7,12 +7,13 @@ marks it ready once its producers have completed.  The decode itself is
 serial, which is precisely the scalability limit Section II quantifies: just
 over 700 ns per task on a 2.66 GHz Core Duo.
 
-The model decodes tasks one at a time, charging
-``decode_ns_per_task + decode_ns_per_operand * num_memory_operands`` per
+The model decodes tasks one at a time, charging ``decode_ns_per_task`` per
 task, and maintains the dependency graph with the same in-order matching
 rules as the gold graph builder (true dependencies only constrain execution;
 the software runtime renames objects in software, so WaR/WaW do not serialise
-execution -- matching StarSs behaviour).
+execution -- matching StarSs behaviour).  Its task window is unbounded, as
+the paper's software runtime's effectively is (Section II): every submitted
+task is accepted, so the task-generating thread never stalls on it.
 """
 
 from __future__ import annotations
@@ -29,21 +30,22 @@ from repro.trace.records import TaskRecord
 
 
 class SoftwareDecoder(SimModule):
-    """Serial software dependency decoder with an (effectively) infinite window.
+    """Serial software dependency decoder with an unbounded task window.
 
     Tasks are submitted in creation order via :meth:`try_submit` (the same
-    interface as the hardware gateway, so the task-generating thread model is
-    reused unchanged).  Each submission is decoded after the configured serial
-    decode cost; decoded tasks whose true producers have all completed are
-    handed to ``on_ready``.
+    call as the hardware gateway's, so the task-generating thread model is
+    reused unchanged); every submission is accepted.  Each one is decoded
+    after the fixed serial decode cost; decoded tasks whose true producers
+    have all completed are handed to ``on_ready``.
     """
 
     def __init__(self, engine: Engine, config: SoftwareRuntimeConfig,
                  clock_ghz: float, on_ready: Callable[[TaskRecord], None],
                  stats: Optional[StatsCollector] = None):
         super().__init__(engine, "software_decoder", stats)
-        self.config = config
-        self.clock_ghz = clock_ghz
+        #: The serial decode cost of one task, in cycles.
+        self._decode_cycles = max(
+            1, ns_to_cycles(config.decode_ns_per_task, clock_ghz))
         self.on_ready = on_ready
         self._decode_queue: Deque[TaskRecord] = deque()
         self._decoding = False
@@ -60,52 +62,32 @@ class SoftwareDecoder(SimModule):
         self._first_decode = 0
         self._last_decode = 0
         self.tasks_decoded = 0
-        self._space_listeners: List[Callable[[], None]] = []
         self._stat_tasks_submitted = self.stats.counter_handle(
             "software.tasks_submitted")
         self._stat_tasks_decoded = self.stats.counter_handle(
             "software.tasks_decoded")
 
     def detach(self) -> None:
-        """Drop the callbacks into the machine (its run is over)."""
+        """Drop the callback into the machine (its run is over)."""
         self.on_ready = None
-        self._space_listeners = []
 
     # -- Gateway-compatible interface ----------------------------------------------
 
-    def can_accept(self) -> bool:
-        """The software runtime's task window is effectively infinite."""
-        if self.config.window_tasks is None:
-            return True
-        in_window = len(self._in_flight) + len(self._decode_queue)
-        return in_window < self.config.window_tasks
-
     def try_submit(self, record: TaskRecord) -> bool:
-        """Submit one task for decoding (returns False when the window is full)."""
-        if not self.can_accept():
-            return False
+        """Submit one task for decoding; the window is unbounded, so it is
+        always accepted (returns True)."""
         self._decode_queue.append(record)
         self._stat_tasks_submitted.value += 1
         self._start_next_decode()
         return True
 
-    def notify_when_space(self, callback: Callable[[], None]) -> None:
-        """Register a one-shot callback for when the window has room again."""
-        self._space_listeners.append(callback)
-
     # -- Decoding -------------------------------------------------------------------
-
-    def _decode_cost_cycles(self, record: TaskRecord) -> int:
-        nanoseconds = (self.config.decode_ns_per_task
-                       + self.config.decode_ns_per_operand * len(record.memory_operands))
-        return max(1, ns_to_cycles(nanoseconds, self.clock_ghz))
 
     def _start_next_decode(self) -> None:
         if self._decoding or not self._decode_queue:
             return
         self._decoding = True
-        record = self._decode_queue[0]
-        self.schedule(self._decode_cost_cycles(record), self._finish_decode)
+        self.schedule(self._decode_cycles, self._finish_decode)
 
     def _finish_decode(self) -> None:
         record = self._decode_queue.popleft()
@@ -149,10 +131,6 @@ class SoftwareDecoder(SimModule):
             if not pending:
                 del self._pending_producers[consumer]
                 self.on_ready(waiting)
-        if self.config.window_tasks is not None and self.can_accept():
-            listeners, self._space_listeners = self._space_listeners, []
-            for callback in listeners:
-                callback()
 
     # -- Measurements ---------------------------------------------------------------------
 

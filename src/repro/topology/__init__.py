@@ -3,10 +3,11 @@
 The paper evaluates one frontend pipeline feeding many cores but explicitly
 frames the frontend as a distributed, scalable structure (Section IV).  This
 package opens that scenario space: :class:`TopologySpec` (``num_frontends``,
-``shard_policy``, ``steal_policy``, per-frontend capacity scaling) describes a
+``shard_policy``, ``steal_policy``, ``forward_latency_cycles``) describes a
 machine with N independent :class:`~repro.frontend.pipeline
-.TaskSuperscalarFrontend` instances behind a sharding :class:`TaskRouter`,
-with cross-pipeline dependency traffic delivered by an explicit fabric.
+.TaskSuperscalarFrontend` instances, each built from the one frontend
+configuration, behind a sharding :class:`TaskRouter`, with cross-pipeline
+dependency traffic delivered by an explicit fabric.
 
 The building blocks:
 
@@ -241,7 +242,8 @@ def build_frontends(engine: Engine, frontend_config: FrontendConfig,
     Returns the frontends; the :class:`InterFrontendFabric` (built only for
     more than one frontend) is reached through their stubs.  Every
     pipeline's TRS/ORT/OVT modules carry globally unique indices (pipeline
-    ``f``'s local module ``i`` is global ``f * per_fe + i``), and each
+    ``f``'s local TRS ``i`` is global ``f * frontend_config.num_trs + i``,
+    and likewise for ORTs and OVTs with ``num_ort``), and each
     pipeline is wired with global directory views in which remote modules
     are :class:`RemoteStub` proxies.  Capacity back-pressure
     from any ORT/OVT fans out to every gateway through a
@@ -250,16 +252,16 @@ def build_frontends(engine: Engine, frontend_config: FrontendConfig,
     The single-frontend path constructs exactly the legacy machine: the
     pipeline self-wires with its local module lists, no fabric, no stubs.
     """
-    per_fe = topology.scaled_frontend(frontend_config)
     num = topology.num_frontends
     if num == 1:
-        return [TaskSuperscalarFrontend(engine, per_fe, stats)]
+        return [TaskSuperscalarFrontend(engine, frontend_config, stats)]
 
     fabric = InterFrontendFabric(engine, topology, stats)
     frontends = [
         TaskSuperscalarFrontend(
-            engine, per_fe, stats, instance=f, num_frontends=num,
-            trs_base=f * per_fe.num_trs, ort_base=f * per_fe.num_ort,
+            engine, frontend_config, stats, instance=f, num_frontends=num,
+            trs_base=f * frontend_config.num_trs,
+            ort_base=f * frontend_config.num_ort,
             wire=False)
         for f in range(num)
     ]

@@ -4,13 +4,13 @@ software-runtime baseline."""
 import pytest
 
 from repro.backend.system import TaskSuperscalarSystem, run_trace
-from repro.common.config import SoftwareRuntimeConfig, default_table2_config
+from repro.common.config import default_table2_config
 from repro.common.errors import CapacityError, SchedulingError
 from repro.common.ids import TaskID
 from repro.common.units import ns_to_cycles
 from repro.cores.core import WorkerCore
 from repro.sim.engine import Engine
-from repro.software.runtime_sim import SoftwareRuntimeSystem, run_trace_software
+from repro.software.runtime_sim import run_trace_software
 from repro.trace.records import Direction, TaskTrace
 from repro.workloads import registry
 
@@ -124,15 +124,6 @@ class TestSoftwareRuntime:
         trace = chain_trace(5, runtime=1000)
         result = run_trace_software(trace, num_cores=4, validate=True)
         assert result.speedup <= 1.0
-
-    def test_window_limit_backpressures_generator(self):
-        config = default_table2_config(4)
-        config.software = SoftwareRuntimeConfig(window_tasks=4)
-        trace = independent_trace(40, runtime=50_000)
-        system = SoftwareRuntimeSystem(config)
-        result = system.run(trace, validate=True)
-        assert result.tasks_completed == 40
-        assert result.window_peak_tasks <= 4
 
     def test_all_tasks_complete_on_cholesky(self, cholesky5):
         result = run_trace_software(cholesky5, num_cores=8, validate=True)

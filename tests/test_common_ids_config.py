@@ -133,11 +133,6 @@ class TestOtherConfigs:
     def test_software_defaults_match_section2(self):
         sw = SoftwareRuntimeConfig()
         assert sw.decode_ns_per_task == pytest.approx(700.0)
-        assert sw.window_tasks is None
-
-    def test_software_invalid_window(self):
-        with pytest.raises(ConfigurationError):
-            SoftwareRuntimeConfig(window_tasks=0).validate()
 
 
 class TestSimulationConfig:

@@ -33,3 +33,15 @@ def test_package_maps_name_every_package():
                    if f":mod:`repro.{name}`" not in repro.__doc__]
     assert missing_readme == [], "README Layout omits these packages"
     assert missing_doc == [], "repro.__doc__ omits these packages"
+
+
+def test_readme_topology_spec_names_every_field():
+    from dataclasses import fields
+
+    from repro.topology import TopologySpec
+
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"a `TopologySpec`\s*\(([^)]*)\)", text)
+    assert listed is not None, "README no longer lists the TopologySpec fields"
+    names = re.findall(r"`(\w+)`", listed.group(1))
+    assert names == [f.name for f in fields(TopologySpec)]

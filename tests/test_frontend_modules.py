@@ -262,7 +262,7 @@ class TestDecodeMeasurement:
             frontend.try_submit(record(i, [mem(0x1000 * (i + 1), Direction.OUTPUT)]))
         engine.run()
         assert frontend.window_occupancy() == 3
-        assert frontend.trs_blocks_in_use() == 3
+        assert sum(trs.storage.used_blocks for trs in frontend.trs_list) == 3
         frontend.notify_finished(TaskID(0, 0))
         engine.run()
         assert frontend.window_occupancy() == 2

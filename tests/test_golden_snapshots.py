@@ -93,8 +93,8 @@ def topology_n2_snapshot() -> dict:
 def bench_quick_snapshot() -> dict:
     """The simulated work of each quick bench scenario.
 
-    The committed values were measured on the structure-of-arrays frontend
-    (commit d9ae1f4) and every bit-identical change since has kept them.
+    The committed values were measured at commit d9ae1f4, and every
+    bit-identical change since has kept them.
     """
     scenarios = {}
     for scenario in bench.SUITE:

@@ -1,13 +1,13 @@
-"""Edge-case tests for the packed (structure-of-arrays) frontend state.
+"""Edge-case tests for the frontend tables and the packed TRS operand state.
 
-The ORT/OVT tables and the TRS operand state are stored as packed columns
-and bitmasks (see :mod:`repro.frontend.storage` and
-:mod:`repro.frontend.trs`).  These tests pin the boundaries of that
+The ORT/OVT tables are dicts of live entries with per-set counts, and the
+TRS operand state is packed into bitmasks (see :mod:`repro.frontend.storage`
+and :mod:`repro.frontend.trs`).  These tests pin the boundaries of that
 representation:
 
 * a renaming-table set filled to its associativity stalls the gateway and
-  drains again on entry release, with freed rows recycled through the free
-  list rather than leaking columns;
+  drains again on entry release, and released entries leave nothing behind
+  in the table or its set counts;
 * a consumer chain registered against an operand of an already-freed task
   resolves through its vacant chain head, and the one-consumer-per-operand
   invariant survives the task's storage being recycled;
@@ -17,6 +17,8 @@ representation:
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -62,31 +64,35 @@ class TestRenamingTableSetPressure:
         assert not ort.table.is_pressured()
         assert not frontend.gateway.is_stalled
 
-    def test_released_rows_are_recycled_not_leaked(self):
+    def test_released_entries_leave_nothing_behind(self):
         engine, frontend = small_frontend(num_trs=1)
-        ort = frontend.orts[0]
-        for i in range(4):
-            frontend.try_submit(record(i, [mem(0x10000 + i * 0x1000,
-                                               Direction.OUTPUT)]))
+        ort, ovt = frontend.orts[0], frontend.ovts[0]
+
+        def assert_holds_exactly(addresses):
+            table = ort.table
+            assert set(table.entries) == set(addresses)
+            per_set = Counter(table.set_index(a) for a in addresses)
+            assert table._set_live == [per_set[i]
+                                       for i in range(table.num_sets)]
+            assert ovt.table.live_versions == len(addresses)
+
+        first = [0x10000 + i * 0x1000 for i in range(4)]
+        for i, address in enumerate(first):
+            frontend.try_submit(record(i, [mem(address, Direction.OUTPUT)]))
         engine.run()
-        rows_after_fill = len(ort.table.user_col)
-        assert ort.table.occupancy == 4
+        assert_holds_exactly(first)
         for i in range(4):
             frontend.notify_finished(TaskID(0, i))
         engine.run()
-        assert ort.table.occupancy == 0
-        # Freed rows drop their last user and sit on the free list...
-        assert all(user is None for user in ort.table.user_col)
-        assert len(ort.table._free_rows) == 4
-        # ...and a fresh wave of objects reuses them instead of growing
-        # the columns.
-        for i in range(4):
-            frontend.try_submit(record(4 + i, [mem(0x90000 + i * 0x1000,
+        assert_holds_exactly([])
+        assert ovt.table.operand_version == {}
+        # A fresh wave of objects holds exactly its own entries.
+        second = [0x90000 + i * 0x1000 for i in range(4)]
+        for i, address in enumerate(second):
+            frontend.try_submit(record(4 + i, [mem(address,
                                                    Direction.OUTPUT)]))
         engine.run()
-        assert (len(ort.table.version_col) == len(ort.table.user_col)
-                == rows_after_fill)
-        assert ort.table.occupancy == 4
+        assert_holds_exactly(second)
 
 
 class TestRetiredOperandStubs:
@@ -197,7 +203,7 @@ class TestWideOperandVectors:
         assert entry.decoded_mask == entry.want_mask
         assert entry.ready_time is not None
         # 15 operands = main block (4) + three full indirect blocks (5 each).
-        assert len(entry.indirect_blocks) == 3
+        assert entry.blocks == 4
         assert trs.storage.used_blocks == 4
         assert len(frontend.ready_queue) == 1
         frontend.notify_finished(TaskID(0, 0))

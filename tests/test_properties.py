@@ -2,8 +2,8 @@
 
 The properties cover:
 
-* the TRS block allocator (no double allocation, conservation of blocks,
-  layout arithmetic, the same block order as an eagerly built LIFO),
+* the TRS block allocator (conservation of blocks, layout arithmetic, the
+  same fits/used counts as a counting reference),
 * the ORT renaming table (occupancy, overflow and pressure bookkeeping after
   every step of arbitrary insert/remove interleavings),
 * the OVT version table (usage counts never go negative, releases are
@@ -74,21 +74,6 @@ def trace_strategy(draw, max_tasks: int = 18):
 # Block allocator
 # ---------------------------------------------------------------------------
 
-class EagerFreeList:
-    """Reference block order: every block on one LIFO from the start, the
-    lowest index on top, freed blocks pushed back in the order given."""
-
-    def __init__(self, num_blocks: int):
-        self.free_list = list(range(num_blocks - 1, -1, -1))
-
-    def allocate(self, needed: int):
-        blocks = [self.free_list.pop() for _ in range(needed)]
-        return blocks[0], blocks[1:]
-
-    def free(self, main: int, indirect) -> None:
-        self.free_list.extend([main, *indirect])
-
-
 class TestBlockStorageProperties:
     @given(st.lists(st.integers(min_value=0, max_value=19), min_size=1, max_size=60),
            st.integers(min_value=64, max_value=512))
@@ -98,40 +83,40 @@ class TestBlockStorageProperties:
         for count in operand_counts:
             if storage.can_allocate(count):
                 live.append(storage.allocate(count))
-        allocated = {block for main, indirect in live for block in [main, *indirect]}
-        # No block handed out twice.
-        assert len(allocated) == sum(1 + len(ind) for _m, ind in live)
-        assert storage.used_blocks == len(allocated)
-        for main, indirect in live:
-            storage.free(main, indirect)
-        assert storage.free_blocks == num_blocks
+        assert storage.used_blocks == sum(live)
+        for blocks in live:
+            storage.free(blocks)
+        assert storage.used_blocks == 0
 
     @given(st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=19),
                               st.integers(min_value=0, max_value=63)),
                     min_size=1, max_size=80),
            st.integers(min_value=1, max_value=40))
-    def test_block_order_matches_eager_free_list(self, operations, num_blocks):
+    def test_block_counts_match_a_counting_reference(self, operations,
+                                                     num_blocks):
+        # Block positions do not exist, so the reference is a count: a task
+        # takes 1 + ceil(max(0, operands - 4) / 5) blocks and fits while that
+        # many are free.
         storage = BlockStorage(num_blocks=num_blocks)
-        reference = EagerFreeList(num_blocks)
+        used = 0
         live = []
         for allocate, operands, pick in operations:
             if allocate or not live:
-                needed = storage.blocks_for(operands)
-                fits = needed <= len(reference.free_list)
+                needed = 1 + (max(0, operands - 4) + 4) // 5
+                fits = used + needed <= num_blocks
                 assert storage.can_allocate(operands) == fits
                 if fits:
-                    blocks = storage.allocate(operands)
-                    assert blocks == reference.allocate(needed)
-                    live.append(blocks)
+                    assert storage.allocate(operands) == needed
+                    used += needed
+                    live.append(needed)
                 else:
                     with pytest.raises(AllocationError):
                         storage.allocate(operands)
             else:
-                main, indirect = live.pop(pick % len(live))
-                storage.free(main, indirect)
-                reference.free(main, indirect)
-            assert storage.free_blocks == len(reference.free_list)
-            assert storage.used_blocks == num_blocks - len(reference.free_list)
+                blocks = live.pop(pick % len(live))
+                storage.free(blocks)
+                used -= blocks
+            assert storage.used_blocks == used
 
     @given(st.integers(min_value=0, max_value=19))
     def test_blocks_for_matches_layout(self, operands):
@@ -165,10 +150,10 @@ class TestRenamingTableProperties:
                     same_set = [a for a in live
                                 if table.set_index(a) == table.set_index(address)]
                     overflows += len(same_set) >= table.assoc
-                table.insert_row(address, OperandID(0, 0, 0), version)
+                table.insert(address, OperandID(0, 0, 0), version)
                 live[address] = version
             else:
-                removed = table.remove(address)
+                removed = table.remove(address, live.get(address, -1))
                 assert removed == (address in live)
                 live.pop(address, None)
             # The bookkeeping matches the live entries after every step.
@@ -178,8 +163,8 @@ class TestRenamingTableProperties:
             pressured = (any(n >= table.assoc for n in per_set.values())
                          or len(live) >= table.capacity)
             assert table.is_pressured() == pressured
-        for address, expected_version in live.items():
-            assert table.version_col[table.lookup_row(address)] == expected_version
+        assert {address: version for address, (_user, version)
+                in table.entries.items()} == live
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +176,22 @@ class TestVersionTableProperties:
     def test_release_fires_exactly_when_last_user_leaves(self, readers, extra_releases):
         table = VersionTable(capacity=64)
         producer = OperandID(0, 0, 0)
-        row = table.create(0x1000, producer=producer, version_id=0)
+        version = table.create(0x1000, producer=producer, version_id=0)
         reader_ids = [OperandID(0, i + 1, 0) for i in range(readers)]
         for reader in reader_ids:
-            table.add_user_row(row, reader)
+            table.add_user(version, reader)
         users = [producer, *reader_ids]
         random.Random(readers).shuffle(users)
         for index, user in enumerate(users):
-            dead = table.release_use_row(user)
+            dead = table.release_use(user)
+            # The reference: the count of users not yet released.
+            assert version.usage == len(users) - 1 - index
             if index < len(users) - 1:
-                assert dead == -1
+                assert dead is None
             else:
-                assert dead == row and table.vid_col[row] == 0
+                assert dead is version and dead.id == 0
         for _ in range(extra_releases):
-            assert table.release_use_row(producer) == -1
+            assert table.release_use(producer) is None
 
 
 # ---------------------------------------------------------------------------

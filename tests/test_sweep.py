@@ -117,6 +117,16 @@ class TestSweepSpec:
             SweepSpec(name="bad", workloads=("Cholesky",),
                       axes={"backend.model_data_transfers": (False, True)},
                       ).validate()
+        # Each pipeline is built from the frontend config as it is, and the
+        # software runtime's window is unbounded: neither has a knob.
+        with pytest.raises(ConfigurationError, match="topology.capacity_scale"):
+            SweepSpec(name="bad", workloads=("Cholesky",),
+                      axes={"topology.capacity_scale": (0.5, 1.0)},
+                      ).validate()
+        with pytest.raises(ConfigurationError, match="software.window_tasks"):
+            SweepSpec(name="bad", workloads=("Cholesky",),
+                      axes={"software.window_tasks": (4, None)},
+                      ).validate()
 
         with pytest.raises(ConfigurationError):
             SweepSpec(name="bad", workloads=("Cholesky",),

@@ -178,7 +178,7 @@ class TestTopologyCacheKeys:
 class TestTopologyConfigValidation:
     def test_rejects_bad_values(self):
         for bad in (dict(num_frontends=0), dict(shard_policy="modulo"),
-                    dict(steal_policy="always"), dict(capacity_scale=0.0),
+                    dict(steal_policy="always"),
                     dict(forward_latency_cycles=-1)):
             with pytest.raises(ConfigurationError):
                 TopologyConfig(**bad).validate()
@@ -187,11 +187,3 @@ class TestTopologyConfigValidation:
         assert TopologyConfig().is_trivial
         assert not TopologyConfig(num_frontends=2).is_trivial
         assert not TopologyConfig(steal_policy="random").is_trivial
-
-    def test_capacity_scale_keeps_aggregate_constant(self):
-        config = _config(num_frontends=2, capacity_scale=0.5)
-        per_fe = config.topology.scaled_frontend(config.frontend)
-        assert per_fe.num_trs == config.frontend.num_trs // 2
-        trace = _trace(max_tasks=60)
-        result = TaskSuperscalarSystem(config).run(trace, validate=True)
-        assert result.tasks_completed == len(trace)
